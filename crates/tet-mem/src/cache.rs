@@ -23,7 +23,7 @@
 //! Snapshot restore used to memcpy every tag/stamp array (2 MiB for a
 //! skylake-class LLC) per forked trial. [`Cache::seal`] starts a journal
 //! epoch: every slot write records its index once per epoch (deduplicated
-//! by a per-slot journal stamp), so [`Cache::restore_delta`] repairs only
+//! by a per-slot journal stamp), so [`Cache::restore`] repairs only
 //! the slots touched since the seal. A slot is *valid* iff its LRU stamp
 //! is non-zero **and** its validity epoch matches the cache-wide flush
 //! epoch, which turns [`Cache::flush_all`] into a single counter bump with
@@ -31,7 +31,7 @@
 
 use std::sync::Arc;
 
-use crate::{line_addr, LINE_SIZE};
+use crate::{line_addr, same_seal, LINE_SIZE};
 
 /// Geometry and latency of one cache level.
 ///
@@ -117,7 +117,7 @@ pub struct Cache {
     vepoch: Vec<u32>,
     flush_epoch: u32,
     /// Identity of the seal this cache (and any clone of it) derives
-    /// from; `restore_delta` only trusts journals across a shared seal.
+    /// from; `restore` only trusts journals across a shared seal.
     seal: Option<Arc<()>>,
     /// Journal epoch: 0 = journaling off (never sealed). A slot is
     /// already journaled this epoch iff `jepoch[w] == epoch`.
@@ -326,7 +326,7 @@ impl Cache {
 
     /// Marks the current state as a snapshot point: clones taken now
     /// share this seal, and every later slot write journals itself so
-    /// [`Cache::restore_delta`] can repair in O(slots touched).
+    /// [`Cache::restore`] can repair in O(slots touched).
     pub fn seal(&mut self) {
         self.seal = Some(Arc::new(()));
         self.journal.clear();
@@ -334,63 +334,60 @@ impl Cache {
         self.bump_epoch();
     }
 
-    /// Rolls back to the sealed state shared with `src`, repairing only
-    /// journaled slots. Returns `false` (self untouched) when the two
-    /// sides do not share a seal — the caller falls back to
-    /// [`Cache::restore_from`].
-    pub fn restore_delta(&mut self, src: &Cache) -> bool {
-        let shared = match (&self.seal, &src.seal) {
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-            _ => false,
-        };
-        if !shared || self.full_dirty {
-            return false;
-        }
-        debug_assert!(
-            src.journal.is_empty() && !src.full_dirty,
-            "restore source must be a sealed, unmutated snapshot"
-        );
-        for i in 0..self.journal.len() {
-            let w = self.journal[i] as usize;
-            self.tags[w] = src.tags[w];
-            self.stamps[w] = src.stamps[w];
-            self.vepoch[w] = src.vepoch[w];
+    /// Rolls this cache back to the state of `src`, a sealed snapshot,
+    /// reusing the flat tag/stamp allocations. Across a shared seal only
+    /// the journaled slots are repaired, in O(slots touched). Otherwise
+    /// (a foreign or unsealed source, or an epoch wrap that left this
+    /// cache full-dirty) every array is copied and the source's seal is
+    /// adopted, so the next restore replays the journal.
+    pub fn restore(&mut self, src: &Cache) {
+        let Cache {
+            cfg,
+            tags,
+            stamps,
+            tick,
+            mru,
+            hits,
+            misses,
+            vepoch,
+            flush_epoch,
+            seal,
+            // Journal bookkeeping is this cache's own; it restarts below.
+            epoch: _,
+            jepoch: _,
+            journal,
+            full_dirty,
+        } = src;
+        if same_seal(&self.seal, seal) && !self.full_dirty {
+            debug_assert!(
+                journal.is_empty() && !full_dirty,
+                "restore source must be a sealed, unmutated snapshot"
+            );
+            for i in 0..self.journal.len() {
+                let w = self.journal[i] as usize;
+                self.tags[w] = tags[w];
+                self.stamps[w] = stamps[w];
+                self.vepoch[w] = vepoch[w];
+            }
+        } else {
+            debug_assert_eq!(self.cfg, *cfg, "restore across cache geometries");
+            self.cfg = *cfg;
+            self.tags.clear();
+            self.tags.extend_from_slice(tags);
+            self.stamps.clear();
+            self.stamps.extend_from_slice(stamps);
+            self.vepoch.clear();
+            self.vepoch.extend_from_slice(vepoch);
+            self.seal.clone_from(seal);
+            self.full_dirty = false;
         }
         self.journal.clear();
         self.bump_epoch();
-        self.tick = src.tick;
-        self.mru = src.mru;
-        self.hits = src.hits;
-        self.misses = src.misses;
-        self.flush_epoch = src.flush_epoch;
-        true
-    }
-
-    /// Overwrites this cache with the state of `src`, reusing the flat
-    /// tag/stamp allocations. Both caches must share a geometry (they do
-    /// in the snapshot/restore use: restore targets a machine built from
-    /// the same config the snapshot came from). Adopts the source's seal,
-    /// so subsequent [`Cache::restore_delta`] calls succeed.
-    pub fn restore_from(&mut self, src: &Cache) {
-        debug_assert_eq!(self.cfg, src.cfg, "restore across cache geometries");
-        self.cfg = src.cfg;
-        self.tags.clear();
-        self.tags.extend_from_slice(&src.tags);
-        self.stamps.clear();
-        self.stamps.extend_from_slice(&src.stamps);
-        self.vepoch.clear();
-        self.vepoch.extend_from_slice(&src.vepoch);
-        self.flush_epoch = src.flush_epoch;
-        self.tick = src.tick;
-        self.mru = src.mru;
-        self.hits = src.hits;
-        self.misses = src.misses;
-        // Now byte-identical to the sealed source: adopt its seal and
-        // restart journaling so the next restore can go delta.
-        self.seal.clone_from(&src.seal);
-        self.journal.clear();
-        self.full_dirty = false;
-        self.bump_epoch();
+        self.tick = *tick;
+        self.mru = *mru;
+        self.hits = *hits;
+        self.misses = *misses;
+        self.flush_epoch = *flush_epoch;
     }
 }
 
@@ -621,8 +618,9 @@ mod tests {
         }
     }
 
-    /// Delta restore must leave the cache indistinguishable from an
-    /// exhaustive restore: same fingerprint, stats, and future behavior.
+    /// A journal-replay restore must leave the cache indistinguishable
+    /// from a clone of the snapshot: same fingerprint, stats, and future
+    /// behavior.
     #[test]
     fn delta_restore_matches_exhaustive_restore() {
         let mut state = 0x9e3779b97f4a7c15u64;
@@ -634,53 +632,48 @@ mod tests {
         };
         for (sets, ways) in [(2usize, 2usize), (8, 4), (16, 16)] {
             let cfg = CacheConfig::new(sets, ways, 1);
-            let mut warm = Cache::new(cfg);
+            let mut c = Cache::new(cfg);
             for _ in 0..500 {
                 let r = rng();
                 let addr = (r >> 16) % (sets as u64 * ways as u64 * 2 * LINE_SIZE);
                 if r % 2 == 0 {
-                    warm.fill(addr);
+                    c.fill(addr);
                 } else {
-                    warm.lookup(addr);
+                    c.lookup(addr);
                 }
             }
-            warm.seal();
-            let snap = warm.clone();
-            let mut delta = warm.clone();
-            let mut full = warm;
-            // Identical churn on both, including whole-cache flushes.
-            for step in 0..2_000 {
+            c.seal();
+            let snap = c.clone();
+            // Churn, including whole-cache flushes.
+            for _ in 0..2_000 {
                 let r = rng();
                 let addr = (r >> 16) % (sets as u64 * ways as u64 * 2 * LINE_SIZE);
                 match r % 8 {
                     0..=3 => {
-                        assert_eq!(delta.fill(addr), full.fill(addr), "step {step}");
+                        c.fill(addr);
                     }
                     4..=5 => {
-                        assert_eq!(delta.lookup(addr), full.lookup(addr), "step {step}");
+                        c.lookup(addr);
                     }
                     6 => {
-                        assert_eq!(delta.flush_line(addr), full.flush_line(addr));
+                        c.flush_line(addr);
                     }
-                    _ => {
-                        delta.flush_all();
-                        full.flush_all();
-                    }
+                    _ => c.flush_all(),
                 }
             }
-            assert_eq!(delta.fingerprint(), full.fingerprint());
-            assert!(delta.restore_delta(&snap), "shared seal must go delta");
-            full.restore_from(&snap);
-            assert_eq!(delta.fingerprint(), full.fingerprint(), "{sets}x{ways}");
-            assert_eq!(delta.fingerprint(), snap.fingerprint());
-            assert_eq!(delta.stats(), full.stats());
-            assert_eq!(delta.tick, full.tick);
+            assert!(c.journal_len() > 0);
+            c.restore(&snap);
+            assert_eq!(c.journal_len(), 0);
+            let mut reference = snap.clone();
+            assert_eq!(c.fingerprint(), reference.fingerprint(), "{sets}x{ways}");
+            assert_eq!(c.stats(), reference.stats());
+            assert_eq!(c.tick, reference.tick);
             // Future behavior must also agree (LRU order fully restored).
             for step in 0..500 {
                 let r = rng();
                 let addr = (r >> 16) % (sets as u64 * ways as u64 * 2 * LINE_SIZE);
-                assert_eq!(delta.fill(addr), full.fill(addr), "post step {step}");
-                assert_eq!(delta.lookup(addr), full.lookup(addr), "post step {step}");
+                assert_eq!(c.fill(addr), reference.fill(addr), "post step {step}");
+                assert_eq!(c.lookup(addr), reference.lookup(addr), "post step {step}");
             }
         }
     }
@@ -704,7 +697,7 @@ mod tests {
         c.fill(3 * LINE_SIZE);
         assert_eq!(c.resident_lines(), 1);
         assert!(c.journal_len() <= 2);
-        assert!(c.restore_delta(&snap));
+        c.restore(&snap);
         assert_eq!(c.fingerprint(), snap.fingerprint());
         assert_eq!(c.resident_lines(), 512);
     }
@@ -718,12 +711,17 @@ mod tests {
         let mut b = Cache::new(cfg);
         b.fill(64);
         b.seal();
-        let before = a.fingerprint();
-        assert!(!a.restore_delta(&b), "foreign seal must be refused");
-        assert_eq!(a.fingerprint(), before, "failed delta must not mutate");
-        a.restore_from(&b);
+        a.fill(256);
+        // A foreign seal cannot be trusted: copy, and adopt the seal.
+        a.restore(&b);
+        assert_eq!(a.fingerprint(), b.fingerprint());
+        assert!(same_seal(&a.seal, &b.seal), "copy adopts the seal");
+        assert_eq!(a.journal_len(), 0);
+        // The next restore replays the journal.
         a.fill(128);
-        assert!(a.restore_delta(&b), "full restore adopts the seal");
+        assert_eq!(a.journal_len(), 1);
+        a.restore(&b);
+        assert_eq!(a.journal_len(), 0);
         assert_eq!(a.fingerprint(), b.fingerprint());
     }
 }

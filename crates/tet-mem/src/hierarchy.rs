@@ -335,7 +335,7 @@ impl MemorySystem {
     }
 
     /// Seals every cache level for delta restore (DESIGN.md §16): later
-    /// slot writes journal themselves so [`MemorySystem::restore_delta`]
+    /// slot writes journal themselves so [`MemorySystem::restore`]
     /// against a clone of this seal repairs only touched slots.
     pub fn seal(&mut self) {
         self.l1d.seal();
@@ -344,37 +344,15 @@ impl MemorySystem {
         self.llc.seal();
     }
 
-    /// Journal-driven rollback to the sealed state shared with `src`.
-    /// Cache levels repair O(slots touched); the LFB (10 entries), RNG
-    /// stream position and sink are small and restored eagerly. Falls
-    /// back per level when a seal is not shared, so this never fails —
-    /// it is only ever slower.
-    pub fn restore_delta(&mut self, src: &MemorySystem) {
-        debug_assert_eq!(self.cfg, src.cfg, "restore across memory configs");
-        self.cfg = src.cfg;
-        if !self.l1d.restore_delta(&src.l1d) {
-            self.l1d.restore_from(&src.l1d);
-        }
-        if !self.l1i.restore_delta(&src.l1i) {
-            self.l1i.restore_from(&src.l1i);
-        }
-        if !self.l2.restore_delta(&src.l2) {
-            self.l2.restore_from(&src.l2);
-        }
-        if !self.llc.restore_delta(&src.llc) {
-            self.llc.restore_from(&src.llc);
-        }
-        self.lfb.restore_from(&src.lfb);
-        self.rng = src.rng.clone();
-        self.sink = src.sink.clone();
-    }
-
-    /// Overwrites this hierarchy with the state of `src` — tags, stamps,
+    /// Rolls this hierarchy back to the state of `src` — tags, stamps,
     /// fill buffers and the DRAM jitter stream position — reusing every
-    /// flat allocation (snapshot restore). The trace sink is taken from
-    /// `src` too; [`Machine::run`](../tet-uarch) re-attaches its own per-run
-    /// sink anyway.
-    pub fn restore_from(&mut self, src: &MemorySystem) {
+    /// flat allocation (snapshot restore). Each cache level replays its
+    /// journal across a shared seal and copies otherwise (see
+    /// [`Cache::restore`]); the LFB, RNG and sink are small and copied.
+    /// The trace sink is taken from `src` too;
+    /// [`Machine::run`](../tet-uarch) re-attaches its own per-run sink
+    /// anyway.
+    pub fn restore(&mut self, src: &MemorySystem) {
         let MemorySystem {
             cfg,
             l1d,
@@ -389,12 +367,13 @@ impl MemorySystem {
             jitter_draws: _,
             jitter_sum: _,
         } = src;
+        debug_assert_eq!(self.cfg, *cfg, "restore across memory configs");
         self.cfg = *cfg;
-        self.l1d.restore_from(l1d);
-        self.l1i.restore_from(l1i);
-        self.l2.restore_from(l2);
-        self.llc.restore_from(llc);
-        self.lfb.restore_from(lfb);
+        self.l1d.restore(l1d);
+        self.l1i.restore(l1i);
+        self.l2.restore(l2);
+        self.llc.restore(llc);
+        self.lfb.restore(lfb);
         self.rng = rng.clone();
         self.sink = sink.clone();
     }

@@ -111,8 +111,9 @@ impl LineFillBuffer {
     }
 
     /// Overwrites this buffer with the state of `src`, reusing the ring
-    /// allocation (snapshot restore).
-    pub fn restore_from(&mut self, src: &LineFillBuffer) {
+    /// allocation (snapshot restore). Ten entries are cheaper to copy
+    /// than to journal, so this is always a full copy.
+    pub fn restore(&mut self, src: &LineFillBuffer) {
         let LineFillBuffer { entries, capacity } = src;
         self.capacity = *capacity;
         self.entries.clone_from(entries);

@@ -3,7 +3,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::PAGE_SIZE;
+use crate::{same_seal, PAGE_SIZE};
 
 /// One 4 KiB physical page.
 pub type Page = [u8; PAGE_SIZE as usize];
@@ -34,7 +34,7 @@ impl PageSlot {
 /// Snapshot forks are O(touched): [`PhysMem::seal`] freezes the current
 /// contents into an `Arc`-shared base image, after which every resident
 /// page is [`PageSlot::Shared`] and writes COW-fork individual pages
-/// into the `dirty` journal. [`PhysMem::restore_delta`] walks only that
+/// into the `dirty` journal. [`PhysMem::restore`] walks only that
 /// journal, re-pointing dirtied pages at the base image and dropping
 /// pages allocated since the seal.
 ///
@@ -178,7 +178,7 @@ impl PhysMem {
 
     /// Freezes the current contents into an `Arc`-shared base image.
     /// Clones of a sealed `PhysMem` share every page; their writes
-    /// COW-fork pages individually, and [`PhysMem::restore_delta`]
+    /// COW-fork pages individually, and [`PhysMem::restore`]
     /// against a clone of the same seal is O(pages dirtied).
     pub fn seal(&mut self) {
         let pages = std::mem::take(&mut self.pages);
@@ -196,49 +196,43 @@ impl PhysMem {
         self.dirty.clear();
     }
 
-    /// Rolls back to the sealed image shared with `src`, touching only
-    /// pages dirtied since the seal. Returns `false` (self unchanged)
-    /// when the two sides do not share a base image, in which case the
-    /// caller must fall back to [`PhysMem::restore_from`].
-    pub fn restore_delta(&mut self, src: &PhysMem) -> bool {
-        let shared = match (&self.base, &src.base) {
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-            _ => false,
-        };
-        if !shared {
-            return false;
-        }
-        debug_assert!(
-            src.dirty.is_empty(),
-            "restore source must be a sealed, unmutated snapshot"
-        );
-        let base = self.base.clone().expect("checked above");
-        for i in 0..self.dirty.len() {
-            let vpn = self.dirty[i];
-            let old = match base.get(&vpn) {
-                Some(arc) => self.pages.insert(vpn, PageSlot::Shared(Arc::clone(arc))),
-                None => self.pages.remove(&vpn),
-            };
-            if let Some(PageSlot::Owned(p)) = old {
-                if self.spare.len() < SPARE_PAGES {
-                    self.spare.push(p);
+    /// Rolls this memory back to the contents of `src`, a sealed
+    /// snapshot. Across a shared base image only the pages dirtied since
+    /// the seal are touched: they re-point at the base image, and pages
+    /// allocated since the seal are dropped. Otherwise every page is
+    /// copied (an `Arc` bump per page where the source is sealed, a deep
+    /// copy otherwise) and the source's base image is adopted, so the
+    /// next restore replays the dirty set.
+    pub fn restore(&mut self, src: &PhysMem) {
+        let PhysMem {
+            pages,
+            base,
+            dirty,
+            // The recycled page boxes are this memory's own.
+            spare: _,
+        } = src;
+        if same_seal(&self.base, base) {
+            debug_assert!(
+                dirty.is_empty(),
+                "restore source must be a sealed, unmutated snapshot"
+            );
+            let base = self.base.clone().expect("sealed");
+            for i in 0..self.dirty.len() {
+                let vpn = self.dirty[i];
+                let old = match base.get(&vpn) {
+                    Some(arc) => self.pages.insert(vpn, PageSlot::Shared(Arc::clone(arc))),
+                    None => self.pages.remove(&vpn),
+                };
+                if let Some(PageSlot::Owned(p)) = old {
+                    if self.spare.len() < SPARE_PAGES {
+                        self.spare.push(p);
+                    }
                 }
             }
+        } else {
+            self.pages.clone_from(pages);
+            self.base.clone_from(base);
         }
-        self.dirty.clear();
-        true
-    }
-
-    /// Overwrites this memory with the contents of `src`, reusing the
-    /// source's shared pages where it is sealed (an `Arc` bump per page)
-    /// and deep-copying otherwise. Also adopts the source's base image
-    /// so subsequent [`PhysMem::restore_delta`] calls succeed.
-    pub fn restore_from(&mut self, src: &PhysMem) {
-        self.pages.clear();
-        for (k, slot) in &src.pages {
-            self.pages.insert(*k, slot.clone());
-        }
-        self.base.clone_from(&src.base);
         self.dirty.clear();
     }
 }
@@ -293,7 +287,7 @@ mod tests {
         assert_eq!(m.dirty_pages(), 2);
         assert_eq!(m.resident_pages(), 3);
 
-        assert!(m.restore_delta(&snap));
+        m.restore(&snap);
         assert_eq!(m.dirty_pages(), 0);
         assert_eq!(m.resident_pages(), 2);
         assert_eq!(m.read_u64(0x1000), 0x1111);
@@ -309,12 +303,18 @@ mod tests {
         let mut b = PhysMem::new();
         b.write_u8(0x1000, 2);
         b.seal();
-        assert!(!a.restore_delta(&b));
-        assert_eq!(a.read_u8(0x1000), 1, "failed delta must not mutate");
-        a.restore_from(&b);
+        a.write_u8(0x7000, 7);
+        // A foreign base image cannot be trusted: copy, and adopt it.
+        a.restore(&b);
         assert_eq!(a.read_u8(0x1000), 2);
+        assert_eq!(a.read_u8(0x7000), 0);
+        assert_eq!(a.resident_pages(), b.resident_pages());
+        assert!(same_seal(&a.base, &b.base), "copy adopts the base image");
+        // The next restore replays the dirty set.
         a.write_u8(0x1000, 9);
-        assert!(a.restore_delta(&b), "full restore adopts the seal");
+        assert_eq!(a.dirty_pages(), 1);
+        a.restore(&b);
+        assert_eq!(a.dirty_pages(), 0);
         assert_eq!(a.read_u8(0x1000), 2);
     }
 
@@ -326,17 +326,15 @@ mod tests {
         }
         m.seal();
         let snap = m.clone();
-        let mut full = m.clone();
         for i in 0..32u64 {
             m.write_u8(0x800 * i + 7, i as u8);
-            full.write_u8(0x800 * i + 7, i as u8);
         }
-        assert!(m.restore_delta(&snap));
-        full.restore_from(&snap);
-        assert_eq!(m.resident_pages(), full.resident_pages());
+        m.restore(&snap);
+        let reference = snap.clone();
+        assert_eq!(m.resident_pages(), reference.resident_pages());
         for i in 0..32u64 {
             let pa = 0x800 * i + 7;
-            assert_eq!(m.read_u8(pa), full.read_u8(pa), "pa {pa:#x}");
+            assert_eq!(m.read_u8(pa), reference.read_u8(pa), "pa {pa:#x}");
         }
     }
 }

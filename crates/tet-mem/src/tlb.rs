@@ -23,7 +23,7 @@
 
 use std::sync::Arc;
 
-use crate::{vpn, Pte};
+use crate::{same_seal, vpn, Pte};
 
 /// TLB geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -326,59 +326,57 @@ impl Tlb {
         self.bump_epoch();
     }
 
-    /// Rolls back to the sealed state shared with `src`, repairing only
-    /// journaled slots. Returns `false` (self untouched) when the two
-    /// sides do not share a seal.
-    pub fn restore_delta(&mut self, src: &Tlb) -> bool {
-        let shared = match (&self.seal, &src.seal) {
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-            _ => false,
-        };
-        if !shared || self.full_dirty {
-            return false;
-        }
-        debug_assert!(
-            src.journal.is_empty() && !src.full_dirty,
-            "restore source must be a sealed, unmutated snapshot"
-        );
-        for i in 0..self.journal.len() {
-            let w = self.journal[i] as usize;
-            self.entries[w] = src.entries[w];
-            self.stamps[w] = src.stamps[w];
-            self.vepoch[w] = src.vepoch[w];
+    /// Rolls this TLB back to the state of `src`, a sealed snapshot:
+    /// journal replay across a shared seal, otherwise a full copy that
+    /// adopts the source's seal (the rule of
+    /// [`Cache::restore`](crate::Cache::restore)).
+    pub fn restore(&mut self, src: &Tlb) {
+        let Tlb {
+            cfg,
+            entries,
+            stamps,
+            tick,
+            mru,
+            hits,
+            misses,
+            vepoch,
+            flush_epoch,
+            seal,
+            epoch: _,
+            jepoch: _,
+            journal,
+            full_dirty,
+        } = src;
+        if same_seal(&self.seal, seal) && !self.full_dirty {
+            debug_assert!(
+                journal.is_empty() && !full_dirty,
+                "restore source must be a sealed, unmutated snapshot"
+            );
+            for i in 0..self.journal.len() {
+                let w = self.journal[i] as usize;
+                self.entries[w] = entries[w];
+                self.stamps[w] = stamps[w];
+                self.vepoch[w] = vepoch[w];
+            }
+        } else {
+            debug_assert_eq!(self.cfg, *cfg, "restore across TLB geometries");
+            self.cfg = *cfg;
+            self.entries.clear();
+            self.entries.extend_from_slice(entries);
+            self.stamps.clear();
+            self.stamps.extend_from_slice(stamps);
+            self.vepoch.clear();
+            self.vepoch.extend_from_slice(vepoch);
+            self.seal.clone_from(seal);
+            self.full_dirty = false;
         }
         self.journal.clear();
         self.bump_epoch();
-        self.tick = src.tick;
-        self.mru = src.mru;
-        self.hits = src.hits;
-        self.misses = src.misses;
-        self.flush_epoch = src.flush_epoch;
-        true
-    }
-
-    /// Overwrites this TLB with the state of `src`, reusing the flat
-    /// entry/stamp allocations (same-geometry restore, as with
-    /// [`Cache::restore_from`](crate::Cache::restore_from)). Adopts the
-    /// source's seal, so subsequent [`Tlb::restore_delta`] calls succeed.
-    pub fn restore_from(&mut self, src: &Tlb) {
-        debug_assert_eq!(self.cfg, src.cfg, "restore across TLB geometries");
-        self.cfg = src.cfg;
-        self.entries.clear();
-        self.entries.extend_from_slice(&src.entries);
-        self.stamps.clear();
-        self.stamps.extend_from_slice(&src.stamps);
-        self.vepoch.clear();
-        self.vepoch.extend_from_slice(&src.vepoch);
-        self.flush_epoch = src.flush_epoch;
-        self.tick = src.tick;
-        self.mru = src.mru;
-        self.hits = src.hits;
-        self.misses = src.misses;
-        self.seal.clone_from(&src.seal);
-        self.journal.clear();
-        self.full_dirty = false;
-        self.bump_epoch();
+        self.tick = *tick;
+        self.mru = *mru;
+        self.hits = *hits;
+        self.misses = *misses;
+        self.flush_epoch = *flush_epoch;
     }
 }
 
@@ -612,8 +610,8 @@ mod tests {
         }
     }
 
-    /// Delta restore must be indistinguishable from an exhaustive
-    /// restore, including across keep-global and full flushes.
+    /// A journal-replay restore must be indistinguishable from a clone of
+    /// the snapshot, including across keep-global and full flushes.
     #[test]
     fn delta_restore_matches_exhaustive_restore() {
         let mut state = 0xd1b54a32d192ed03u64;
@@ -625,56 +623,50 @@ mod tests {
         };
         for (sets, ways) in [(1usize, 4usize), (4, 4), (16, 4)] {
             let cfg = TlbConfig::new(sets, ways);
-            let mut warm = Tlb::new(cfg);
+            let mut t = Tlb::new(cfg);
             let pages = (cfg.entries() * 2) as u64;
             for _ in 0..500 {
                 let r = rng();
                 let vaddr = ((r >> 16) % pages) * 4096;
                 let mut pte = Pte::user_data(r >> 32);
                 pte.global = r & 0x1000 != 0;
-                warm.fill(vaddr, pte);
+                t.fill(vaddr, pte);
             }
-            warm.seal();
-            let snap = warm.clone();
-            let mut delta = warm.clone();
-            let mut full = warm;
-            for step in 0..2_000 {
+            t.seal();
+            let snap = t.clone();
+            for _ in 0..2_000 {
                 let r = rng();
                 let vaddr = ((r >> 16) % pages) * 4096 + (r & 0xfff);
                 match r % 8 {
                     0..=3 => {
                         let mut pte = Pte::user_data(r >> 32);
                         pte.global = r & 0x1000 != 0;
-                        delta.fill(vaddr, pte);
-                        full.fill(vaddr, pte);
+                        t.fill(vaddr, pte);
                     }
                     4..=5 => {
-                        assert_eq!(delta.lookup(vaddr), full.lookup(vaddr), "step {step}");
+                        t.lookup(vaddr);
                     }
                     6 => {
-                        assert_eq!(delta.flush_page(vaddr), full.flush_page(vaddr));
+                        t.flush_page(vaddr);
                     }
-                    _ => {
-                        let keep = r & 1 == 0;
-                        delta.flush_all(keep);
-                        full.flush_all(keep);
-                    }
+                    _ => t.flush_all(r & 1 == 0),
                 }
             }
-            assert!(delta.restore_delta(&snap), "shared seal must go delta");
-            full.restore_from(&snap);
-            assert_eq!(delta.fingerprint(), full.fingerprint(), "{sets}x{ways}");
-            assert_eq!(delta.fingerprint(), snap.fingerprint());
-            assert_eq!(delta.stats(), full.stats());
+            assert!(t.journal_len() > 0);
+            t.restore(&snap);
+            assert_eq!(t.journal_len(), 0);
+            let mut reference = snap.clone();
+            assert_eq!(t.fingerprint(), reference.fingerprint(), "{sets}x{ways}");
+            assert_eq!(t.stats(), reference.stats());
             for step in 0..500 {
                 let r = rng();
                 let vaddr = ((r >> 16) % pages) * 4096 + (r & 0xfff);
-                assert_eq!(delta.lookup(vaddr), full.lookup(vaddr), "post step {step}");
+                assert_eq!(t.lookup(vaddr), reference.lookup(vaddr), "post step {step}");
                 let pte = Pte::user_data(r >> 32);
-                delta.fill(vaddr, pte);
-                full.fill(vaddr, pte);
+                t.fill(vaddr, pte);
+                reference.fill(vaddr, pte);
             }
-            assert_eq!(delta.fingerprint(), full.fingerprint());
+            assert_eq!(t.fingerprint(), reference.fingerprint());
         }
     }
 
@@ -687,12 +679,16 @@ mod tests {
         let mut b = Tlb::new(cfg);
         b.fill(0x2000, Pte::user_data(2));
         b.seal();
-        let before = a.fingerprint();
-        assert!(!a.restore_delta(&b));
-        assert_eq!(a.fingerprint(), before);
-        a.restore_from(&b);
+        a.fill(0x4000, Pte::user_data(4));
+        // A foreign seal cannot be trusted: copy, and adopt the seal.
+        a.restore(&b);
+        assert_eq!(a.fingerprint(), b.fingerprint());
+        assert!(same_seal(&a.seal, &b.seal), "copy adopts the seal");
+        // The next restore replays the journal.
         a.fill(0x3000, Pte::user_data(3));
-        assert!(a.restore_delta(&b), "full restore adopts the seal");
+        assert_eq!(a.journal_len(), 1);
+        a.restore(&b);
+        assert_eq!(a.journal_len(), 0);
         assert_eq!(a.fingerprint(), b.fingerprint());
     }
 }

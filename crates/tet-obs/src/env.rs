@@ -1,13 +1,11 @@
 //! One parser for the boolean `TET_*` environment switches.
 //!
-//! The repository grew half a dozen on/off environment variables
-//! (`TET_FF`, `TET_BATCH`, `TET_PREDECODE`, `TET_SNAPSHOT`,
-//! `TET_METRICS`, `TET_PROF`, `TET_CHECK`, `TET_QUIET`) and, with them,
+//! The repository's on/off environment variables (`TET_METRICS`,
+//! `TET_PROF`, `TET_CHECK`, `TET_QUIET`, `TET_SERVE_KEEPALIVE`) once had
 //! three subtly different parsers: some sites treated *any* set value as
 //! enabled, some required exactly `=1`, some required "non-empty and not
-//! `0`". `TET_METRICS=true` therefore enabled nothing while
-//! `TET_FF=false` disabled nothing — a trap once several switches are
-//! set together on live server requests.
+//! `0`". `TET_METRICS=true` therefore enabled nothing — a trap once
+//! several switches are set together on live server requests.
 //!
 //! [`env_flag`] is the single shared rule, used by every switch:
 //!
@@ -16,8 +14,8 @@
 //!   ignored) or the empty string → **disabled**;
 //! * set to anything else (`1`, `true`, `on`, `yes`, ...) → **enabled**.
 //!
-//! Callers that cache the answer process-wide (the hot-path switches do,
-//! via `OnceLock`) keep their caching; only the parse is centralized.
+//! Callers that cache the answer process-wide (`TET_CHECK` does, via
+//! `OnceLock`) keep their caching; only the parse is centralized.
 
 /// Parses one boolean environment switch under the shared rule (see the
 /// module docs). `default` is returned when `name` is unset.

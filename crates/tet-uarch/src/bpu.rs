@@ -251,47 +251,48 @@ impl Bpu {
         self.pht_full_dirty = false;
     }
 
-    /// Journal-driven rollback to the sealed state shared with `src`:
-    /// journaled PHT counters are repaired individually (or the whole
-    /// 4 KiB table on journal overflow), the BTB repairs through its own
-    /// journal, and the GHR/RSB (a scalar and ≤16 entries) restore
-    /// eagerly. Returns `false` (self untouched) when the BTB seals do
-    /// not match — the trust anchor for the PHT journal too, since both
-    /// are sealed together.
-    pub fn restore_delta(&mut self, src: &Bpu) -> bool {
-        if !self.pht_sealed || !self.btb.restore_delta(&src.btb) {
-            return false;
-        }
-        if self.pht_full_dirty {
-            self.pht.copy_from_slice(&src.pht);
-            self.pht_full_dirty = false;
-        } else {
-            for i in 0..self.pht_journal.len() {
-                let idx = self.pht_journal[i] as usize;
-                self.pht[idx] = src.pht[idx];
-            }
-        }
-        self.pht_journal.clear();
-        self.ghr = src.ghr;
-        self.rsb.clear();
-        self.rsb.extend_from_slice(&src.rsb);
-        true
+    /// Whether this predictor and `src` share a snapshot seal, i.e.
+    /// whether [`Bpu::restore`] will replay the journals.
+    pub(crate) fn shares_seal(&self, src: &Bpu) -> bool {
+        self.pht_sealed && self.btb.shares_seal(&src.btb)
     }
 
-    /// Overwrites this predictor with the state of `src`, reusing the
-    /// PHT/BTB/RSB allocations (snapshot restore). Adopts the source's
-    /// seal so subsequent [`Bpu::restore_delta`] calls succeed.
-    pub fn restore_from(&mut self, src: &Bpu) {
-        self.cfg = src.cfg;
-        self.pht.clear();
-        self.pht.extend_from_slice(&src.pht);
-        self.ghr = src.ghr;
-        self.btb.restore_from(&src.btb);
-        self.rsb.clear();
-        self.rsb.extend_from_slice(&src.rsb);
+    /// Rolls this predictor back to the state of `src`, a sealed
+    /// snapshot, reusing the PHT/BTB/RSB allocations. Across a shared
+    /// seal (the BTB's, which the PHT journal is sealed together with)
+    /// journaled PHT counters are repaired individually, or the whole
+    /// 4 KiB table on journal overflow, and the BTB replays its own
+    /// journal. Otherwise the PHT and BTB are copied and the source's
+    /// seal is adopted. The GHR and RSB (a scalar and ≤16 entries) are
+    /// always copied.
+    pub fn restore(&mut self, src: &Bpu) {
+        let Bpu {
+            cfg,
+            pht,
+            ghr,
+            btb,
+            rsb,
+            pht_journal: _,
+            pht_sealed,
+            pht_full_dirty: _,
+        } = src;
+        if self.shares_seal(src) && !self.pht_full_dirty {
+            for i in 0..self.pht_journal.len() {
+                let idx = self.pht_journal[i] as usize;
+                self.pht[idx] = pht[idx];
+            }
+        } else {
+            self.cfg = *cfg;
+            self.pht.clear();
+            self.pht.extend_from_slice(pht);
+            self.pht_sealed = *pht_sealed;
+        }
+        self.btb.restore(btb);
         self.pht_journal.clear();
-        self.pht_sealed = src.pht_sealed;
         self.pht_full_dirty = false;
+        self.ghr = *ghr;
+        self.rsb.clear();
+        self.rsb.extend_from_slice(rsb);
     }
 }
 
@@ -500,8 +501,8 @@ mod tests {
         }
     }
 
-    /// Delta restore must reproduce the predictor state (PHT counters,
-    /// BTB order, GHR, RSB) of an exhaustive restore exactly.
+    /// A journal-replay restore must reproduce the predictor state (PHT
+    /// counters, BTB order, GHR, RSB) of a clone of the snapshot exactly.
     #[test]
     fn delta_restore_matches_exhaustive_restore() {
         let mut state = 0xaf63bd4c8601b7efu64;
@@ -511,7 +512,7 @@ mod tests {
             state ^= state << 17;
             state
         };
-        let mut warm = Bpu::new(BpuConfig {
+        let mut bpu = Bpu::new(BpuConfig {
             pht_bits: 6,
             ghr_bits: 6,
             btb_entries: 8,
@@ -519,12 +520,10 @@ mod tests {
         });
         for _ in 0..200 {
             let r = rng();
-            warm.resolve_cond((r >> 8) as usize % 64, r & 1 == 0, (r >> 16) as usize % 64);
+            bpu.resolve_cond((r >> 8) as usize % 64, r & 1 == 0, (r >> 16) as usize % 64);
         }
-        warm.seal();
-        let snap = warm.clone();
-        let mut delta = warm.clone();
-        let mut full = warm;
+        bpu.seal();
+        let snap = bpu.clone();
         let churn = |b: &mut Bpu, r: u64| match r % 6 {
             0 => {
                 b.resolve_cond((r >> 8) as usize % 64, r & 2 == 0, (r >> 16) as usize % 64);
@@ -543,30 +542,36 @@ mod tests {
                 b.predict_ret(7);
             }
         };
-        // Long enough that the PHT journal accumulates duplicates and
-        // (at 64 PHT entries) overflows into the full-dirty fallback.
-        for _ in 0..2_000 {
-            let r = rng();
-            churn(&mut delta, r);
-            churn(&mut full, r);
+        // Short churn replays the PHT journal; long churn (at 64 PHT
+        // entries) overflows it into the full-dirty fallback.
+        for rounds in [20, 2_000] {
+            for _ in 0..rounds {
+                churn(&mut bpu, rng());
+            }
+            assert_eq!(bpu.pht_full_dirty, rounds > 100, "{rounds} rounds");
+            assert!(bpu.shares_seal(&snap));
+            bpu.restore(&snap);
+            assert!(bpu.pht_journal.is_empty() && !bpu.pht_full_dirty);
+            let mut reference = snap.clone();
+            assert_eq!(bpu.pht, reference.pht);
+            assert_eq!(bpu.ghr, reference.ghr);
+            assert_eq!(bpu.rsb, reference.rsb);
+            assert_eq!(bpu.btb_fingerprint(), reference.btb_fingerprint());
+            // Future behavior must agree (recency order fully restored).
+            let mut probe = bpu.clone();
+            for _ in 0..500 {
+                let r = rng();
+                let pc = (r >> 8) as usize % 64;
+                assert_eq!(
+                    probe.predict_cond(pc, 1, 2),
+                    reference.predict_cond(pc, 1, 2)
+                );
+                churn(&mut probe, r);
+                churn(&mut reference, r);
+            }
+            assert_eq!(probe.pht, reference.pht);
+            assert_eq!(probe.btb_fingerprint(), reference.btb_fingerprint());
         }
-        assert!(delta.restore_delta(&snap), "shared seal must go delta");
-        full.restore_from(&snap);
-        assert_eq!(delta.pht, full.pht);
-        assert_eq!(delta.ghr, full.ghr);
-        assert_eq!(delta.rsb, full.rsb);
-        assert_eq!(delta.btb_fingerprint(), full.btb_fingerprint());
-        assert_eq!(delta.btb_fingerprint(), snap.btb_fingerprint());
-        // Future behavior must agree (recency order fully restored).
-        for _ in 0..500 {
-            let r = rng();
-            let pc = (r >> 8) as usize % 64;
-            assert_eq!(delta.predict_cond(pc, 1, 2), full.predict_cond(pc, 1, 2));
-            churn(&mut delta, r);
-            churn(&mut full, r);
-        }
-        assert_eq!(delta.pht, full.pht);
-        assert_eq!(delta.btb_fingerprint(), full.btb_fingerprint());
     }
 
     #[test]
@@ -577,11 +582,19 @@ mod tests {
         let mut b = Bpu::new(BpuConfig::default());
         b.resolve_cond(3, true, 4);
         b.seal();
-        assert!(!a.restore_delta(&b), "foreign seal must be refused");
-        assert!(a.btb_probe(1), "failed delta must not mutate");
-        a.restore_from(&b);
-        a.resolve_cond(5, true, 6);
-        assert!(a.restore_delta(&b), "full restore adopts the seal");
+        a.resolve_cond(7, true, 8);
+        // A foreign seal cannot be trusted: copy, and adopt the seal.
+        assert!(!a.shares_seal(&b));
+        a.restore(&b);
+        assert!(a.shares_seal(&b), "copy adopts the seal");
         assert_eq!(a.btb_fingerprint(), b.btb_fingerprint());
+        assert_eq!(a.pht, b.pht);
+        // The next restore replays the journals.
+        a.resolve_cond(5, true, 6);
+        assert!(!a.pht_journal.is_empty());
+        a.restore(&b);
+        assert!(a.pht_journal.is_empty());
+        assert_eq!(a.btb_fingerprint(), b.btb_fingerprint());
+        assert_eq!(a.pht, b.pht);
     }
 }

@@ -436,10 +436,27 @@ impl Cpu {
         self.sink = sink;
     }
 
+    /// Seals the journaled core structures (branch predictor, µop cache,
+    /// both TLBs) so later [`Cpu::restore`] calls against clones of this
+    /// state repair only journaled slots (DESIGN.md §16).
+    pub fn seal(&mut self) {
+        self.bpu.seal();
+        self.dsb.seal();
+        self.itlb.seal();
+        self.dtlb.seal();
+    }
+
     /// Overwrites this core with the state of `src`, reusing every heap
     /// allocation this core already owns (ROB, IDQ, TLBs, predictor
     /// tables, PMU bank, port table) — the restore half of the machine
-    /// snapshot layer. Both cores must come from the same `CpuConfig`.
+    /// snapshot layer. Both cores must share a port count.
+    ///
+    /// The journaled structures (predictor, µop cache, TLBs) replay
+    /// their touched-set journals when they share a seal with `src` and
+    /// otherwise copy exhaustively, adopting the seal. All scalar and
+    /// queue state is copied either way. The configuration is copied
+    /// whenever the structures do not replay: only a clone of the same
+    /// sealed state shares its seal, and that clone shares its config.
     ///
     /// The exhaustive destructuring below is deliberate: adding a field
     /// to `Cpu` without deciding how it restores becomes a compile
@@ -449,30 +466,7 @@ impl Cpu {
     /// describe this core's lifetime (like the PMU describes a run), so
     /// a workload forking many trials from one snapshot accumulates its
     /// totals across restores.
-    pub fn restore_from(&mut self, src: &Cpu) {
-        self.restore_impl(src, false);
-    }
-
-    /// Seals the journaled core structures (branch predictor, µop cache,
-    /// both TLBs) so later [`Cpu::restore_delta`] calls against clones of
-    /// this state repair only journaled slots (DESIGN.md §16).
-    pub fn seal(&mut self) {
-        self.bpu.seal();
-        self.dsb.seal();
-        self.itlb.seal();
-        self.dtlb.seal();
-    }
-
-    /// Like [`Cpu::restore_from`], but rolls the journaled structures
-    /// back via their touched-set journals when they share a seal with
-    /// `src`, falling back to the exhaustive copy per structure when
-    /// they do not. All scalar and queue state restores identically to
-    /// the full path; only the repair strategy differs.
-    pub fn restore_delta(&mut self, src: &Cpu) {
-        self.restore_impl(src, true);
-    }
-
-    fn restore_impl(&mut self, src: &Cpu, delta: bool) {
+    pub fn restore(&mut self, src: &Cpu) {
         let Cpu {
             cfg,
             pmu,
@@ -536,28 +530,19 @@ impl Cpu {
             self.cfg.ports, cfg.ports,
             "snapshot restore across core configurations"
         );
-        if !delta {
-            // The config never mutates between a snapshot and its
-            // restores, so the delta path skips re-cloning it (it may
-            // own heap state, e.g. strings).
+        if !self.bpu.shares_seal(bpu) {
             self.cfg = cfg.clone();
         }
         self.pmu.copy_from(pmu);
-        if !delta || !self.bpu.restore_delta(bpu) {
-            self.bpu.restore_from(bpu);
-        }
-        if !delta || !self.dsb.restore_delta(dsb) {
-            self.dsb.restore_from(dsb);
-        }
+        self.bpu.restore(bpu);
+        self.dsb.restore(dsb);
         self.idq.clone_from(idq);
         self.fetch_pc = *fetch_pc;
         self.fetch_stall_until = *fetch_stall_until;
         self.fetch_enabled = *fetch_enabled;
         self.last_fetch_page = *last_fetch_page;
         self.last_fetch_from_dsb = *last_fetch_from_dsb;
-        if !delta || !self.itlb.restore_delta(itlb) {
-            self.itlb.restore_from(itlb);
-        }
+        self.itlb.restore(itlb);
         self.rob.clone_from(rob);
         self.next_uop_id = *next_uop_id;
         self.rat = *rat;
@@ -579,9 +564,7 @@ impl Cpu {
         self.exec_unresolved_branches = *exec_unresolved_branches;
         self.exec_max_done = *exec_max_done;
         self.mem_max_done = *mem_max_done;
-        if !delta || !self.dtlb.restore_delta(dtlb) {
-            self.dtlb.restore_from(dtlb);
-        }
+        self.dtlb.restore(dtlb);
         self.walker = *walker;
         self.syscall_pages.clear();
         self.syscall_pages.extend_from_slice(syscall_pages);

@@ -60,16 +60,11 @@ impl Dsb {
         self.lru.seal();
     }
 
-    /// Journal-driven rollback to the sealed state shared with `src`.
-    /// Returns `false` (self untouched) when no seal is shared.
-    pub fn restore_delta(&mut self, src: &Dsb) -> bool {
-        self.lru.restore_delta(&src.lru)
-    }
-
-    /// Overwrites this DSB with the state of `src`, reusing the index
-    /// allocations (snapshot restore). Adopts the source's seal.
-    pub fn restore_from(&mut self, src: &Dsb) {
-        self.lru.restore_from(&src.lru);
+    /// Rolls this DSB back to the state of `src`, a sealed snapshot:
+    /// journal replay across a shared seal, otherwise a full copy that
+    /// adopts the source's seal.
+    pub fn restore(&mut self, src: &Dsb) {
+        self.lru.restore(&src.lru);
     }
 }
 

@@ -15,7 +15,7 @@
 //!
 //! For snapshot forks the index carries the same journal/epoch layer as
 //! the caches (DESIGN.md §16): every slot or direct-map write journals
-//! its position once per epoch, so [`LruIndex::restore_delta`] repairs
+//! its position once per epoch, so [`LruIndex::restore`] repairs
 //! O(entries touched) instead of re-cloning the arena.
 
 use std::sync::Arc;
@@ -247,68 +247,72 @@ impl<V: Copy> LruIndex<V> {
         self.bump_epoch();
     }
 
-    /// Journal-driven rollback to the sealed state shared with `src`.
-    /// The arena and direct map only grow within an epoch, so restore
-    /// truncates them back to the source's lengths and repairs the
-    /// journaled positions below that boundary. Returns `false` (self
-    /// untouched) when the two sides do not share a seal.
-    pub(crate) fn restore_delta(&mut self, src: &LruIndex<V>) -> bool {
-        let shared = match (&self.seal, &src.seal) {
-            (Some(a), Some(b)) => Arc::ptr_eq(a, b),
-            _ => false,
-        };
-        if !shared {
-            return false;
-        }
-        debug_assert!(
-            src.journal_slots.is_empty() && src.journal_keys.is_empty(),
-            "restore source must be a sealed, unmutated snapshot"
-        );
-        debug_assert!(self.slots.len() >= src.slots.len(), "arena never shrinks");
-        self.slots.truncate(src.slots.len());
-        self.jslot.truncate(src.slots.len());
-        for i in 0..self.journal_slots.len() {
-            let s = self.journal_slots[i] as usize;
-            if s < src.slots.len() {
-                self.slots[s] = src.slots[s].clone();
-            }
-        }
-        self.index.truncate(src.index.len());
-        self.jkey.truncate(src.index.len());
-        for i in 0..self.journal_keys.len() {
-            let k = self.journal_keys[i] as usize;
-            if k < src.index.len() {
-                self.index[k] = src.index[k];
-            }
-        }
-        self.free.clear();
-        self.free.extend_from_slice(&src.free);
-        self.head = src.head;
-        self.tail = src.tail;
-        self.len = src.len;
-        debug_assert_eq!(self.capacity, src.capacity);
-        self.journal_slots.clear();
-        self.journal_keys.clear();
-        self.bump_epoch();
-        true
+    /// Whether this index and `src` share a snapshot seal, i.e. whether
+    /// [`LruIndex::restore`] will replay the journal.
+    pub(crate) fn shares_seal(&self, src: &LruIndex<V>) -> bool {
+        tet_mem::same_seal(&self.seal, &src.seal)
     }
 
-    /// Overwrites this index with the state of `src`, reusing the slot
-    /// arena and direct-map allocations (snapshot restore). Adopts the
-    /// source's seal so subsequent delta restores succeed.
-    pub(crate) fn restore_from(&mut self, src: &LruIndex<V>) {
-        self.slots.clone_from(&src.slots);
-        self.index.clear();
-        self.index.extend_from_slice(&src.index);
+    /// Rolls this index back to the state of `src`, a sealed snapshot,
+    /// reusing the arena and direct-map allocations. Across a shared
+    /// seal the arena and direct map (which only grow within an epoch)
+    /// truncate back to the source's lengths and only journaled
+    /// positions below that boundary are repaired. Otherwise everything
+    /// is copied and the source's seal is adopted, so the next restore
+    /// replays the journal.
+    pub(crate) fn restore(&mut self, src: &LruIndex<V>) {
+        let LruIndex {
+            slots,
+            index,
+            free,
+            head,
+            tail,
+            len,
+            capacity,
+            seal,
+            // Journal bookkeeping is this index's own; it restarts below.
+            epoch: _,
+            jslot: _,
+            jkey: _,
+            journal_slots,
+            journal_keys,
+        } = src;
+        if self.shares_seal(src) {
+            debug_assert!(
+                journal_slots.is_empty() && journal_keys.is_empty(),
+                "restore source must be a sealed, unmutated snapshot"
+            );
+            debug_assert!(self.slots.len() >= slots.len(), "arena never shrinks");
+            self.slots.truncate(slots.len());
+            self.jslot.truncate(slots.len());
+            for i in 0..self.journal_slots.len() {
+                let s = self.journal_slots[i] as usize;
+                if s < slots.len() {
+                    self.slots[s] = slots[s].clone();
+                }
+            }
+            self.index.truncate(index.len());
+            self.jkey.truncate(index.len());
+            for i in 0..self.journal_keys.len() {
+                let k = self.journal_keys[i] as usize;
+                if k < index.len() {
+                    self.index[k] = index[k];
+                }
+            }
+        } else {
+            self.slots.clone_from(slots);
+            self.index.clear();
+            self.index.extend_from_slice(index);
+            self.seal.clone_from(seal);
+            self.jslot.resize(slots.len(), 0);
+            self.jkey.resize(index.len(), 0);
+        }
         self.free.clear();
-        self.free.extend_from_slice(&src.free);
-        self.head = src.head;
-        self.tail = src.tail;
-        self.len = src.len;
-        self.capacity = src.capacity;
-        self.seal.clone_from(&src.seal);
-        self.jslot.resize(self.slots.len(), 0);
-        self.jkey.resize(self.index.len(), 0);
+        self.free.extend_from_slice(free);
+        self.head = *head;
+        self.tail = *tail;
+        self.len = *len;
+        self.capacity = *capacity;
         self.journal_slots.clear();
         self.journal_keys.clear();
         self.bump_epoch();
@@ -407,8 +411,8 @@ mod tests {
         }
     }
 
-    /// Delta restore must reproduce the exact recency order and future
-    /// behavior of an exhaustive restore.
+    /// A journal-replay restore must reproduce the exact recency order
+    /// and future behavior of a clone of the snapshot.
     #[test]
     fn delta_restore_matches_exhaustive_restore() {
         let mut state = 0xc3a5c85c97cb3127u64;
@@ -419,57 +423,52 @@ mod tests {
             state
         };
         for capacity in [1usize, 2, 7, 32] {
-            let mut warm = LruIndex::new(capacity);
+            let mut lru = LruIndex::new(capacity);
             for _ in 0..200 {
                 let r = rng();
-                warm.insert((r >> 8) as usize % 48, r >> 32);
+                lru.insert((r >> 8) as usize % 48, r >> 32);
             }
-            warm.seal();
-            let snap = warm.clone();
-            let mut delta = warm.clone();
-            let mut full = warm;
-            for step in 0..3_000 {
+            lru.seal();
+            let snap = lru.clone();
+            for _ in 0..3_000 {
                 let r = rng();
                 let key = (r >> 8) as usize % 48;
                 match r % 3 {
-                    0 => assert_eq!(
-                        delta.get_refresh(key),
-                        full.get_refresh(key),
-                        "step {step} cap {capacity}"
-                    ),
-                    1 => {
-                        delta.insert(key, r >> 32);
-                        full.insert(key, r >> 32);
+                    0 => {
+                        lru.get_refresh(key);
                     }
-                    _ => assert_eq!(delta.probe(key), full.probe(key)),
+                    1 => lru.insert(key, r >> 32),
+                    _ => {
+                        lru.probe(key);
+                    }
                 }
             }
-            assert!(delta.restore_delta(&snap), "shared seal must go delta");
-            full.restore_from(&snap);
-            let d: Vec<(usize, u64)> = delta.iter().collect();
-            let f: Vec<(usize, u64)> = full.iter().collect();
-            let s: Vec<(usize, u64)> = snap.iter().collect();
-            assert_eq!(d, f, "cap {capacity}");
+            assert!(lru.shares_seal(&snap));
+            lru.restore(&snap);
+            assert!(lru.journal_slots.is_empty() && lru.journal_keys.is_empty());
+            let mut reference = snap.clone();
+            let d: Vec<(usize, u64)> = lru.iter().collect();
+            let s: Vec<(usize, u64)> = reference.iter().collect();
             assert_eq!(d, s, "cap {capacity}");
-            assert_eq!(delta.len(), snap.len());
+            assert_eq!(lru.len(), reference.len());
             // Future behavior must agree too (free list, arena reuse).
             for step in 0..1_000 {
                 let r = rng();
                 let key = (r >> 8) as usize % 48;
                 if r % 2 == 0 {
-                    delta.insert(key, r >> 32);
-                    full.insert(key, r >> 32);
+                    lru.insert(key, r >> 32);
+                    reference.insert(key, r >> 32);
                 } else {
                     assert_eq!(
-                        delta.get_refresh(key),
-                        full.get_refresh(key),
+                        lru.get_refresh(key),
+                        reference.get_refresh(key),
                         "post step {step}"
                     );
                 }
             }
-            let d: Vec<(usize, u64)> = delta.iter().collect();
-            let f: Vec<(usize, u64)> = full.iter().collect();
-            assert_eq!(d, f, "post churn, cap {capacity}");
+            let d: Vec<(usize, u64)> = lru.iter().collect();
+            let s: Vec<(usize, u64)> = reference.iter().collect();
+            assert_eq!(d, s, "post churn, cap {capacity}");
         }
     }
 
@@ -481,11 +480,18 @@ mod tests {
         let mut b = LruIndex::new(4);
         b.insert(2, 20u64);
         b.seal();
-        assert!(!a.restore_delta(&b));
-        assert_eq!(a.get_refresh(1), Some(10), "failed delta must not mutate");
-        a.restore_from(&b);
+        a.insert(4, 40);
+        // A foreign seal cannot be trusted: copy, and adopt the seal.
+        assert!(!a.shares_seal(&b));
+        a.restore(&b);
+        assert!(a.shares_seal(&b), "copy adopts the seal");
+        let got: Vec<(usize, u64)> = a.iter().collect();
+        assert_eq!(got, vec![(2, 20)]);
+        // The next restore replays the journal.
         a.insert(3, 30);
-        assert!(a.restore_delta(&b), "full restore adopts the seal");
+        assert!(!a.journal_slots.is_empty());
+        a.restore(&b);
+        assert!(a.journal_slots.is_empty() && a.journal_keys.is_empty());
         let got: Vec<(usize, u64)> = a.iter().collect();
         assert_eq!(got, vec![(2, 20)]);
     }

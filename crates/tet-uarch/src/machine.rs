@@ -239,14 +239,10 @@ pub struct Machine {
     frames: FrameAlloc,
     code_pages_mapped: usize,
     check_mode: bool,
-    /// Journal-driven delta restore (DESIGN.md §16). Defaults from
-    /// `TET_DELTA` (`0` disables); restored state is identical either
-    /// way — the exhaustive path is kept as the differential reference.
-    delta_enabled: bool,
     /// Event-driven fast-forward across idle cycles (DESIGN.md §11).
-    /// Defaults from `TET_FF` (`0` disables); cycle counts and PMU
-    /// values are identical either way. Automatically bypassed for runs
-    /// with a structured-event sink, which need per-cycle emission.
+    /// On by default; cycle counts and PMU values are identical either
+    /// way. Automatically bypassed for runs with a structured-event
+    /// sink, which need per-cycle emission.
     ff_enabled: bool,
     /// Lifetime run count (diagnostic, survives snapshot restore).
     runs: u64,
@@ -354,30 +350,6 @@ pub struct RunDelta {
     pub pmu: PmuSnapshot,
 }
 
-/// Process-wide fast-forward default: `TET_FF=0` (or `false`/`off`; see
-/// [`tet_obs::env_flag`]) turns it off.
-fn ff_default() -> bool {
-    static FF: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *FF.get_or_init(|| tet_obs::env_flag("TET_FF", true))
-}
-
-/// Process-wide µop-template *caching* default: `TET_PREDECODE=0` turns
-/// the cross-run cache off (a fresh template is still built per run —
-/// the pipeline always consumes templates, so results are identical by
-/// construction; only the build work repeats).
-fn predecode_default() -> bool {
-    static PD: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *PD.get_or_init(|| tet_obs::env_flag("TET_PREDECODE", true))
-}
-
-/// Process-wide delta-restore default: `TET_DELTA=0` keeps snapshot
-/// restores on the exhaustive field-by-field copy (the differential
-/// reference for the journal-driven path; see DESIGN.md §16).
-fn delta_default() -> bool {
-    static DR: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *DR.get_or_init(|| tet_obs::env_flag("TET_DELTA", true))
-}
-
 /// Reusable per-run scratch state: everything [`Machine::run`] would
 /// otherwise allocate afresh on every call. Attack loops call `run`
 /// hundreds of thousands of times on the same machine, so the PMU
@@ -392,7 +364,7 @@ struct RunCtx {
     check_program: Option<Arc<Program>>,
     /// Pre-decoded µop template, content-compared per run so only a
     /// *different* program pays a re-crack (see
-    /// [`ProgramTemplate`]); disabled by `TET_PREDECODE=0`.
+    /// [`ProgramTemplate`]).
     template: Option<Arc<ProgramTemplate>>,
     /// Drained trace recorder recycled across trace-enabled runs.
     recorder: Option<Arc<MemorySink>>,
@@ -436,14 +408,8 @@ impl RunCtx {
     }
 
     /// The pre-decoded template for `program`, re-cracked only when the
-    /// program contents differ from the cached one. With
-    /// `TET_PREDECODE=0` the cache is bypassed and every run rebuilds —
-    /// the same single code path the cached run takes, so behaviour is
-    /// identical by construction.
+    /// program contents differ from the cached one.
     fn template(&mut self, program: &Program) -> Arc<ProgramTemplate> {
-        if !predecode_default() {
-            return Arc::new(ProgramTemplate::build(program));
-        }
         match &self.template {
             Some(t) if *t.program() == *program => t.clone(),
             _ => {
@@ -467,8 +433,7 @@ impl Machine {
             frames: FrameAlloc::starting_at(0x1000),
             code_pages_mapped: 0,
             check_mode: false,
-            delta_enabled: delta_default(),
-            ff_enabled: ff_default(),
+            ff_enabled: true,
             runs: 0,
             cycles_total: 0,
             snap_restores: 0,
@@ -489,9 +454,9 @@ impl Machine {
         self.prof_ff_tick = 0;
     }
 
-    /// Forces event-driven fast-forward on or off for this machine,
-    /// overriding the `TET_FF` process default — the hook differential
-    /// tests use to prove skipping is cycle-exact.
+    /// Turns event-driven fast-forward on (the default) or off for this
+    /// machine — the hook differential tests use to prove skipping is
+    /// cycle-exact.
     pub fn set_fast_forward(&mut self, on: bool) {
         self.ff_enabled = on;
     }
@@ -499,19 +464,6 @@ impl Machine {
     /// Whether this machine fast-forwards idle cycles.
     pub fn fast_forward(&self) -> bool {
         self.ff_enabled
-    }
-
-    /// Forces journal-driven delta restore on or off for this machine,
-    /// overriding the `TET_DELTA` process default — the hook the
-    /// differential tests use to prove both restore paths rebuild
-    /// byte-identical state.
-    pub fn set_delta_restore(&mut self, on: bool) {
-        self.delta_enabled = on;
-    }
-
-    /// Whether this machine restores snapshots via touched-set journals.
-    pub fn delta_restore(&self) -> bool {
-        self.delta_enabled
     }
 
     /// Seals every journaled structure (predictor tables, µop cache,
@@ -554,7 +506,6 @@ impl Machine {
             frames,
             code_pages_mapped,
             check_mode,
-            delta_enabled: _,
             ff_enabled: _,
             runs: _,
             cycles_total: _,
@@ -567,21 +518,13 @@ impl Machine {
         // Restores are rare relative to steps and bracket real work, so
         // they are always timed exactly (never sampled).
         let t = self.prof.enabled().then(std::time::Instant::now);
-        if self.delta_enabled {
-            // Journal-driven: each structure repairs only the slots it
-            // journaled since the shared seal, falling back to the
-            // exhaustive copy when no seal is shared (e.g. the first
-            // restore from a foreign snapshot, which adopts its seal).
-            self.cpu.restore_delta(cpu);
-            self.mem.restore_delta(mem);
-            if !self.phys.restore_delta(phys) {
-                self.phys.restore_from(phys);
-            }
-        } else {
-            self.cpu.restore_from(cpu);
-            self.mem.restore_from(mem);
-            self.phys.restore_from(phys);
-        }
+        // Each structure repairs only the slots it journaled since the
+        // shared seal, or copies exhaustively when no seal is shared
+        // (e.g. the first restore from a foreign snapshot, which then
+        // adopts its seal).
+        self.cpu.restore(cpu);
+        self.mem.restore(mem);
+        self.phys.restore(phys);
         // `Arc` bump when the mapping tree is unchanged since the
         // snapshot; a deep clone only when this machine COW-forked it.
         self.aspace.clone_from(aspace);
@@ -1095,6 +1038,57 @@ mod tests {
             profiler.hits(tet_metrics::Stage::Retire) > 0,
             "steps were sampled"
         );
+    }
+
+    /// The µop-template cache is keyed on program contents: one machine
+    /// running A, A, B, A (miss, hit, miss, re-miss) must match a fresh
+    /// machine running each program, so a cached template never leaks
+    /// into a different program's run.
+    #[test]
+    fn template_cache_follows_program_switches() {
+        let a_prog = {
+            let mut a = Asm::new();
+            let top = a.fresh_label();
+            a.mov_imm(Reg::Rcx, 10).mov_imm(Reg::Rax, 0);
+            a.bind(top)
+                .add(Reg::Rax, 3u64)
+                .sub(Reg::Rcx, 1u64)
+                .jcc(Cond::Ne, top)
+                .halt();
+            a.assemble().unwrap()
+        };
+        let b_prog = {
+            let mut a = Asm::new();
+            a.mov_imm(Reg::Rbx, 5)
+                .add(Reg::Rbx, Reg::Rbx)
+                .sub(Reg::Rbx, 1u64)
+                .halt();
+            a.assemble().unwrap()
+        };
+        let mut m = machine();
+        let snap = m.snapshot();
+        let mut last: Option<Arc<ProgramTemplate>> = None;
+        for (step, (prog, hit)) in [
+            (&a_prog, false),
+            (&a_prog, true),
+            (&b_prog, false),
+            (&a_prog, false),
+        ]
+        .into_iter()
+        .enumerate()
+        {
+            m.restore(&snap);
+            let got = m.run(prog, &RunConfig::default());
+            let want = Machine::from_snapshot(&snap).run(prog, &RunConfig::default());
+            assert_eq!(format!("{got:?}"), format!("{want:?}"), "step {step}");
+            let t = m.ctx.template.clone().expect("template cached");
+            assert_eq!(
+                last.is_some_and(|l| Arc::ptr_eq(&l, &t)),
+                hit,
+                "step {step}"
+            );
+            last = Some(t);
+        }
     }
 
     #[test]

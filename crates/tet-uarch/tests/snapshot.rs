@@ -115,26 +115,22 @@ fn snapshot_restore_run_matches_live_run() {
     }
 }
 
-/// **delta ≡ full ≡ fresh**: a journal-driven delta restore
-/// ([`Machine::set_delta_restore`] on, DESIGN.md §16), an exhaustive
-/// field-by-field restore (delta off — the differential reference), and
-/// a fresh [`Machine::from_snapshot`] must all rebuild the same state,
-/// pinned by bit-identical re-runs of the snapshotted program. The
-/// delta machine restores *twice* per case — the first restore from a
-/// foreign snapshot falls back per structure and adopts the seal, the
-/// second exercises the journal-replay path proper.
+/// **restore ≡ from_snapshot**: an in-place [`Machine::restore`] into a
+/// long-lived machine must rebuild the same state as a fresh
+/// [`Machine::from_snapshot`], pinned by bit-identical re-runs of the
+/// snapshotted program. The long-lived machine restores *twice* per
+/// case: the first restore comes from a foreign snapshot, so every
+/// structure copies exhaustively and adopts the seal; the second
+/// replays the touched-set journals (DESIGN.md §16).
 #[test]
 fn delta_full_and_fresh_restores_are_equivalent() {
     let gen_cfg = GenConfig::default();
     let cases = cases_per_preset();
     for (pi, preset) in preset_variants().into_iter().enumerate() {
         let mut rng = TestRng::deterministic(&format!("delta-three-way-{pi}"));
-        // Long-lived machines, like a trial loop: every restore lands on
-        // the previous case's leftover state and journals.
-        let mut via_delta = machine_for(preset.clone(), 0xde17a + pi as u64);
-        via_delta.set_delta_restore(true);
-        let mut via_full = machine_for(preset.clone(), 0xf011 + pi as u64);
-        via_full.set_delta_restore(false);
+        // A long-lived machine, like a trial loop: every restore lands
+        // on the previous case's leftover state and journals.
+        let mut m = machine_for(preset.clone(), 0xde17a + pi as u64);
         for case in 0..cases {
             let insts = gen::gen_program(&mut rng, &gen_cfg);
             let program = gen::to_program(&insts);
@@ -143,60 +139,87 @@ fn delta_full_and_fresh_restores_are_equivalent() {
             let mut live = machine_for(preset.clone(), seed);
             live.run(&program, &run_cfg());
             let snap = live.snapshot();
-            let want = fingerprint(&live.run(&program, &run_cfg()));
+            let want = fingerprint(&Machine::from_snapshot(&snap).run(&program, &run_cfg()));
 
-            via_delta.restore(&snap);
+            // A foreign seal: every structure copies and adopts it.
+            m.restore(&snap);
             // Dirty-set spot checks: a restore leaves physical memory
             // clean relative to the seal, and the run's dirtying is
             // fully undone by the next restore (same resident set).
             assert_eq!(
-                via_delta.phys().dirty_pages(),
+                m.phys().dirty_pages(),
                 0,
                 "restore must clear the dirty set (preset {pi} case {case})"
             );
-            let resident = via_delta.phys().resident_pages();
-            let got = fingerprint(&via_delta.run(&program, &run_cfg()));
+            let resident = m.phys().resident_pages();
+            let got = fingerprint(&m.run(&program, &run_cfg()));
             assert_eq!(
                 got,
                 want,
-                "first delta restore diverged (preset {pi} case {case}):\n{}",
+                "copying restore diverged (preset {pi} case {case}):\n{}",
                 gen::render(&insts)
             );
-            via_delta.restore(&snap); // journal-replay path proper
-            assert_eq!(via_delta.phys().dirty_pages(), 0);
+            // Now the seal is shared: every structure replays its journal.
+            m.restore(&snap);
+            assert_eq!(m.phys().dirty_pages(), 0);
             assert_eq!(
-                via_delta.phys().resident_pages(),
+                m.phys().resident_pages(),
                 resident,
-                "delta restore must drop pages allocated since the seal \
+                "restore must drop pages allocated since the seal \
                  (preset {pi} case {case})"
             );
-            let got = fingerprint(&via_delta.run(&program, &run_cfg()));
+            let got = fingerprint(&m.run(&program, &run_cfg()));
             assert_eq!(
                 got,
                 want,
-                "journaled delta restore diverged (preset {pi} case {case}):\n{}",
+                "journal-replay restore diverged (preset {pi} case {case}):\n{}",
                 gen::render(&insts)
             );
-
-            via_full.restore(&snap);
-            let got = fingerprint(&via_full.run(&program, &run_cfg()));
-            assert_eq!(
-                got,
-                want,
-                "exhaustive restore diverged (preset {pi} case {case}):\n{}",
-                gen::render(&insts)
-            );
-
-            if case % 16 == 0 {
-                let mut fresh = Machine::from_snapshot(&snap);
-                let got = fingerprint(&fresh.run(&program, &run_cfg()));
-                assert_eq!(
-                    got, want,
-                    "from_snapshot run diverged (preset {pi} case {case})"
-                );
-            }
         }
     }
+}
+
+/// Restoring from a snapshot taken under a different configuration
+/// (here only the timer-interrupt period differs) must adopt the
+/// snapshot's configuration: the next run then matches a fresh
+/// [`Machine::from_snapshot`], interrupts included.
+#[test]
+fn restore_adopts_the_snapshot_configuration() {
+    use tet_isa::{inst::AluOp, Cond, Src};
+    let mut noisy_cfg = CpuConfig::kaby_lake_i7_7700();
+    noisy_cfg.timing.interrupt_period = 7919;
+    // A counted loop long enough to cross several timer interrupts.
+    let program = gen::to_program(&[
+        Inst::MovImm {
+            dst: Reg::Rcx,
+            imm: 20_000,
+        },
+        Inst::Alu {
+            op: AluOp::Sub,
+            dst: Reg::Rcx,
+            src: Src::Imm(1),
+        },
+        Inst::Jcc {
+            cond: Cond::Ne,
+            target: 1,
+        },
+        Inst::Halt,
+    ]);
+    let run = RunConfig {
+        max_cycles: 200_000,
+        ..run_cfg()
+    };
+    let mut noisy = machine_for(noisy_cfg.clone(), 1);
+    noisy.run(&program, &run);
+    let snap = noisy.snapshot();
+    let mut fresh = Machine::from_snapshot(&snap);
+    let want = fresh.run(&program, &run);
+
+    let mut m = machine_for(CpuConfig::kaby_lake_i7_7700(), 2);
+    m.restore(&snap);
+    assert_eq!(*m.config(), noisy_cfg);
+    assert_eq!(m.config(), fresh.config());
+    assert_eq!(fingerprint(&m.run(&program, &run)), fingerprint(&want));
 }
 
 #[test]

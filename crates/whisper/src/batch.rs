@@ -1,5 +1,5 @@
 //! Divergence-aware trial batching: the fixed-point probe memo behind
-//! the `TET_BATCH` fast path.
+//! the decode-sweep fast path.
 //!
 //! Every TET decode sweeps a test value 0..=255 through the same gadget
 //! on the same machine. After warm-up the machine sits at a **fixed
@@ -30,8 +30,10 @@
 //!   against the fixed record — any mismatch **poisons** the memo
 //!   (every later probe runs live);
 //! * batching disables itself entirely under the retirement oracle
-//!   (check mode / `tet_check`), under timer-interrupt noise, when no
-//!   hint is available, or when `TET_BATCH=0` ([`batch_enabled`]).
+//!   (check mode / `tet_check`), under timer-interrupt noise, or when no
+//!   hint is available ([`batch_enabled`]). A hintless [`ProbeMemo`]
+//!   runs every probe live: the all-live reference the equivalence
+//!   tests compare against.
 //!
 //! Replayed probes return the recorded result and advance every
 //! machine lifetime counter exactly as the live run would have, so
@@ -40,22 +42,12 @@
 
 use tet_uarch::{DeltaMarker, Machine, RunDelta};
 
-/// Process-wide batching default: `TET_BATCH=0` turns replay off
-/// (every probe then simulates live).
-pub fn batch_default() -> bool {
-    static BATCH: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *BATCH.get_or_init(|| tet_obs::env_flag("TET_BATCH", true))
-}
-
 /// Whether trial batching may be used on `machine` right now: the
-/// process default allows it, the machine is not under the retirement
-/// oracle, and no timer-interrupt noise is configured (interrupts make
-/// probe timing phase-dependent, so there is no fixed point).
+/// machine is not under the retirement oracle, and no timer-interrupt
+/// noise is configured (interrupts make probe timing phase-dependent,
+/// so there is no fixed point).
 pub fn batch_enabled(machine: &Machine) -> bool {
-    batch_default()
-        && !machine.check_mode()
-        && !tet_check::enabled()
-        && machine.config().timing.interrupt_period == 0
+    !machine.check_mode() && !tet_check::enabled() && machine.config().timing.interrupt_period == 0
 }
 
 /// Live probes between sampled verifications: every `VERIFY_EVERY`-th
@@ -490,7 +482,7 @@ mod tests {
         let mut m = Machine::new(CpuConfig::kaby_lake_i7_7700(), 1);
         let mut memo: ProbeMemo<u64> = ProbeMemo::new(&m, Some(77));
         if !batch_enabled(&m) {
-            return; // TET_BATCH=0 in the environment: nothing to test
+            return; // TET_CHECK in the environment: batching is off
         }
         let (out, live) = sweep(&mut memo, &mut m, |t| if t == 77 { 999 } else { 204 });
         let want: Vec<u64> = (0..=255u64)

@@ -18,13 +18,6 @@ use tet_uarch::{Machine, MachineSnapshot};
 /// type the memo memoizes.
 type SweepFixedRec = FixedRec<Option<(u64, u64)>>;
 
-/// Process-wide default for snapshot-forked trials: `TET_SNAPSHOT=0`
-/// turns them off (every trial then replays warm-up sequentially).
-fn snapshot_default() -> bool {
-    static SNAP: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *SNAP.get_or_init(|| tet_obs::env_flag("TET_SNAPSHOT", true))
-}
-
 /// Quality/throughput report of a covert-channel transmission.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChannelReport {
@@ -68,40 +61,30 @@ impl ChannelReport {
 pub struct TetCovertChannel {
     /// Argmax batches per byte (more batches: slower, more accurate).
     pub batches: u32,
-    /// Fork each byte's trials from a shared warmed-up
-    /// [`MachineSnapshot`] instead of warming up per byte. `None`
-    /// follows the process default (`TET_SNAPSHOT`, on unless `0`);
-    /// tests pin the mode explicitly via
-    /// [`TetCovertChannel::with_snapshot_trials`].
-    pub snapshot_trials: Option<bool>,
 }
 
 impl Default for TetCovertChannel {
     fn default() -> Self {
-        TetCovertChannel {
-            batches: 3,
-            snapshot_trials: None,
-        }
+        TetCovertChannel { batches: 3 }
     }
 }
 
 impl TetCovertChannel {
     /// Creates a channel with the given batch count.
     pub fn new(batches: u32) -> Self {
-        TetCovertChannel {
-            batches,
-            snapshot_trials: None,
-        }
+        TetCovertChannel { batches }
     }
 
-    /// Pins snapshot-forked trials on or off, overriding `TET_SNAPSHOT`.
-    pub fn with_snapshot_trials(mut self, on: bool) -> Self {
-        self.snapshot_trials = Some(on);
+    /// Snapshot forking is the only trial mode: every byte's trials fork
+    /// from one shared warmed-up [`MachineSnapshot`]. Kept for callers
+    /// that still ask for it explicitly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `on` is `false`.
+    pub fn with_snapshot_trials(self, on: bool) -> Self {
+        assert!(on, "snapshot-forked trials are the only trial mode");
         self
-    }
-
-    fn snapshot_mode(&self) -> bool {
-        self.snapshot_trials.unwrap_or_else(snapshot_default)
     }
 
     /// Receives one byte (the sender must have written it already).
@@ -130,26 +113,34 @@ impl TetCovertChannel {
         (out.value, cycles)
     }
 
-    /// Forked-trial core shared by [`TetCovertChannel::transmit`] and
-    /// [`TetCovertChannel::transmit_chunked`]: one warm-up probe primes
-    /// code pages, predictors and caches; every byte then restores the
-    /// warmed snapshot, re-seeds the interrupt phase from its **global
-    /// byte index**, writes its value into the shared page and decodes.
-    /// Each byte's result depends only on the snapshot and its index —
-    /// never on which worker ran it or what ran before — so the output
-    /// (bytes *and* cycles) is identical at any thread count.
-    fn transmit_from_snapshot(
-        &self,
-        machine: &Machine,
-        payload: &[u8],
-        threads: usize,
-    ) -> (Vec<u8>, u64) {
+    /// Transmits `payload` through the channel and reports quality.
+    ///
+    /// The receiver warms up once, snapshots the machine and forks every
+    /// byte's trials from the snapshot; `sc` itself is left untouched.
+    pub fn transmit(&self, sc: &mut Scenario, payload: &[u8]) -> ChannelReport {
+        self.transmit_chunked(sc, payload, 1)
+    }
+
+    /// Transmits `payload` on up to `threads` worker threads and reports
+    /// quality.
+    ///
+    /// One warm-up probe primes code pages, predictors and caches; every
+    /// byte then restores the warmed [`MachineSnapshot`] (each worker
+    /// holds a private machine), re-seeds the interrupt phase from its
+    /// **global byte index**, writes its value into the shared page and
+    /// decodes. Each byte's result depends only on the snapshot and its
+    /// index — never on which worker ran it or what ran before — so the
+    /// report (bytes *and* cycles) is **identical to [`Self::transmit`]**
+    /// at any thread count. `sc` itself is left untouched.
+    ///
+    /// Reported `cycles` is the total simulated receive cost.
+    pub fn transmit_chunked(&self, sc: &Scenario, payload: &[u8], threads: usize) -> ChannelReport {
+        let cfg = sc.machine.config().clone();
         if payload.is_empty() {
-            return (Vec::new(), 0);
+            return ChannelReport::new(payload, Vec::new(), 0, cfg.freq_ghz);
         }
-        let cfg = machine.config().clone();
         let gadget = TetGadget::build(TetGadgetSpec::covert_channel(SHARED_PAGE, &cfg));
-        let mut warm = machine.clone();
+        let mut warm = sc.machine.clone();
         let mut cycles = 0u64;
         // The warm-up run spends simulated receiver time like any other,
         // so it counts toward the cycle total — but only once for the
@@ -199,84 +190,7 @@ impl TetCovertChannel {
             received.push(b);
             cycles += c;
         }
-        (received, cycles)
-    }
-
-    /// Transmits `payload` through the channel and reports quality.
-    ///
-    /// In snapshot mode (the default, see
-    /// [`TetCovertChannel::snapshot_trials`]) the receiver warms up
-    /// once, snapshots the machine and forks every byte's trials from
-    /// the snapshot; `sc` itself is left untouched. With snapshots off
-    /// it falls back to the sequential per-byte warm-up path, mutating
-    /// `sc` as it goes.
-    pub fn transmit(&self, sc: &mut Scenario, payload: &[u8]) -> ChannelReport {
-        let freq = sc.machine.config().freq_ghz;
-        if self.snapshot_mode() {
-            let (received, cycles) = self.transmit_from_snapshot(&sc.machine, payload, 1);
-            return ChannelReport::new(payload, received, cycles, freq);
-        }
-        let mut received = Vec::with_capacity(payload.len());
-        let mut cycles = 0u64;
-        for &b in payload {
-            sc.sender_write(b);
-            let (got, c) = self.receive_byte(sc);
-            received.push(got);
-            cycles += c;
-        }
-        ChannelReport::new(payload, received, cycles, freq)
-    }
-
-    /// Payload chunk size for [`TetCovertChannel::transmit_chunked`].
-    ///
-    /// Fixed (never derived from the thread count) so the work
-    /// decomposition — and therefore every decoded byte — is identical for
-    /// any `--threads` setting.
-    pub const CHUNK_BYTES: usize = 32;
-
-    /// Transmits `payload` on up to `threads` worker threads and reports
-    /// quality.
-    ///
-    /// In snapshot mode (the default) every byte forks from one shared
-    /// warmed-up [`MachineSnapshot`] — each worker holds a private
-    /// machine rebuilt from the shared snapshot per byte — so the
-    /// decode trajectory is **identical to [`Self::transmit`]**, bytes
-    /// and cycles, at any thread count: both run the exact same
-    /// per-byte procedure from the exact same snapshot.
-    ///
-    /// With snapshots off it falls back to the legacy decomposition:
-    /// fixed [`Self::CHUNK_BYTES`]-byte chunks, each on a fresh clone
-    /// of `sc` (chunk boundaries then reset the receiver's warm-up
-    /// state, so the trajectory differs from `transmit` — but is still
-    /// byte-identical across thread counts).
-    ///
-    /// Reported `cycles` is the total simulated receive cost.
-    pub fn transmit_chunked(&self, sc: &Scenario, payload: &[u8], threads: usize) -> ChannelReport {
-        let freq = sc.machine.config().freq_ghz;
-        if self.snapshot_mode() {
-            let (received, cycles) = self.transmit_from_snapshot(&sc.machine, payload, threads);
-            return ChannelReport::new(payload, received, cycles, freq);
-        }
-        let bounds = tet_par::chunk_bounds(payload.len(), Self::CHUNK_BYTES);
-        let parts: Vec<(Vec<u8>, u64)> = tet_par::par_map(threads, &bounds, |&(start, end)| {
-            let mut local = sc.clone();
-            let mut rec = Vec::with_capacity(end - start);
-            let mut cyc = 0u64;
-            for &b in &payload[start..end] {
-                local.sender_write(b);
-                let (got, c) = self.receive_byte(&mut local);
-                rec.push(got);
-                cyc += c;
-            }
-            (rec, cyc)
-        });
-        let mut received = Vec::with_capacity(payload.len());
-        let mut cycles = 0u64;
-        for (rec, cyc) in parts {
-            received.extend_from_slice(&rec);
-            cycles += cyc;
-        }
-        ChannelReport::new(payload, received, cycles, freq)
+        ChannelReport::new(payload, received, cycles, cfg.freq_ghz)
     }
 
     /// Transmits with `repeats`-fold repetition coding: each byte is sent
@@ -412,15 +326,14 @@ mod tests {
 
     #[test]
     fn chunked_transmit_equals_transmit_at_any_thread_count() {
-        // Snapshot mode: every byte forks from the same warmed-up
-        // snapshot, so the chunked/parallel path runs the *exact* same
-        // per-byte trials as the serial `transmit` — the reports must be
-        // equal, cycles included.
+        // Every byte forks from the same warmed-up snapshot, so the
+        // parallel path runs the *exact* same per-byte trials as the
+        // serial `transmit` — the reports must be equal, cycles included.
         let mut sc = Scenario::new(CpuConfig::kaby_lake_i7_7700(), &ScenarioOptions::default());
         let payload: Vec<u8> = (0..40u8)
             .map(|i| i.wrapping_mul(37).wrapping_add(11))
             .collect();
-        let ch = TetCovertChannel::new(2).with_snapshot_trials(true);
+        let ch = TetCovertChannel::new(2);
         let serial = ch.transmit(&mut sc, &payload);
         assert_eq!(
             serial.received, payload,
@@ -433,47 +346,9 @@ mod tests {
     }
 
     #[test]
-    fn chunked_transmit_matches_across_thread_counts_without_snapshots() {
-        // Legacy mode (snapshots pinned off): chunk-per-clone
-        // decomposition, still byte-identical across thread counts.
-        let sc = Scenario::new(CpuConfig::kaby_lake_i7_7700(), &ScenarioOptions::default());
-        // Long enough for two chunks (CHUNK_BYTES = 32).
-        let payload: Vec<u8> = (0..40u8)
-            .map(|i| i.wrapping_mul(37).wrapping_add(11))
-            .collect();
-        let ch = TetCovertChannel::new(2).with_snapshot_trials(false);
-        let serial = ch.transmit_chunked(&sc, &payload, 1);
-        assert_eq!(
-            serial.received, payload,
-            "noise-free channel decodes exactly"
-        );
-        for threads in [2, 8] {
-            let par = ch.transmit_chunked(&sc, &payload, threads);
-            assert_eq!(par, serial, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn snapshot_and_sequential_transmit_decode_the_same_payload() {
-        // The two modes take different trial trajectories (shared vs
-        // per-byte warm-up) but on a noise-free channel both must decode
-        // the payload exactly.
-        let payload: Vec<u8> = (0..16u8).map(|i| i.wrapping_mul(83) ^ 0x5a).collect();
-        let mk = || Scenario::new(CpuConfig::kaby_lake_i7_7700(), &ScenarioOptions::default());
-        let snap = TetCovertChannel::new(2)
-            .with_snapshot_trials(true)
-            .transmit(&mut mk(), &payload);
-        let seq = TetCovertChannel::new(2)
-            .with_snapshot_trials(false)
-            .transmit(&mut mk(), &payload);
-        assert_eq!(snap.received, payload);
-        assert_eq!(seq.received, payload);
-        assert!(
-            snap.cycles < seq.cycles,
-            "shared warm-up must cost fewer simulated cycles ({} vs {})",
-            snap.cycles,
-            seq.cycles
-        );
+    #[should_panic(expected = "only trial mode")]
+    fn snapshot_trials_cannot_be_turned_off() {
+        let _ = TetCovertChannel::new(2).with_snapshot_trials(false);
     }
 
     #[test]

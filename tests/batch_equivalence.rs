@@ -2,11 +2,8 @@
 //! identical to unbatched (all-live) trials, serially and under the
 //! thread pool at 1 and 8 workers (DESIGN.md §13).
 //!
-//! `TET_BATCH` is a process-wide switch, so the unbatched arm inside one
-//! process is a hintless [`ProbeMemo`] — by construction it never skips,
-//! which is exactly the `TET_BATCH=0` behaviour per probe. (The
-//! cross-*process* check — diffing experiment stdout across
-//! `TET_PREDECODE=0/1` × `TET_BATCH=0/1` — lives in CI.)
+//! The unbatched arm is a hintless [`ProbeMemo`]: by construction it
+//! never skips, so every probe simulates live.
 //!
 //! "Byte-and-cycle identical" is asserted on the strongest observable
 //! surface the machine exposes: every per-probe `(ToTE, cycles)` result,
@@ -203,7 +200,7 @@ fn batched_fanout_equals_unbatched_at_threads_1_and_8() {
     }
 }
 
-/// The seeded-sibling fan-out (the `transmit_from_snapshot`
+/// The seeded-sibling fan-out (the `transmit_chunked`
 /// decomposition): trials share one established `FixedRec` through an
 /// `Arc<OnceLock<..>>` and seed their memos from it. The every-16th
 /// live-verification counter ([`VERIFY_EVERY`]) is per-memo state — each
@@ -292,13 +289,13 @@ fn seeded_sibling_fanout_equals_unbatched_at_threads_1_and_8() {
     }
 }
 
-/// The `TET_DELTA` differential on the seeded-sibling fan-out: worker
-/// machines restoring the shared snapshot through the journal-driven
-/// delta path (DESIGN.md §16) must produce byte-and-cycle identical
-/// per-probe results and counter movement to workers using the
-/// exhaustive field-by-field restore, at 1 and 8 threads. Restores are
-/// the hot edge of this decomposition — every trial forks from the
-/// snapshot — so this is where a delta-restore state leak would show.
+/// The restore differential on the seeded-sibling fan-out: worker
+/// machines that restore the shared snapshot in place (journal replay,
+/// DESIGN.md §16) must produce byte-and-cycle identical per-probe
+/// results and counter movement to workers that rebuild a fresh machine
+/// with [`Machine::from_snapshot`] for every trial, at 1 and 8 threads.
+/// Restores are the hot edge of this decomposition — every trial forks
+/// from the snapshot — so this is where a restore state leak would show.
 #[test]
 fn seeded_sibling_fanout_is_delta_restore_invariant() {
     const TRIALS: usize = 8;
@@ -315,18 +312,18 @@ fn seeded_sibling_fanout_is_delta_restore_invariant() {
     let snap = warm.snapshot();
 
     type SweepFixedRec = FixedRec<Option<(u64, u64)>>;
-    let run_seeded = |threads: usize, delta_on: bool| -> Vec<TrialOutcome> {
+    let run_seeded = |threads: usize, rebuild: bool| -> Vec<TrialOutcome> {
         let fixed: Arc<OnceLock<SweepFixedRec>> = Arc::new(OnceLock::new());
         tet_par::run_indexed_with(
             threads,
             TRIALS,
-            || {
-                let mut m = Machine::from_snapshot(&snap);
-                m.set_delta_restore(delta_on);
-                (m, Arc::clone(&fixed))
-            },
+            || (Machine::from_snapshot(&snap), Arc::clone(&fixed)),
             |(m, fixed), _i| {
-                m.restore(&snap);
+                if rebuild {
+                    *m = Machine::from_snapshot(&snap);
+                } else {
+                    m.restore(&snap);
+                }
                 let marker = m.delta_marker();
                 let mut memo = ProbeMemo::seeded(m, hint, fixed.get().cloned());
                 let mut out = Vec::with_capacity(256 * BATCHES as usize);
@@ -346,13 +343,13 @@ fn seeded_sibling_fanout_is_delta_restore_invariant() {
         )
     };
 
-    let reference = run_seeded(1, false);
-    for (threads, delta_on) in [(1, true), (8, false), (8, true)] {
-        let got = run_seeded(threads, delta_on);
+    let reference = run_seeded(1, true);
+    for (threads, rebuild) in [(1, false), (8, true), (8, false)] {
+        let got = run_seeded(threads, rebuild);
         assert_eq!(
             got, reference,
-            "threads={threads} delta={delta_on}: delta and exhaustive \
-             restores must be byte-and-cycle identical"
+            "threads={threads} rebuild={rebuild}: in-place restores must be \
+             byte-and-cycle identical to fresh machines"
         );
     }
 }

@@ -42,7 +42,7 @@ fn argmax_decode_identical_at_threads_1_and_8_across_seeds() {
                 ..ScenarioOptions::default()
             },
         );
-        // Two chunks (CHUNK_BYTES = 32), decoded with the plain argmax.
+        // 33 snapshot-forked byte trials, decoded with the plain argmax.
         let payload: Vec<u8> = (0..33u8)
             .map(|i| i.wrapping_mul(31).wrapping_add(seed as u8))
             .collect();
