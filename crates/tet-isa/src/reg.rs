@@ -13,7 +13,7 @@
 /// assert_eq!(Reg::ALL.len(), 16);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-#[repr(usize)]
+#[repr(u8)]
 #[allow(missing_docs)] // the registers are self-describing
 pub enum Reg {
     Rax,

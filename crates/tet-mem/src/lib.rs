@@ -18,6 +18,8 @@
 //!   that fail (not-present / reserved-bit) report where they stopped so
 //!   the core can model Intel's walk-retry behaviour
 //!   (`DTLB_LOAD_MISSES.MISS_CAUSES_A_WALK = 2` in Table 3).
+//! * [`intmap`] — the fixed integer hasher behind the page-table and
+//!   physical-page maps.
 //! * [`hierarchy`] — the assembled [`MemorySystem`] with latency
 //!   accounting and a seeded DRAM jitter model (the noise the paper's
 //!   argmax analysis has to average away).
@@ -29,6 +31,7 @@
 
 pub mod cache;
 pub mod hierarchy;
+pub mod intmap;
 pub mod lfb;
 pub mod paging;
 pub mod phys;
@@ -37,6 +40,7 @@ pub mod walker;
 
 pub use cache::{Cache, CacheConfig};
 pub use hierarchy::{DataAccess, HitLevel, MemoryConfig, MemorySystem};
+pub use intmap::{IntHasher, IntMap};
 pub use lfb::LineFillBuffer;
 pub use paging::{AddressSpace, FrameAlloc, Pte, WalkOutcome};
 pub use phys::PhysMem;

@@ -8,9 +8,7 @@
 //! (but permission-protected) address completes the walk (paper §4.5,
 //! Table 3).
 
-use std::collections::HashMap;
-
-use crate::PAGE_SIZE;
+use crate::{IntMap, PAGE_SIZE};
 
 /// A leaf page-table entry.
 ///
@@ -104,7 +102,7 @@ impl WalkOutcome {
 
 #[derive(Debug, Clone, Default)]
 struct Node {
-    children: HashMap<u16, Node>,
+    children: IntMap<u16, Node>,
     leaf: Option<Pte>,
 }
 

@@ -1,9 +1,8 @@
 //! Sparse simulated physical memory with copy-on-write snapshot forks.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use crate::{same_seal, PAGE_SIZE};
+use crate::{same_seal, IntMap, PAGE_SIZE};
 
 /// One 4 KiB physical page.
 pub type Page = [u8; PAGE_SIZE as usize];
@@ -50,9 +49,9 @@ impl PageSlot {
 /// ```
 #[derive(Debug, Default)]
 pub struct PhysMem {
-    pages: HashMap<u64, PageSlot>,
+    pages: IntMap<u64, PageSlot>,
     /// The sealed snapshot image this memory forked from, if any.
-    base: Option<Arc<HashMap<u64, Arc<Page>>>>,
+    base: Option<Arc<IntMap<u64, Arc<Page>>>>,
     /// Page numbers touched since the last seal/restore. Deduplicated by
     /// construction: a page COW-forks (or is inserted) at most once per
     /// epoch, exactly when it journals itself.
@@ -182,7 +181,7 @@ impl PhysMem {
     /// against a clone of the same seal is O(pages dirtied).
     pub fn seal(&mut self) {
         let pages = std::mem::take(&mut self.pages);
-        let mut base = HashMap::with_capacity(pages.len());
+        let mut base = IntMap::with_capacity_and_hasher(pages.len(), Default::default());
         self.pages.reserve(pages.len());
         for (vpn, slot) in pages {
             let arc = match slot {

@@ -361,24 +361,6 @@ where
     run_indexed(threads, items.len(), |i| f(&items[i]))
 }
 
-/// Splits `len` work items into fixed-size chunks and returns the chunk
-/// bounds `(start, end)`. The chunk size depends only on `chunk`, never
-/// on the thread count — this is what keeps chunked decompositions
-/// deterministic across `--threads` settings.
-///
-/// # Examples
-///
-/// ```
-/// assert_eq!(tet_par::chunk_bounds(10, 4), vec![(0, 4), (4, 8), (8, 10)]);
-/// assert_eq!(tet_par::chunk_bounds(0, 4), vec![]);
-/// ```
-pub fn chunk_bounds(len: usize, chunk: usize) -> Vec<(usize, usize)> {
-    assert!(chunk > 0, "chunk size must be positive");
-    (0..len.div_ceil(chunk))
-        .map(|c| (c * chunk, ((c + 1) * chunk).min(len)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -526,19 +508,5 @@ mod tests {
         let mut args = vec!["--threads".to_string()];
         assert!(threads_from_args(&mut args) >= 1);
         assert!(args.is_empty());
-    }
-
-    #[test]
-    fn chunk_bounds_cover_everything_once() {
-        for (len, chunk) in [(10usize, 3usize), (12, 4), (1, 8), (7, 7), (16, 1)] {
-            let bounds = chunk_bounds(len, chunk);
-            let mut covered = 0;
-            for (i, &(s, e)) in bounds.iter().enumerate() {
-                assert!(s < e && e <= len);
-                assert_eq!(s, covered, "chunk {i} must start where the last ended");
-                covered = e;
-            }
-            assert_eq!(covered, len);
-        }
     }
 }

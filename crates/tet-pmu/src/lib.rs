@@ -59,14 +59,18 @@ pub use toolset::{Collector, DifferentialReport, EventDelta};
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Pmu {
-    counts: Vec<u64>,
+    counts: Counts,
 }
+
+/// One counter per catalog event, inline: snapshots and deltas are
+/// plain copies that never touch the heap.
+type Counts = [u64; Event::ALL.len()];
 
 impl Pmu {
     /// Creates a counter bank with every event zeroed.
     pub fn new() -> Self {
         Pmu {
-            counts: vec![0; Event::ALL.len()],
+            counts: [0; Event::ALL.len()],
         }
     }
 
@@ -84,31 +88,14 @@ impl Pmu {
 
     /// Resets every counter to zero.
     pub fn reset(&mut self) {
-        for c in &mut self.counts {
-            *c = 0;
-        }
+        self.counts = [0; Event::ALL.len()];
     }
 
     /// Takes an immutable copy of all counters.
     pub fn snapshot(&self) -> PmuSnapshot {
         PmuSnapshot {
-            counts: self.counts.clone(),
+            counts: self.counts,
         }
-    }
-
-    /// Copies all counters into `out`, reusing its buffer — the
-    /// allocation-free variant of [`Pmu::snapshot`] for callers that
-    /// snapshot around every run in a hot loop.
-    pub fn snapshot_into(&self, out: &mut PmuSnapshot) {
-        out.counts.clear();
-        out.counts.extend_from_slice(&self.counts);
-    }
-
-    /// Overwrites this bank with the contents of `src`, reusing the
-    /// existing buffer — the restore half of the machine snapshot layer.
-    pub fn copy_from(&mut self, src: &Pmu) {
-        self.counts.clear();
-        self.counts.extend_from_slice(&src.counts);
     }
 }
 
@@ -124,14 +111,14 @@ impl Default for Pmu {
 /// per-region counts are obtained (mirroring `perf`'s grouped reads).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PmuSnapshot {
-    counts: Vec<u64>,
+    counts: Counts,
 }
 
 impl PmuSnapshot {
     /// A snapshot with every counter zero; useful as a subtraction base.
     pub fn zero() -> Self {
         PmuSnapshot {
-            counts: vec![0; Event::ALL.len()],
+            counts: [0; Event::ALL.len()],
         }
     }
 
@@ -147,12 +134,10 @@ impl PmuSnapshot {
     /// caller accidentally swaps the operands; counters are monotonic in
     /// normal use so the result is exact.
     pub fn delta(&self, earlier: &PmuSnapshot) -> PmuSnapshot {
-        let counts = self
-            .counts
-            .iter()
-            .zip(&earlier.counts)
-            .map(|(a, b)| a.saturating_sub(*b))
-            .collect();
+        let mut counts = self.counts;
+        for (a, b) in counts.iter_mut().zip(&earlier.counts) {
+            *a = a.saturating_sub(*b);
+        }
         PmuSnapshot { counts }
     }
 
@@ -173,14 +158,12 @@ impl PmuSnapshot {
     /// counter moved by anything else; `d0` must be non-zero.
     pub fn unit_shift(&self, other: &PmuSnapshot, d0: i64) -> Option<PmuSnapshot> {
         debug_assert_ne!(d0, 0);
-        let mut counts = Vec::with_capacity(self.counts.len());
-        for (a, b) in self.counts.iter().zip(&other.counts) {
+        let mut counts = [0; Event::ALL.len()];
+        for ((u, a), b) in counts.iter_mut().zip(&self.counts).zip(&other.counts) {
             let diff = *b as i64 - *a as i64;
-            if diff == 0 {
-                counts.push(0);
-            } else if diff == d0 {
-                counts.push(1);
-            } else {
+            if diff == d0 {
+                *u = 1;
+            } else if diff != 0 {
                 return None;
             }
         }
@@ -191,12 +174,10 @@ impl PmuSnapshot {
     /// snapshot a probe shifted by `d` cycles would have produced,
     /// given the 0/1 response mask [`PmuSnapshot::unit_shift`] learned.
     pub fn add_scaled(&self, unit: &PmuSnapshot, d: i64) -> PmuSnapshot {
-        let counts = self
-            .counts
-            .iter()
-            .zip(&unit.counts)
-            .map(|(a, u)| a.wrapping_add_signed(d * *u as i64))
-            .collect();
+        let mut counts = self.counts;
+        for (a, u) in counts.iter_mut().zip(&unit.counts) {
+            *a = a.wrapping_add_signed(d * *u as i64);
+        }
         PmuSnapshot { counts }
     }
 
@@ -242,20 +223,6 @@ mod tests {
         pmu.reset();
         assert_eq!(pmu.count(Event::IdqDsbUops), 0);
         assert_eq!(pmu.count(Event::ItlbMissesWalkActive), 0);
-    }
-
-    #[test]
-    fn snapshot_into_matches_snapshot() {
-        let mut pmu = Pmu::new();
-        pmu.bump(Event::InstRetiredAny, 3);
-        pmu.bump(Event::CpuClkUnhalted, 9);
-        let mut reused = PmuSnapshot::zero();
-        pmu.snapshot_into(&mut reused);
-        assert_eq!(reused, pmu.snapshot());
-        // Reuse after further bumps overwrites, not appends.
-        pmu.bump(Event::InstRetiredAny, 1);
-        pmu.snapshot_into(&mut reused);
-        assert_eq!(reused, pmu.snapshot());
     }
 
     #[test]

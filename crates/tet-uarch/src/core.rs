@@ -17,7 +17,6 @@
 //!    ones (TET-KASLR).
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 use tet_isa::reg::RegFile;
 use tet_isa::{Flags, Inst, Opcode, Program, Reg};
@@ -31,7 +30,8 @@ use crate::frontend::{Dsb, FetchedUop};
 use crate::template::ProgramTemplate;
 use crate::uop::FaultRoute;
 use crate::uop::{
-    Dep, DepKind, DepList, Fault, FaultKind, ResultList, RobEntry, SquashReason, StoreInfo,
+    Dep, DepKind, DepList, Fault, FaultKind, ResultList, RobEntry, SquashReason, StoreInfo, UopId,
+    NOT_EXECUTED,
 };
 use crate::Bpu;
 
@@ -187,6 +187,20 @@ enum DepVerdict {
     Park(u64),
 }
 
+/// One frame of the speculative TSX-stack arena: the innermost abort
+/// target and the index of the stack below it.
+#[derive(Debug, Clone, Copy)]
+struct TxnFrame {
+    abort_target: usize,
+    parent: u32,
+}
+
+/// The arena's frame 0: the empty stack, its own parent.
+const TXN_EMPTY: TxnFrame = TxnFrame {
+    abort_target: 0,
+    parent: 0,
+};
+
 /// One logical thread of the simulated core.
 #[derive(Debug, Clone)]
 pub struct Cpu {
@@ -220,12 +234,14 @@ pub struct Cpu {
     pipeline_flush_until: u64,
     /// Stall imposed by the sibling SMT thread's flushes.
     external_stall_until: u64,
-    txn_stack: Vec<usize>,
-    /// Shared snapshot of `txn_stack`, regenerated only when the stack
-    /// changes, so every renamed µop clones an `Arc` instead of a `Vec`.
-    txn_snapshot_cache: Arc<[usize]>,
-    /// The empty snapshot, kept around so clearing never reallocates.
-    empty_snapshot: Arc<[usize]>,
+    /// Speculative TSX stacks, as a per-run arena of persistent frames:
+    /// each `xbegin` rename pushes a frame whose parent is the stack it
+    /// nests in, so a µop names its whole stack with one index
+    /// (`RobEntry::txn_snapshot`). Frame 0 is the empty stack; the
+    /// arena is truncated back to it by `reset_run`.
+    txn_frames: Vec<TxnFrame>,
+    /// Arena index of the current speculative stack.
+    txn_top: u32,
 
     // ----- scheduler bookkeeping -----
     // Derived counters that make the per-cycle scheduler loops O(1) per
@@ -313,7 +329,6 @@ impl Cpu {
     /// Creates a core in reset state.
     pub fn new(cfg: CpuConfig) -> Self {
         let ports = cfg.ports;
-        let empty_snapshot: Arc<[usize]> = Arc::from(Vec::new());
         Cpu {
             pmu: Pmu::new(),
             bpu: Bpu::new(cfg.bpu),
@@ -335,9 +350,8 @@ impl Cpu {
             recovery_busy_until: 0,
             pipeline_flush_until: 0,
             external_stall_until: 0,
-            txn_stack: Vec::new(),
-            txn_snapshot_cache: empty_snapshot.clone(),
-            empty_snapshot,
+            txn_frames: vec![TXN_EMPTY],
+            txn_top: 0,
             unstarted_count: 0,
             unstarted_store_count: 0,
             inflight_store_data: 0,
@@ -411,8 +425,8 @@ impl Cpu {
         self.recovery_busy_until = 0;
         self.pipeline_flush_until = 0;
         self.external_stall_until = 0;
-        self.txn_stack.clear();
-        self.txn_snapshot_cache = self.empty_snapshot.clone();
+        self.txn_frames.truncate(1);
+        self.txn_top = 0;
         self.unstarted_count = 0;
         self.unstarted_store_count = 0;
         self.inflight_store_data = 0;
@@ -489,9 +503,8 @@ impl Cpu {
             recovery_busy_until,
             pipeline_flush_until,
             external_stall_until,
-            txn_stack,
-            txn_snapshot_cache,
-            empty_snapshot,
+            txn_frames,
+            txn_top,
             unstarted_count,
             unstarted_store_count,
             inflight_store_data,
@@ -533,7 +546,7 @@ impl Cpu {
         if !self.bpu.shares_seal(bpu) {
             self.cfg = cfg.clone();
         }
-        self.pmu.copy_from(pmu);
+        self.pmu.clone_from(pmu);
         self.bpu.restore(bpu);
         self.dsb.restore(dsb);
         self.idq.clone_from(idq);
@@ -554,10 +567,9 @@ impl Cpu {
         self.recovery_busy_until = *recovery_busy_until;
         self.pipeline_flush_until = *pipeline_flush_until;
         self.external_stall_until = *external_stall_until;
-        self.txn_stack.clear();
-        self.txn_stack.extend_from_slice(txn_stack);
-        self.txn_snapshot_cache = txn_snapshot_cache.clone();
-        self.empty_snapshot = empty_snapshot.clone();
+        self.txn_frames.clear();
+        self.txn_frames.extend_from_slice(txn_frames);
+        self.txn_top = *txn_top;
         self.unstarted_count = *unstarted_count;
         self.unstarted_store_count = *unstarted_store_count;
         self.inflight_store_data = *inflight_store_data;
@@ -902,7 +914,7 @@ impl Cpu {
             let mut remaining = self.exec_unresolved_branches;
             for e in &self.rob {
                 if e.started && e.kind.is_branch() && !e.resolved {
-                    let done = e.done_at.expect("started µop has a completion time");
+                    let done = e.done_at;
                     if done <= now {
                         return 0;
                     }
@@ -959,10 +971,9 @@ impl Cpu {
             bound = bound.min(branch_done);
         }
         if let Some(front) = self.rob.front() {
-            if let Some(done) = front.done_at {
-                if done > now {
-                    bound = bound.min(done);
-                }
+            // Not executed yet (`NOT_EXECUTED`) bounds nothing.
+            if front.done_at > now {
+                bound = bound.min(front.done_at);
             }
         }
         if t.interrupt_period > 0 {
@@ -1039,7 +1050,7 @@ impl Cpu {
             if e.started {
                 // A not-yet-done fence blocks all younger execution.
                 if e.kind.is_fence() && !e.retire_ready(now) {
-                    return Some(bound.min(e.done_at.unwrap_or(u64::MAX)));
+                    return Some(bound.min(e.done_at));
                 }
                 continue;
             }
@@ -1232,13 +1243,7 @@ impl Cpu {
     fn rebuild_rename_state(&mut self) {
         self.rat = [None; 16];
         self.flags_rat = None;
-        self.txn_snapshot_cache = self
-            .rob
-            .back()
-            .map(|e| e.txn_snapshot.clone())
-            .unwrap_or_else(|| self.empty_snapshot.clone());
-        self.txn_stack.clear();
-        self.txn_stack.extend_from_slice(&self.txn_snapshot_cache);
+        self.txn_top = self.rob.back().map_or(0, |e| e.txn_snapshot);
         // `dests` is an inline Copy list, so the survivors can be walked
         // by index without buffering (or allocating) anything.
         for k in 0..self.rob.len() {
@@ -1274,7 +1279,7 @@ impl Cpu {
             e.waiter_head = None;
             e.next_waiter = None;
             if e.started {
-                let done = e.done_at.expect("started µop has a completion time");
+                let done = e.done_at;
                 self.exec_max_done = self.exec_max_done.max(done);
                 if e.kind.is_memory() {
                     self.mem_max_done = self.mem_max_done.max(done);
@@ -1327,7 +1332,9 @@ impl Cpu {
         let front_id = self.rob.front().map(|e| e.id);
         for e in &self.rob {
             for d in &e.deps {
-                let Some(p) = d.producer else { continue };
+                let Some(p) = d.producer.map(UopId::get) else {
+                    continue;
+                };
                 assert!(
                     p < e.id,
                     "µop {} depends on younger/equal producer {p}",
@@ -1360,8 +1367,8 @@ impl Cpu {
                 flush = Some(self.deliver_fault(now, env));
                 break;
             }
-            let entry = self.rob.pop_front().expect("front exists");
-            self.commit(entry, env, now);
+            self.commit_head(env, now);
+            self.rob.pop_front();
             if self.halted {
                 break;
             }
@@ -1369,7 +1376,9 @@ impl Cpu {
         flush
     }
 
-    fn commit(&mut self, entry: RobEntry, env: &mut Env<'_>, _now_retire: u64) {
+    /// Commits the ROB head in place; the caller pops it afterwards.
+    fn commit_head(&mut self, env: &mut Env<'_>, _now_retire: u64) {
+        let entry = self.rob.front().expect("retire-ready head exists");
         tet_invariant!(
             entry.fault.is_none(),
             "µop {} (pc {}) carries an unresolved fault {:?} but reached commit",
@@ -1398,7 +1407,7 @@ impl Cpu {
         // the store write: registers already reflect this µop, memory
         // does not yet (the reference logs pre-store bytes for TSX undo).
         if env.check.is_some() {
-            self.oracle_check_retire(&entry, env);
+            self.oracle_check_retire(entry, env);
         }
         if let Some(store) = entry.store {
             if let Some(pa) = store.pa {
@@ -1650,7 +1659,6 @@ impl Cpu {
         self.rob.clear();
         self.idq.clear();
         self.rebuild_rename_state();
-        self.txn_stack.clear();
         self.fetch_pc = target;
         self.fetch_enabled = true;
         self.last_fetch_page = None;
@@ -1689,8 +1697,8 @@ impl Cpu {
                     let e = &mut self.rob[i];
                     debug_assert!(e.waiter_head.is_none(), "fences produce nothing");
                     e.started = true;
-                    e.forward_at = Some(now);
-                    e.done_at = Some(now);
+                    e.forward_at = now;
+                    e.done_at = now;
                     let id = e.id;
                     self.unstarted_count -= 1;
                     self.exec_max_done = self.exec_max_done.max(now);
@@ -1796,7 +1804,7 @@ impl Cpu {
     fn deps_ready(&self, entry: &RobEntry, now: u64) -> bool {
         entry.deps.iter().all(|d| match d.producer {
             None => true,
-            Some(id) => match self.producer(id) {
+            Some(id) => match self.producer(id.get()) {
                 Some(p) => p.forward_ready(now),
                 None => true, // retired → committed state is current
             },
@@ -1815,7 +1823,9 @@ impl Cpu {
     fn eval_deps(&self, i: usize, now: u64) -> DepVerdict {
         let mut wake = now;
         for d in &self.rob[i].deps {
-            let Some(pid) = d.producer else { continue };
+            let Some(pid) = d.producer.map(UopId::get) else {
+                continue;
+            };
             let Some(pidx) = self.rob_index(pid) else {
                 continue; // retired → committed state is current
             };
@@ -1823,7 +1833,7 @@ impl Cpu {
             if !p.started {
                 return DepVerdict::Park(pid);
             }
-            let fwd = p.forward_at.expect("started µop has a forward time");
+            let fwd = p.forward_at;
             if fwd > wake {
                 wake = fwd;
             }
@@ -1849,7 +1859,7 @@ impl Cpu {
         e.next_waiter = head;
         e.wake_at = u64::MAX;
         let id = e.id;
-        self.rob[pidx].waiter_head = Some(id);
+        self.rob[pidx].waiter_head = Some(UopId::new(id));
     }
 
     /// Loads must wait for older stores with unknown addresses, and for
@@ -1875,7 +1885,7 @@ impl Cpu {
             if let DepKind::Reg(reg) = d.kind {
                 if reg == r {
                     if let Some(id) = d.producer {
-                        if let Some(p) = self.producer(id) {
+                        if let Some(p) = self.producer(id.get()) {
                             if let Some(v) = p.result_for(r) {
                                 return v;
                             }
@@ -1892,7 +1902,7 @@ impl Cpu {
         for d in &entry.deps {
             if matches!(d.kind, DepKind::Flags) {
                 if let Some(id) = d.producer {
-                    if let Some(p) = self.producer(id) {
+                    if let Some(p) = self.producer(id.get()) {
                         if let Some(f) = p.flags_out {
                             return f;
                         }
@@ -2006,13 +2016,13 @@ impl Cpu {
         let e = &mut self.rob[i];
         e.started = true;
         let forward_at = now + latency;
-        e.forward_at = Some(forward_at);
+        e.forward_at = forward_at;
         let done_at = if fault.is_some() {
             forward_at + t.fault_confirm_cycles
         } else {
             forward_at
         };
-        e.done_at = Some(done_at);
+        e.done_at = done_at;
         e.results = results;
         e.flags_out = flags_out;
         e.fault = fault;
@@ -2044,7 +2054,7 @@ impl Cpu {
         let mut waiter = self.rob[i].waiter_head.take();
         while let Some(wid) = waiter {
             let widx = self
-                .rob_index(wid)
+                .rob_index(wid.get())
                 .expect("waiters die with their producer");
             let w = &mut self.rob[widx];
             waiter = w.next_waiter.take();
@@ -2674,30 +2684,27 @@ impl Cpu {
             for r in meta.srcs {
                 deps.push(Dep {
                     kind: DepKind::Reg(r),
-                    producer: self.rat[r as usize],
+                    producer: self.rat[r as usize].map(UopId::new),
                 });
             }
             if meta.kind.reads_flags() {
                 deps.push(Dep {
                     kind: DepKind::Flags,
-                    producer: self.flags_rat,
+                    producer: self.flags_rat.map(UopId::new),
                 });
             }
 
-            let txn_abort = self.txn_stack.last().copied();
+            let top = self.txn_frames[self.txn_top as usize];
+            let txn_abort = (self.txn_top != 0).then_some(top.abort_target);
             match f.inst {
                 Inst::XBegin { abort_target } if self.cfg.vuln.has_tsx => {
-                    self.txn_stack.push(abort_target);
-                    self.txn_snapshot_cache = Arc::from(self.txn_stack.as_slice());
+                    self.txn_frames.push(TxnFrame {
+                        abort_target,
+                        parent: self.txn_top,
+                    });
+                    self.txn_top = (self.txn_frames.len() - 1) as u32;
                 }
-                Inst::XEnd => {
-                    self.txn_stack.pop();
-                    self.txn_snapshot_cache = if self.txn_stack.is_empty() {
-                        self.empty_snapshot.clone()
-                    } else {
-                        Arc::from(self.txn_stack.as_slice())
-                    };
-                }
+                Inst::XEnd => self.txn_top = top.parent,
                 _ => {}
             }
 
@@ -2727,8 +2734,8 @@ impl Cpu {
                 deps,
                 issued_at: now,
                 started: false,
-                forward_at: None,
-                done_at: None,
+                forward_at: NOT_EXECUTED,
+                done_at: NOT_EXECUTED,
                 results: ResultList::new(),
                 flags_out: None,
                 fault: None,
@@ -2737,7 +2744,7 @@ impl Cpu {
                 mispredicted: false,
                 store: None,
                 txn_abort,
-                txn_snapshot: self.txn_snapshot_cache.clone(),
+                txn_snapshot: self.txn_top,
                 kind: meta.kind,
                 dests: meta.dests,
                 op: meta.op,

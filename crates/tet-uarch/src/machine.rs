@@ -352,13 +352,11 @@ pub struct RunDelta {
 
 /// Reusable per-run scratch state: everything [`Machine::run`] would
 /// otherwise allocate afresh on every call. Attack loops call `run`
-/// hundreds of thousands of times on the same machine, so the PMU
-/// snapshot buffer, the check-mode program, and the trace recorder are
-/// all kept and recycled here.
+/// hundreds of thousands of times on the same machine, so the
+/// check-mode program, the µop template and the trace recorder are all
+/// kept and recycled here.
 #[derive(Debug)]
 struct RunCtx {
-    /// PMU counter buffer reused for the before-run snapshot.
-    pmu_before: PmuSnapshot,
     /// Check-mode program shared with the oracle, content-compared per
     /// run so only a *different* program pays a clone.
     check_program: Option<Arc<Program>>,
@@ -376,7 +374,6 @@ impl Clone for RunCtx {
     /// the immutable program cache is shared safely.
     fn clone(&self) -> Self {
         RunCtx {
-            pmu_before: self.pmu_before.clone(),
             check_program: self.check_program.clone(),
             template: self.template.clone(),
             recorder: None,
@@ -387,7 +384,6 @@ impl Clone for RunCtx {
 impl RunCtx {
     fn new() -> Self {
         RunCtx {
-            pmu_before: PmuSnapshot::zero(),
             check_program: None,
             template: None,
             recorder: None,
@@ -829,7 +825,7 @@ impl Machine {
         let (handle, recorder) = compose_run_sink(cfg, self.ctx.recorder.as_ref());
         self.mem.set_sink(handle.clone());
         self.cpu.reset_run(&cfg.init_regs, cfg.handler_pc, handle);
-        self.cpu.pmu.snapshot_into(&mut self.ctx.pmu_before);
+        let pmu_before = self.cpu.pmu.snapshot();
 
         // Check mode: a reference interpreter follows the retirement
         // stream of this run and panics on the first architectural
@@ -930,7 +926,7 @@ impl Machine {
             self.prof
                 .add_ns(ProfStage::Run, t.elapsed().as_nanos() as u64);
         }
-        let pmu_delta = self.cpu.pmu.snapshot().delta(&self.ctx.pmu_before);
+        let pmu_delta = self.cpu.pmu.snapshot().delta(&pmu_before);
         self.pmu_lifetime.accumulate(&pmu_delta);
         RunResult {
             exit,

@@ -1,5 +1,7 @@
 //! µop / reorder-buffer entry definitions and dataflow metadata.
 
+use std::num::NonZeroU64;
+
 use tet_isa::{Flags, Inst, Opcode, Reg, Src};
 
 /// Does this instruction occupy a store-buffer-style slot (writes memory
@@ -271,6 +273,30 @@ pub enum DepKind {
     Flags,
 }
 
+/// A µop id stored as `id + 1` in a `NonZeroU64`, so `Option<UopId>`
+/// takes 8 bytes instead of 16. ROB entries carry several optional ids
+/// (every dependency's producer, both waiter-list links).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct UopId(NonZeroU64);
+
+impl UopId {
+    /// Packs the µop id `id`.
+    #[inline]
+    pub fn new(id: u64) -> UopId {
+        UopId(NonZeroU64::MIN.saturating_add(id))
+    }
+
+    /// The µop id.
+    #[inline]
+    pub fn get(self) -> u64 {
+        self.0.get() - 1
+    }
+}
+
+/// `RobEntry::forward_at`/`done_at` before the µop executes: a cycle no
+/// run reaches, so "ready at `now`" is a plain `<=` comparison.
+pub const NOT_EXECUTED: u64 = u64::MAX;
+
 /// A renamed dependency: which operand, and (if in flight at rename time)
 /// the producing µop's id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -279,7 +305,7 @@ pub struct Dep {
     pub kind: DepKind,
     /// Producing µop id, or `None` if the committed state was current at
     /// rename time.
-    pub producer: Option<u64>,
+    pub producer: Option<UopId>,
 }
 
 /// Inline, allocation-free dependency list. An instruction has at most
@@ -467,8 +493,9 @@ pub struct StoreInfo {
     pub byte: bool,
 }
 
-/// One reorder-buffer entry.
-#[derive(Debug, Clone)]
+/// One reorder-buffer entry. Plain data (`Copy`): renaming, squashing
+/// and retiring an entry never touch a reference count or the heap.
+#[derive(Debug, Clone, Copy)]
 pub struct RobEntry {
     /// Monotonic µop id (age order).
     pub id: u64,
@@ -486,12 +513,13 @@ pub struct RobEntry {
     pub issued_at: u64,
     /// Whether execution has started.
     pub started: bool,
-    /// Cycle the result becomes available to dependents.
-    pub forward_at: Option<u64>,
+    /// Cycle the result becomes available to dependents
+    /// ([`NOT_EXECUTED`] until execution starts).
+    pub forward_at: u64,
     /// Cycle the µop becomes retirement-eligible (later than
     /// `forward_at` for faulting loads — that gap *is* the transient
-    /// window).
-    pub done_at: Option<u64>,
+    /// window; [`NOT_EXECUTED`] until execution starts).
+    pub done_at: u64,
     /// Register results `(reg, value)` (up to two: e.g. `pop` writes the
     /// destination and `rsp`).
     pub results: ResultList,
@@ -509,11 +537,10 @@ pub struct RobEntry {
     pub store: Option<StoreInfo>,
     /// Innermost TSX abort target covering this µop, if any.
     pub txn_abort: Option<usize>,
-    /// Speculative transaction-stack snapshot *after* this µop renamed
-    /// (used to rebuild rename state on partial squash). Shared: the
-    /// stack only changes at XBegin/XEnd rename, so consecutive entries
-    /// reference the same snapshot.
-    pub txn_snapshot: std::sync::Arc<[usize]>,
+    /// Speculative transaction stack *after* this µop renamed, as an
+    /// index into the core's per-run stack arena (0 = empty stack);
+    /// rebuilds rename state on a partial squash.
+    pub txn_snapshot: u32,
     /// Template-derived classification bits (branch / memory / fence /
     /// store-kind / …), so pipeline stages never re-match on `inst`.
     pub kind: UopKind,
@@ -527,20 +554,20 @@ pub struct RobEntry {
     pub wake_at: u64,
     /// Head of the intrusive list of µop ids parked on *this* entry's
     /// result (woken when this entry executes).
-    pub waiter_head: Option<u64>,
+    pub waiter_head: Option<UopId>,
     /// Next µop id in the waiter list *this* entry is parked on.
-    pub next_waiter: Option<u64>,
+    pub next_waiter: Option<UopId>,
 }
 
 impl RobEntry {
     /// Whether the µop has finished executing and may retire at `now`.
     pub fn retire_ready(&self, now: u64) -> bool {
-        self.done_at.is_some_and(|d| d <= now)
+        self.done_at <= now
     }
 
     /// Whether the result is available to dependents at `now`.
     pub fn forward_ready(&self, now: u64) -> bool {
-        self.forward_at.is_some_and(|d| d <= now)
+        self.forward_at <= now
     }
 
     /// The value this µop produced for register `r`, if any.
@@ -658,11 +685,17 @@ mod tests {
         for i in 0..4 {
             d.push(Dep {
                 kind: DepKind::Reg(Reg::Rax),
-                producer: Some(i),
+                producer: Some(UopId::new(i)),
             });
         }
         assert_eq!(d.as_slice().len(), 4);
-        assert_eq!(d.iter().filter_map(|x| x.producer).sum::<u64>(), 6);
+        assert_eq!(
+            d.iter()
+                .filter_map(|x| x.producer)
+                .map(UopId::get)
+                .sum::<u64>(),
+            6
+        );
 
         let mut r = ResultList::new();
         r.push(Reg::Rbx, 1);
@@ -685,8 +718,8 @@ mod tests {
             deps: DepList::new(),
             issued_at: 0,
             started: true,
-            forward_at: Some(5),
-            done_at: Some(9),
+            forward_at: 5,
+            done_at: 9,
             results: {
                 let mut r = ResultList::new();
                 r.push(Reg::Rax, 7);
@@ -699,7 +732,7 @@ mod tests {
             mispredicted: false,
             store: None,
             txn_abort: None,
-            txn_snapshot: std::sync::Arc::from(Vec::new()),
+            txn_snapshot: 0,
             kind: UopKind::classify(&Inst::Nop),
             dests: RegList::new(),
             op: Opcode::Nop,
@@ -713,7 +746,7 @@ mod tests {
         assert!(e.retire_ready(9));
         assert_eq!(e.result_for(Reg::Rax), Some(7));
         assert_eq!(e.result_for(Reg::Rbx), None);
-        e.done_at = None;
+        e.done_at = NOT_EXECUTED;
         assert!(!e.retire_ready(100));
     }
 }
