@@ -31,24 +31,38 @@ pub mod oracle;
 pub use interp::{ArchFault, ArchFaultKind, InterpConfig, InterpState, MemWrite, RefInterp};
 pub use oracle::{CommittedStore, DeliveredFault, Divergence, ExitClass, Oracle, RetiredUop};
 
-/// Process-wide programmatic override (the `--check` CLI flag).
-static FORCED: AtomicBool = AtomicBool::new(false);
+/// The check-mode switches. [`enabled`] is read on every executed and
+/// retired µop by every simulator thread, so they get a cache line of
+/// their own: sharing one with a static that some thread keeps writing
+/// (a counting allocator's byte total, say) turns each read into a
+/// coherence miss.
+#[repr(align(64))]
+struct Switches {
+    /// Process-wide programmatic override (the `--check` CLI flag).
+    forced: AtomicBool,
+    /// Cached result of reading the `TET_CHECK` environment variable.
+    from_env: OnceLock<bool>,
+}
 
-/// Cached result of reading the `TET_CHECK` environment variable.
-static FROM_ENV: OnceLock<bool> = OnceLock::new();
+static SWITCHES: Switches = Switches {
+    forced: AtomicBool::new(false),
+    from_env: OnceLock::new(),
+};
 
 /// Turns check mode on for the whole process, as if `TET_CHECK=1` had
 /// been set in the environment. Used by the `--check` benchmark flag.
 pub fn enable() {
-    FORCED.store(true, Ordering::Relaxed);
+    SWITCHES.forced.store(true, Ordering::Relaxed);
 }
 
 /// Whether check mode is on for this process: [`enable`] was called or
 /// the `TET_CHECK` environment variable is enabled (anything but
 /// `0`/`false`/`off`/empty; see [`tet_obs::env_flag`]).
 pub fn enabled() -> bool {
-    FORCED.load(Ordering::Relaxed)
-        || *FROM_ENV.get_or_init(|| tet_obs::env_flag("TET_CHECK", false))
+    SWITCHES.forced.load(Ordering::Relaxed)
+        || *SWITCHES
+            .from_env
+            .get_or_init(|| tet_obs::env_flag("TET_CHECK", false))
 }
 
 #[cfg(test)]

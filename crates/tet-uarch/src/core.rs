@@ -16,8 +16,6 @@
 //!    per [`tet_mem::WalkConfig`] make unmapped probes slower than mapped
 //!    ones (TET-KASLR).
 
-use std::collections::VecDeque;
-
 use tet_isa::reg::RegFile;
 use tet_isa::{Flags, Inst, Opcode, Program, Reg};
 use tet_mem::{AddressSpace, HitLevel, MemorySystem, PageWalker, PhysMem, Pte, Tlb, WalkOutcome};
@@ -27,6 +25,7 @@ use tet_pmu::{Event, Pmu};
 
 use crate::config::{CpuConfig, ForwardPolicy};
 use crate::frontend::{Dsb, FetchedUop};
+use crate::ring::Ring;
 use crate::template::ProgramTemplate;
 use crate::uop::FaultRoute;
 use crate::uop::{
@@ -212,7 +211,7 @@ pub struct Cpu {
     // ----- frontend -----
     bpu: Bpu,
     dsb: Dsb,
-    idq: VecDeque<FetchedUop>,
+    idq: Ring<FetchedUop>,
     fetch_pc: usize,
     fetch_stall_until: u64,
     fetch_enabled: bool,
@@ -223,7 +222,7 @@ pub struct Cpu {
     itlb: Tlb,
 
     // ----- backend -----
-    rob: VecDeque<RobEntry>,
+    rob: Ring<RobEntry>,
     next_uop_id: u64,
     rat: [Option<u64>; 16],
     flags_rat: Option<u64>,
@@ -333,14 +332,14 @@ impl Cpu {
             pmu: Pmu::new(),
             bpu: Bpu::new(cfg.bpu),
             dsb: Dsb::new(cfg.dsb_capacity),
-            idq: VecDeque::new(),
+            idq: Ring::new(),
             fetch_pc: 0,
             fetch_stall_until: 0,
             fetch_enabled: true,
             last_fetch_page: None,
             last_fetch_from_dsb: false,
             itlb: Tlb::new(cfg.itlb),
-            rob: VecDeque::new(),
+            rob: Ring::new(),
             next_uop_id: 0,
             rat: [None; 16],
             flags_rat: None,
@@ -1774,27 +1773,27 @@ impl Cpu {
     /// the resident ids are contiguous and the position is simply
     /// `id - front.id` (the O(1) fast path). A squash leaves a gap
     /// (`next_uop_id` does not roll back), but ids stay strictly
-    /// ascending, so the fallback is a binary search, not a linear scan.
+    /// ascending (so a gap only moves an id *below* its guess) and the
+    /// fallback is a binary search under the guess, not a linear scan.
     fn rob_index(&self, id: u64) -> Option<usize> {
         let front = self.rob.front()?.id;
         if id < front {
             return None;
         }
-        let guess = (id - front) as usize;
-        if let Some(e) = self.rob.get(guess) {
-            if e.id == id {
-                return Some(guess);
+        let mut hi = ((id - front) as usize).min(self.rob.len() - 1);
+        if self.rob[hi].id == id {
+            return Some(hi);
+        }
+        let mut lo = 0;
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.rob[mid].id.cmp(&id) {
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Greater => hi = mid,
+                std::cmp::Ordering::Equal => return Some(mid),
             }
         }
-        let (a, b) = self.rob.as_slices();
-        let search = |s: &[RobEntry], off: usize| {
-            s.binary_search_by_key(&id, |e| e.id).ok().map(|k| k + off)
-        };
-        if b.first().is_some_and(|e| e.id <= id) {
-            search(b, a.len())
-        } else {
-            search(a, 0)
-        }
+        None
     }
 
     fn producer(&self, id: u64) -> Option<&RobEntry> {
@@ -2678,22 +2677,6 @@ impl Cpu {
             let f = self.idq.pop_front().expect("checked non-empty");
             let meta = template.meta(f.pc).expect("fetched pc within program");
 
-            // Build dependencies from the RAT using the pre-cracked
-            // source list (no per-rename instruction re-matching).
-            let mut deps = DepList::new();
-            for r in meta.srcs {
-                deps.push(Dep {
-                    kind: DepKind::Reg(r),
-                    producer: self.rat[r as usize].map(UopId::new),
-                });
-            }
-            if meta.kind.reads_flags() {
-                deps.push(Dep {
-                    kind: DepKind::Flags,
-                    producer: self.flags_rat.map(UopId::new),
-                });
-            }
-
             let top = self.txn_frames[self.txn_top as usize];
             let txn_abort = (self.txn_top != 0).then_some(top.abort_target);
             match f.inst {
@@ -2710,13 +2693,6 @@ impl Cpu {
 
             let id = self.next_uop_id;
             self.next_uop_id += 1;
-            for r in meta.dests {
-                self.rat[r as usize] = Some(id);
-            }
-            if meta.kind.writes_flags() {
-                self.flags_rat = Some(id);
-            }
-
             self.sink.emit_at(
                 now,
                 EventKind::UopRenamed {
@@ -2725,13 +2701,13 @@ impl Cpu {
                     op: meta.mnemonic,
                 },
             );
-            self.rob.push_back(RobEntry {
+            let e = self.rob.push_back_with(|| RobEntry {
                 id,
                 pc: f.pc,
                 inst: f.inst,
                 pred_next: f.pred_next,
                 pred_taken: f.pred_taken,
-                deps,
+                deps: DepList::new(),
                 issued_at: now,
                 started: false,
                 forward_at: NOT_EXECUTED,
@@ -2752,6 +2728,27 @@ impl Cpu {
                 waiter_head: None,
                 next_waiter: None,
             });
+            // Dependencies go straight into the ROB slot, from the RAT
+            // before this µop's own destinations update it, using the
+            // pre-cracked source list (no per-rename re-matching).
+            for r in meta.srcs {
+                e.deps.push(Dep {
+                    kind: DepKind::Reg(r),
+                    producer: self.rat[r as usize].map(UopId::new),
+                });
+            }
+            if meta.kind.reads_flags() {
+                e.deps.push(Dep {
+                    kind: DepKind::Flags,
+                    producer: self.flags_rat.map(UopId::new),
+                });
+            }
+            for r in meta.dests {
+                self.rat[r as usize] = Some(id);
+            }
+            if meta.kind.writes_flags() {
+                self.flags_rat = Some(id);
+            }
             self.unstarted_count += 1;
             if meta.kind.is_store_kind() {
                 self.unstarted_store_count += 1;

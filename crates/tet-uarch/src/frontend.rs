@@ -14,9 +14,9 @@ use crate::lru::LruIndex;
 /// resteer; this structure plus the fetch logic reproduce that shift.
 ///
 /// The DSB is consulted once per fetched instruction, so recency is kept
-/// in an O(1) [`LruIndex`] rather than the original `VecDeque` position
-/// scan; the recency/eviction order is exactly the same (see the
-/// equivalence property test below).
+/// in an [`LruIndex`] (O(1) lookups) rather than the original `VecDeque`
+/// position scan; the recency/eviction order is exactly the same (see
+/// the equivalence property test below).
 #[derive(Debug, Clone)]
 pub struct Dsb {
     lru: LruIndex<()>,

@@ -48,6 +48,7 @@ pub mod core;
 pub mod frontend;
 mod lru;
 pub mod machine;
+mod ring;
 pub mod smt;
 pub mod template;
 pub mod uop;

@@ -1,17 +1,23 @@
-//! An O(1) exact-LRU index over small integer keys.
+//! An exact-LRU index over small integer keys.
 //!
 //! The DSB ([`crate::frontend::Dsb`]) and the BTB ([`crate::Bpu`]) are
 //! fully-associative MRU-first lists; the original implementations kept a
 //! `VecDeque` and paid an O(n) position scan per fetch-time lookup. This
 //! replaces the scan with a direct-mapped slot table (keys are small
-//! instruction indices) threaded onto an intrusive doubly-linked list, so
-//! lookup/insert/evict are all O(1) **while preserving the exact
-//! recency order** of the list implementation: a hit moves the entry to
-//! the front, an insert of a present key re-fronts it, and a full insert
-//! evicts the back. Replacement decisions — and therefore every
-//! predicted target and every DSB-vs-MITE fetch — are identical to the
-//! linear version; the equivalence property tests in `frontend.rs` and
-//! `bpu.rs` drive both representations with the same traces.
+//! instruction indices) and orders recency by a per-slot last-use
+//! stamp drawn from a monotone clock. A hit is one stamp write; an
+//! insert of a present key re-stamps it; a full insert evicts the slot
+//! with the smallest stamp. Stamps are unique, so that slot is exactly
+//! the back of the list the `VecDeque` version kept: replacement
+//! decisions — and therefore every predicted target and every
+//! DSB-vs-MITE fetch — are identical to the linear version. The
+//! equivalence property tests here and in `frontend.rs` and `bpu.rs`
+//! drive both representations with the same traces.
+//!
+//! Eviction scans the slots (O(capacity)). It only happens when a new
+//! key arrives at a full index; keys are instruction indices and the
+//! configured capacities (1536 DSB entries, 512 BTB entries) exceed the
+//! attack programs' sizes, so the scan is off the hot path.
 //!
 //! For snapshot forks the index carries the same journal/epoch layer as
 //! the caches (DESIGN.md §16): every slot or direct-map write journals
@@ -20,31 +26,26 @@
 
 use std::sync::Arc;
 
-/// Sentinel for "no slot" in the intrusive list links.
-const NIL: u32 = u32::MAX;
-
 #[derive(Debug, Clone)]
 struct LruSlot<V> {
     key: usize,
     val: V,
-    prev: u32,
-    next: u32,
+    /// Clock value at the slot's last use (larger = more recent).
+    stamp: u64,
 }
 
 /// An exact-LRU map from small `usize` keys to values, with O(1)
-/// move-to-front lookup, deduplicating insert and back eviction.
+/// refreshing lookup, deduplicating insert and least-recent eviction.
 #[derive(Debug, Clone)]
 pub(crate) struct LruIndex<V> {
-    /// Slot arena; indices are stable for a slot's lifetime.
+    /// Live entries; a slot's index is stable until it is evicted and
+    /// reused by the next insert.
     slots: Vec<LruSlot<V>>,
     /// Direct map: `key -> slot + 1` (0 = absent). Grows to the largest
     /// key seen; keys are instruction indices, so this stays small.
     index: Vec<u32>,
-    /// Recycled arena slots.
-    free: Vec<u32>,
-    head: u32,
-    tail: u32,
-    len: usize,
+    /// The next stamp to hand out.
+    clock: u64,
     capacity: usize,
     /// Seal identity shared with clones (delta restore trust anchor).
     seal: Option<Arc<()>>,
@@ -66,10 +67,7 @@ impl<V: Copy> LruIndex<V> {
         LruIndex {
             slots: Vec::with_capacity(capacity),
             index: Vec::new(),
-            free: Vec::new(),
-            head: NIL,
-            tail: NIL,
-            len: 0,
+            clock: 0,
             capacity,
             seal: None,
             epoch: 0,
@@ -82,10 +80,10 @@ impl<V: Copy> LruIndex<V> {
 
     /// Records arena slot `s` in the journal (once per epoch).
     #[inline]
-    fn touch_slot(&mut self, s: u32) {
-        if self.epoch != 0 && self.jslot[s as usize] != self.epoch {
-            self.jslot[s as usize] = self.epoch;
-            self.journal_slots.push(s);
+    fn touch_slot(&mut self, s: usize) {
+        if self.epoch != 0 && self.jslot[s] != self.epoch {
+            self.jslot[s] = self.epoch;
+            self.journal_slots.push(s as u32);
         }
     }
 
@@ -110,61 +108,31 @@ impl<V: Copy> LruIndex<V> {
 
     /// Live entry count.
     pub(crate) fn len(&self) -> usize {
-        self.len
+        self.slots.len()
     }
 
     #[inline]
-    fn slot_of(&self, key: usize) -> Option<u32> {
+    fn slot_of(&self, key: usize) -> Option<usize> {
         match self.index.get(key) {
-            Some(&s) if s != 0 => Some(s - 1),
+            Some(&s) if s != 0 => Some(s as usize - 1),
             _ => None,
         }
     }
 
+    /// Marks slot `s` most recently used.
     #[inline]
-    fn unlink(&mut self, s: u32) {
-        let (prev, next) = {
-            let slot = &self.slots[s as usize];
-            (slot.prev, slot.next)
-        };
-        if prev == NIL {
-            self.head = next;
-        } else {
-            self.touch_slot(prev);
-            self.slots[prev as usize].next = next;
-        }
-        if next == NIL {
-            self.tail = prev;
-        } else {
-            self.touch_slot(next);
-            self.slots[next as usize].prev = prev;
-        }
-    }
-
-    #[inline]
-    fn link_front(&mut self, s: u32) {
+    fn stamp(&mut self, s: usize) {
         self.touch_slot(s);
-        self.slots[s as usize].prev = NIL;
-        self.slots[s as usize].next = self.head;
-        if self.head != NIL {
-            self.touch_slot(self.head);
-            self.slots[self.head as usize].prev = s;
-        }
-        self.head = s;
-        if self.tail == NIL {
-            self.tail = s;
-        }
+        self.slots[s].stamp = self.clock;
+        self.clock += 1;
     }
 
-    /// Looks `key` up; on a hit moves it to the front (MRU) and returns
-    /// its value.
+    /// Looks `key` up; on a hit makes it the most recently used entry
+    /// and returns its value.
     pub(crate) fn get_refresh(&mut self, key: usize) -> Option<V> {
         let s = self.slot_of(key)?;
-        if self.head != s {
-            self.unlink(s);
-            self.link_front(s);
-        }
-        Some(self.slots[s as usize].val)
+        self.stamp(s);
+        Some(self.slots[s].val)
     }
 
     /// Presence check without perturbing recency.
@@ -172,70 +140,57 @@ impl<V: Copy> LruIndex<V> {
         self.slot_of(key).is_some()
     }
 
-    /// Inserts `key` at the front. A present key is re-fronted with the
-    /// new value; at capacity the back (LRU) entry is evicted first —
-    /// exactly the dedup-then-evict order of the `VecDeque` versions.
+    /// Inserts `key` as the most recently used entry. A present key is
+    /// re-stamped with the new value; at capacity the least recently
+    /// used entry is evicted first — exactly the dedup-then-evict order
+    /// of the `VecDeque` versions.
     pub(crate) fn insert(&mut self, key: usize, val: V) {
         if let Some(s) = self.slot_of(key) {
-            self.touch_slot(s);
-            self.slots[s as usize].val = val;
-            if self.head != s {
-                self.unlink(s);
-                self.link_front(s);
-            }
+            self.slots[s].val = val;
+            self.stamp(s);
             return;
         }
-        if self.len == self.capacity {
-            let back = self.tail;
-            debug_assert_ne!(back, NIL, "non-zero capacity");
-            self.unlink(back);
-            let old_key = self.slots[back as usize].key;
+        let slot = LruSlot {
+            key,
+            val,
+            stamp: self.clock,
+        };
+        self.clock += 1;
+        let s = if self.slots.len() == self.capacity {
+            let (victim, old_key) = self
+                .slots
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, slot)| slot.stamp)
+                .map(|(s, slot)| (s, slot.key))
+                .expect("non-zero capacity");
             self.touch_key(old_key);
             self.index[old_key] = 0;
-            self.free.push(back);
-            self.len -= 1;
-        }
-        let s = match self.free.pop() {
-            Some(s) => {
-                self.touch_slot(s);
-                self.slots[s as usize] = LruSlot {
-                    key,
-                    val,
-                    prev: NIL,
-                    next: NIL,
-                };
-                s
-            }
-            None => {
-                let s = self.slots.len() as u32;
-                self.slots.push(LruSlot {
-                    key,
-                    val,
-                    prev: NIL,
-                    next: NIL,
-                });
-                self.jslot.push(0);
-                self.touch_slot(s);
-                s
-            }
+            self.touch_slot(victim);
+            self.slots[victim] = slot;
+            victim
+        } else {
+            let s = self.slots.len();
+            self.slots.push(slot);
+            self.jslot.push(0);
+            self.touch_slot(s);
+            s
         };
         if key >= self.index.len() {
             self.index.resize(key + 1, 0);
             self.jkey.resize(key + 1, 0);
         }
         self.touch_key(key);
-        self.index[key] = s + 1;
-        self.link_front(s);
-        self.len += 1;
+        self.index[key] = s as u32 + 1;
     }
 
-    /// Entries front (MRU) to back (LRU) — the same iteration order the
-    /// `VecDeque` representations exposed.
-    pub(crate) fn iter(&self) -> LruIter<'_, V> {
-        LruIter {
-            lru: self,
-            at: self.head,
-        }
+    /// Entries front (MRU) to back (LRU) — the same order the `VecDeque`
+    /// representations exposed. Sorts a copy: for fingerprints and
+    /// tests, never on the fetch path.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (usize, V)> + '_ {
+        let mut by_recency: Vec<&LruSlot<V>> = self.slots.iter().collect();
+        by_recency.sort_unstable_by_key(|slot| std::cmp::Reverse(slot.stamp));
+        by_recency.into_iter().map(|slot| (slot.key, slot.val))
     }
 
     /// Marks the current state as a snapshot point: clones share this
@@ -259,15 +214,13 @@ impl<V: Copy> LruIndex<V> {
     /// truncate back to the source's lengths and only journaled
     /// positions below that boundary are repaired. Otherwise everything
     /// is copied and the source's seal is adopted, so the next restore
-    /// replays the journal.
+    /// replays the journal. The clock is copied either way, so restored
+    /// stamps and future stamps order exactly as in `src`.
     pub(crate) fn restore(&mut self, src: &LruIndex<V>) {
         let LruIndex {
             slots,
             index,
-            free,
-            head,
-            tail,
-            len,
+            clock,
             capacity,
             seal,
             // Journal bookkeeping is this index's own; it restarts below.
@@ -307,11 +260,7 @@ impl<V: Copy> LruIndex<V> {
             self.jslot.resize(slots.len(), 0);
             self.jkey.resize(index.len(), 0);
         }
-        self.free.clear();
-        self.free.extend_from_slice(free);
-        self.head = *head;
-        self.tail = *tail;
-        self.len = *len;
+        self.clock = *clock;
         self.capacity = *capacity;
         self.journal_slots.clear();
         self.journal_keys.clear();
@@ -319,28 +268,10 @@ impl<V: Copy> LruIndex<V> {
     }
 }
 
-/// Front-to-back iterator over an [`LruIndex`].
-pub(crate) struct LruIter<'a, V> {
-    lru: &'a LruIndex<V>,
-    at: u32,
-}
-
-impl<V: Copy> Iterator for LruIter<'_, V> {
-    type Item = (usize, V);
-
-    fn next(&mut self) -> Option<(usize, V)> {
-        if self.at == NIL {
-            return None;
-        }
-        let slot = &self.lru.slots[self.at as usize];
-        self.at = slot.next;
-        Some((slot.key, slot.val))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use std::collections::VecDeque;
 
     /// The original linear representation, kept as the test oracle.
@@ -364,6 +295,111 @@ mod tests {
                 self.list.pop_back();
             }
             self.list.push_front((key, val));
+        }
+    }
+
+    /// One operation; keys are reduced modulo `capacity + 3` when
+    /// applied, so an insert of an absent key at capacity (an eviction)
+    /// comes every few operations.
+    #[derive(Debug, Clone)]
+    enum Op {
+        Get(usize),
+        Insert(usize, u64),
+        Probe(usize),
+    }
+
+    fn ops() -> impl Strategy<Value = Vec<Op>> {
+        prop::collection::vec(
+            prop_oneof![
+                2 => (0usize..64).prop_map(Op::Get),
+                3 => (0usize..64, any::<u64>()).prop_map(|(k, v)| Op::Insert(k, v)),
+                1 => (0usize..64).prop_map(Op::Probe),
+            ],
+            1..200,
+        )
+    }
+
+    /// Applies `op` to both representations, checking every answer and
+    /// the full recency order.
+    fn step(lru: &mut LruIndex<u64>, reference: &mut RefLru, op: &Op) {
+        let keys = reference.capacity + 3;
+        match *op {
+            Op::Get(k) => assert_eq!(lru.get_refresh(k % keys), reference.get_refresh(k % keys)),
+            Op::Insert(k, v) => {
+                lru.insert(k % keys, v);
+                reference.insert(k % keys, v);
+            }
+            Op::Probe(k) => assert_eq!(
+                lru.probe(k % keys),
+                reference.list.iter().any(|&(r, _)| r == k % keys)
+            ),
+        }
+        assert_eq!(lru.len(), reference.list.len());
+        assert!(lru.iter().eq(reference.list.iter().copied()));
+    }
+
+    proptest! {
+        /// Min-stamp eviction picks the linear list's tail, at
+        /// capacities where most inserts evict.
+        #[test]
+        fn stamp_order_matches_reference_under_constant_eviction(
+            capacity in 1usize..9,
+            ops in ops(),
+        ) {
+            let mut lru = LruIndex::new(capacity);
+            let mut reference = RefLru { list: VecDeque::new(), capacity };
+            for op in &ops {
+                step(&mut lru, &mut reference, op);
+            }
+        }
+
+        /// seal → churn with evictions → journal-replay restore leaves
+        /// the recency order *and* the stamp clock of a clone of the
+        /// snapshot, and both then behave identically.
+        #[test]
+        fn seal_churn_restore_matches_snapshot_clone(
+            capacity in 1usize..9,
+            warm in ops(),
+            churn in ops(),
+            after in ops(),
+        ) {
+            let mut lru = LruIndex::new(capacity);
+            let mut reference = RefLru { list: VecDeque::new(), capacity };
+            for op in &warm {
+                step(&mut lru, &mut reference, op);
+            }
+            lru.seal();
+            let snap = lru.clone();
+            let snap_list = reference.list.clone();
+            for op in &churn {
+                step(&mut lru, &mut reference, op);
+            }
+            // However the churn went, end it with a full turnover: keys
+            // outside the op key space evict every sealed entry.
+            for k in 1000..=1000 + capacity {
+                lru.insert(k, 0);
+                reference.insert(k, 0);
+            }
+            prop_assert!(lru.iter().eq(reference.list.iter().copied()));
+            prop_assert!(lru.shares_seal(&snap));
+            lru.restore(&snap);
+            prop_assert!(lru.journal_slots.is_empty() && lru.journal_keys.is_empty());
+            prop_assert_eq!(lru.clock, snap.clock);
+            prop_assert!(lru.iter().eq(snap.iter()));
+            prop_assert!(lru.iter().eq(snap_list.iter().copied()));
+            let mut twin = snap.clone();
+            for op in &after {
+                match *op {
+                    Op::Get(k) => prop_assert_eq!(lru.get_refresh(k), twin.get_refresh(k)),
+                    Op::Insert(k, v) => {
+                        lru.insert(k, v);
+                        twin.insert(k, v);
+                    }
+                    Op::Probe(k) => prop_assert_eq!(lru.probe(k), twin.probe(k)),
+                }
+                prop_assert_eq!(lru.clock, twin.clock);
+                prop_assert!(lru.iter().eq(twin.iter()));
+            }
         }
     }
 

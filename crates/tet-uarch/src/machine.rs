@@ -404,16 +404,15 @@ impl RunCtx {
     }
 
     /// The pre-decoded template for `program`, re-cracked only when the
-    /// program contents differ from the cached one.
-    fn template(&mut self, program: &Program) -> Arc<ProgramTemplate> {
-        match &self.template {
-            Some(t) if *t.program() == *program => t.clone(),
-            _ => {
-                let t = Arc::new(ProgramTemplate::build(program));
-                self.template = Some(t.clone());
-                t
-            }
+    /// program contents differ from the cached one. Borrowed, not
+    /// cloned: machines forked from one snapshot share the `Arc`, and a
+    /// per-run reference-count write from every worker thread would keep
+    /// the template's cache line bouncing between cores.
+    fn template(&mut self, program: &Program) -> &ProgramTemplate {
+        if !matches!(&self.template, Some(t) if *t.program() == *program) {
+            self.template = Some(Arc::new(ProgramTemplate::build(program)));
         }
+        self.template.as_deref().expect("cached above")
     }
 }
 
@@ -892,7 +891,7 @@ impl Machine {
                 aspace: &self.aspace,
                 check: oracle.as_mut(),
             };
-            self.cpu.step(&template, &mut env);
+            self.cpu.step(template, &mut env);
         }
 
         if let Some(oracle) = oracle.as_mut() {

@@ -289,3 +289,75 @@ fn restore_carries_physical_memory_and_mappings() {
     assert_eq!(victim.phys().read_u64(pa), 0x77);
     assert_eq!(victim.stats().snapshot_restores, 1);
 }
+
+/// The ROB and IDQ are power-of-two rings whose head stays wherever the
+/// last retirement left it. `restore` copies the live entries to the
+/// front of the restoring machine's own (polluted, differently sized)
+/// buffer, `from_snapshot` into a fresh one. A snapshot taken mid-loop
+/// (cycle cap), with the head mid-buffer after several wraps and live
+/// entries in flight, must run identically either way.
+#[test]
+fn restore_of_a_wrapped_ring_matches_from_snapshot() {
+    use tet_isa::{inst::AluOp, Cond, Src};
+    let counted_loop = |n: u64| {
+        gen::to_program(&[
+            Inst::MovImm {
+                dst: Reg::Rcx,
+                imm: n,
+            },
+            Inst::Alu {
+                op: AluOp::Sub,
+                dst: Reg::Rcx,
+                src: Src::Imm(1),
+            },
+            Inst::Jcc {
+                cond: Cond::Ne,
+                target: 1,
+            },
+            Inst::Halt,
+        ])
+    };
+    // The i7-7700's 224-entry ROB lives in a 256-slot ring; only
+    // retirement moves the head, one slot per retired instruction.
+    const RING: u64 = 256;
+    let mut noisy = CpuConfig::kaby_lake_i7_7700();
+    noisy.timing.interrupt_period = 1_500;
+    for (vi, cfg) in [CpuConfig::kaby_lake_i7_7700(), noisy]
+        .into_iter()
+        .enumerate()
+    {
+        let mut m = machine_for(cfg.clone(), 11 + vi as u64);
+        let capped = RunConfig {
+            max_cycles: 4_321,
+            ..run_cfg()
+        };
+        let r = m.run(&counted_loop(1_000_000), &capped);
+        assert_eq!(r.exit, tet_uarch::RunExit::CycleLimit);
+        assert!(
+            r.retired >= 4 * RING && !r.retired.is_multiple_of(RING),
+            "want a wrapped ring with its head mid-buffer (variant {vi}): {} retired",
+            r.retired
+        );
+        let snap = m.snapshot();
+
+        let next = counted_loop(700);
+        let run = RunConfig {
+            max_cycles: 100_000,
+            ..run_cfg()
+        };
+        let want = fingerprint(&Machine::from_snapshot(&snap).run(&next, &run));
+
+        // A polluted machine restores twice: once by full copy (foreign
+        // seal), once by journal replay.
+        let mut polluted = machine_for(cfg, 99);
+        polluted.run(&counted_loop(333), &run);
+        for pass in 0..2 {
+            polluted.restore(&snap);
+            assert_eq!(
+                fingerprint(&polluted.run(&next, &run)),
+                want,
+                "restore diverged from from_snapshot (variant {vi}, pass {pass})"
+            );
+        }
+    }
+}

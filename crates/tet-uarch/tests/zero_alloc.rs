@@ -1,6 +1,7 @@
-//! A warmed `Machine::run` of a straight-line, non-faulting program
-//! makes no heap allocation: PMU snapshots are inline arrays, ROB
-//! entries are plain `Copy` data, and every per-run buffer is reused.
+//! A warmed `Machine::run` of a non-faulting program makes no heap
+//! allocation: PMU snapshots are inline arrays, ROB entries are plain
+//! `Copy` data, and every per-run buffer is reused — including the ROB
+//! and IDQ rings, which grow only until they reach their steady size.
 //!
 //! This file is its own test binary because it installs a counting
 //! global allocator. Only allocations made by the test's own thread are
@@ -10,7 +11,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use tet_isa::{Asm, Reg};
+use tet_isa::{Asm, Cond, Reg};
 use tet_uarch::{CpuConfig, Machine, RunConfig, RunExit};
 
 struct Counting;
@@ -89,4 +90,41 @@ fn warmed_straight_line_runs_do_not_allocate() {
     }
     let per_run = (allocs() - before) as f64 / RUNS as f64;
     assert_eq!(per_run, 0.0, "allocations per warmed Machine::run");
+}
+
+#[test]
+fn warmed_loop_runs_that_wrap_the_rings_do_not_allocate() {
+    if tet_check::enabled() {
+        eprintln!("skipped: check mode allocates an oracle per run");
+        return;
+    }
+    let mut m = Machine::new(CpuConfig::kaby_lake_i7_7700(), 5);
+    // A counted loop: 3 × 600 + 2 retired instructions per run, over
+    // 4× the i7-7700's 256-slot ROB ring (224 entries rounded up), with
+    // a mispredicted exit that squashes the wrong-path µops in flight.
+    let mut a = Asm::new();
+    let top = a.fresh_label();
+    a.mov_imm(Reg::Rcx, 600)
+        .bind(top)
+        .add(Reg::Rax, Reg::Rcx)
+        .sub(Reg::Rcx, 1)
+        .jcc(Cond::Ne, top)
+        .halt();
+    let program = a.assemble().expect("assembles");
+    let cfg = RunConfig::default();
+    for _ in 0..4 {
+        let r = m.run(&program, &cfg);
+        assert_eq!(r.exit, RunExit::Halted);
+        assert_eq!(r.retired, 3 * 600 + 2);
+    }
+
+    const RUNS: u64 = 16;
+    let before = allocs();
+    for _ in 0..RUNS {
+        let r = m.run(&program, &cfg);
+        assert_eq!(r.exit, RunExit::Halted);
+        assert_eq!(r.regs.get(Reg::Rax), 600 * 601 / 2);
+    }
+    let per_run = (allocs() - before) as f64 / RUNS as f64;
+    assert_eq!(per_run, 0.0, "allocations per warmed looping Machine::run");
 }
