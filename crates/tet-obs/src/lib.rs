@@ -8,8 +8,8 @@
 //!    branch prediction, fault raise/delivery, cache/TLB/LFB activity, page
 //!    walks, timer interrupts and SMT contention.
 //! 2. **Sinks** ([`sink`]) — the object-safe [`sink::TraceSink`] trait plus
-//!    a lock-free flight-recorder ring ([`sink::RingSink`]), an unbounded
-//!    recorder ([`sink::MemorySink`]) and a tee ([`sink::FanoutSink`]).
+//!    an unbounded recorder ([`sink::MemorySink`]) and a tee
+//!    ([`sink::FanoutSink`]).
 //!    Producers hold a [`sink::SinkHandle`]; a disabled handle costs one
 //!    branch per would-be event.
 //! 3. **Reports and exporters** ([`report`], [`chrome`], [`json`]) — the
@@ -37,4 +37,4 @@ pub use env::{env_flag, parse_flag_value};
 pub use event::{DeliveryRoute, EventKind, FaultClass, MemLevel, SquashCause, TlbKind, TraceEvent};
 pub use progress::{quiet, Progress};
 pub use report::{Histogram, HistogramSummary, MetricsSection, RunReport, REPORT_SCHEMA_VERSION};
-pub use sink::{FanoutSink, MemorySink, NullSink, RingSink, SinkHandle, TraceSink};
+pub use sink::{FanoutSink, MemorySink, SinkHandle, TraceSink};

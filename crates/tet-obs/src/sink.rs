@@ -6,11 +6,8 @@
 //! allocation, no virtual call, no formatting.
 //!
 //! When enabled, events flow through the object-safe [`TraceSink`] trait.
-//! Three implementations cover the common shapes:
+//! Two implementations cover the shapes in use:
 //!
-//! * [`RingSink`] — fixed-capacity lock-free ring that keeps the most
-//!   recent events (flight-recorder style, safe to leave attached for
-//!   millions of cycles);
 //! * [`MemorySink`] — unbounded mutex-guarded vector (the per-run recorder
 //!   `Machine` installs when full traces are requested);
 //! * [`FanoutSink`] — tees one stream into several sinks.
@@ -26,130 +23,6 @@ use crate::event::{EventKind, TraceEvent};
 pub trait TraceSink {
     /// Accepts one event. Must not panic; dropping events is allowed.
     fn emit(&self, ev: TraceEvent);
-}
-
-/// A sink that discards everything (useful as an explicit placeholder).
-#[derive(Debug, Default)]
-pub struct NullSink;
-
-impl TraceSink for NullSink {
-    #[inline]
-    fn emit(&self, _ev: TraceEvent) {}
-}
-
-// ---------------------------------------------------------------------------
-// RingSink
-// ---------------------------------------------------------------------------
-
-/// One slot of the ring. The sequence field makes torn reads detectable:
-/// a writer stamps `seq = 0` (in progress), writes the payload, then stamps
-/// `seq = position + 1` with release ordering.
-struct Slot {
-    seq: AtomicU64,
-    ev: std::cell::UnsafeCell<TraceEvent>,
-}
-
-/// A fixed-capacity, lock-free, overwrite-oldest event ring.
-///
-/// Writers never block and never allocate: a slot index is claimed with one
-/// `fetch_add`, the payload is written, and a per-slot sequence number is
-/// published with release ordering. When the ring wraps, the oldest events
-/// are overwritten — the ring always holds the *most recent* window, which
-/// is what you want from a flight recorder attached to a long run.
-///
-/// `drain_recent` is intended to be called after the producing run has
-/// quiesced; if called concurrently with writers it skips slots it observes
-/// mid-write instead of returning torn data.
-pub struct RingSink {
-    mask: u64,
-    head: AtomicU64,
-    dropped: AtomicU64,
-    slots: Box<[Slot]>,
-}
-
-// SAFETY: slot payloads are `Copy` plain-old-data; the per-slot sequence
-// protocol (seq=0 while writing, seq=pos+1 once published, checked again
-// after the read) means readers never *return* a torn event, and writers
-// never read payloads at all.
-unsafe impl Send for RingSink {}
-unsafe impl Sync for RingSink {}
-
-impl RingSink {
-    /// Creates a ring holding up to `capacity` events (rounded up to a
-    /// power of two, minimum 64).
-    pub fn with_capacity(capacity: usize) -> RingSink {
-        let cap = capacity.max(64).next_power_of_two() as u64;
-        let slots = (0..cap)
-            .map(|_| Slot {
-                seq: AtomicU64::new(0),
-                ev: std::cell::UnsafeCell::new(TraceEvent {
-                    cycle: 0,
-                    thread: 0,
-                    kind: EventKind::UopRetired { id: 0 },
-                }),
-            })
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        RingSink {
-            mask: cap - 1,
-            head: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            slots,
-        }
-    }
-
-    /// Number of events ever emitted into this ring.
-    pub fn emitted(&self) -> u64 {
-        self.head.load(Ordering::Acquire)
-    }
-
-    /// Number of events that have been overwritten (lost to wrap-around).
-    pub fn overwritten(&self) -> u64 {
-        let head = self.head.load(Ordering::Acquire);
-        head.saturating_sub(self.slots.len() as u64) + self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Copies out the most recent events, oldest first.
-    ///
-    /// Call after the producer has quiesced; concurrent writes cause the
-    /// affected slots to be skipped, never returned torn.
-    pub fn drain_recent(&self) -> Vec<TraceEvent> {
-        let head = self.head.load(Ordering::Acquire);
-        let cap = self.slots.len() as u64;
-        let start = head.saturating_sub(cap);
-        let mut out = Vec::with_capacity((head - start) as usize);
-        for pos in start..head {
-            let slot = &self.slots[(pos & self.mask) as usize];
-            let seq_before = slot.seq.load(Ordering::Acquire);
-            if seq_before != pos + 1 {
-                continue; // Overwritten by a newer event, or mid-write.
-            }
-            // SAFETY: payload is Copy POD; a torn copy is discarded below
-            // when the sequence check fails.
-            let ev = unsafe { *slot.ev.get() };
-            if slot.seq.load(Ordering::Acquire) == pos + 1 {
-                out.push(ev);
-            }
-        }
-        out
-    }
-}
-
-impl TraceSink for RingSink {
-    #[inline]
-    fn emit(&self, ev: TraceEvent) {
-        let pos = self.head.fetch_add(1, Ordering::AcqRel);
-        let slot = &self.slots[(pos & self.mask) as usize];
-        slot.seq.store(0, Ordering::Release);
-        // SAFETY: we own this slot for the duration between the two seq
-        // stores; a concurrent writer that laps us will restamp seq itself,
-        // and readers reject slots whose seq doesn't match the expected
-        // position.
-        unsafe {
-            *slot.ev.get() = ev;
-        }
-        slot.seq.store(pos + 1, Ordering::Release);
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -387,49 +260,6 @@ mod tests {
         let evs = sink.drain();
         assert_eq!(evs[0].cycle, 42, "clock is shared");
         assert_eq!(evs[0].thread, 1, "thread tag differs");
-    }
-
-    #[test]
-    fn ring_keeps_most_recent_window() {
-        let ring = RingSink::with_capacity(64);
-        for i in 0..200u64 {
-            ring.emit(TraceEvent {
-                cycle: i,
-                thread: 0,
-                kind: ev(i),
-            });
-        }
-        let evs = ring.drain_recent();
-        assert_eq!(evs.len(), 64);
-        assert_eq!(evs.first().map(|e| e.cycle), Some(136));
-        assert_eq!(evs.last().map(|e| e.cycle), Some(199));
-        assert_eq!(ring.emitted(), 200);
-        assert_eq!(ring.overwritten(), 136);
-    }
-
-    #[test]
-    fn ring_survives_concurrent_writers() {
-        let ring = Arc::new(RingSink::with_capacity(256));
-        let mut handles = Vec::new();
-        for t in 0..4u8 {
-            let r = ring.clone();
-            handles.push(std::thread::spawn(move || {
-                for i in 0..1000u64 {
-                    r.emit(TraceEvent {
-                        cycle: i,
-                        thread: t,
-                        kind: ev(i),
-                    });
-                }
-            }));
-        }
-        for h in handles {
-            h.join().expect("writer thread");
-        }
-        assert_eq!(ring.emitted(), 4000);
-        let evs = ring.drain_recent();
-        assert!(evs.len() <= 256);
-        assert!(!evs.is_empty());
     }
 
     #[test]

@@ -1,20 +1,26 @@
 //! Core hot-path benchmark: times the Figure 1a gadget probe, the full
-//! covert-channel decode sweep, and the Table 2 matrix at `--threads 1`
-//! vs `--threads N`, then writes the numbers to `BENCH_core.json`
-//! (schema-v2 [`RunReport`] JSON) at the repository root.
+//! covert-channel decode sweep, a snapshot-fork trial, the Table 2
+//! matrix at `--threads 1` vs the effective worker count, the raw
+//! simulator kernels and the per-cycle hot-path structures, then writes
+//! the numbers to `BENCH_core.json` (schema-v2 [`RunReport`] JSON) at the
+//! repository root. It is the repository's one performance harness.
 //!
 //! Run: `cargo run --release -p whisper-bench --bin bench_core [--smoke] [--threads N] [--out PATH] [--baseline PATH]`
 //!
-//! `--smoke` (or `BENCH_SMOKE=1`) cuts iteration counts so CI can track
-//! the numbers in seconds rather than minutes; the JSON shape is
-//! identical, with `meta.mode = "smoke"` marking the cheap run.
+//! `--smoke` cuts iteration counts so CI can track the numbers in
+//! seconds rather than minutes; the JSON shape is identical, with
+//! `meta.mode = "smoke"` marking the cheap run.
 //!
-//! `--baseline PATH` compares the measured `sim_cycles_per_sec` and
-//! `table2.ns_per_trial` against a previously committed report and exits
-//! non-zero when either regresses past the 70% floor (the report is
-//! still written first so CI can upload it as an artifact). Each gate
+//! `--baseline PATH` compares the six gated metrics of
+//! [`baseline::bench_core_gates`] — `sim_cycles_per_sec`,
+//! `table2.ns_per_trial`, `decode_sweep.ns_per_iter`,
+//! `decode_sweep.ns_per_uop`, `snapshot_fork.ns_per_trial` and
+//! `snapshot_fork.restore_ns` — against a previously committed report
+//! and exits non-zero when any regresses past its 70% floor (the report
+//! is still written first so CI can upload it as an artifact). Each gate
 //! prints its baseline, current value, and tolerance (see
-//! `whisper_bench::baseline`).
+//! `whisper_bench::baseline`). The `kernel.*_ns` and `structures.*_ns`
+//! keys are recorded but not gated.
 //!
 //! A final self-profile section reruns the matrix with the sampled
 //! host-time profiler installed (separate from the timed legs, which
@@ -22,11 +28,15 @@
 //! for flamegraphs) and `bench_core.prom` (Prometheus text) next to the
 //! JSON reports.
 
+use std::hint::black_box;
 use std::time::Instant;
 
+use tet_isa::{Asm, Cond, Reg};
+use tet_mem::{Cache, CacheConfig, Pte, Tlb, TlbConfig};
 use tet_metrics::{prof, to_prometheus, HostProfiler};
 use tet_obs::MetricsSection;
-use tet_uarch::{CpuConfig, Machine};
+use tet_uarch::frontend::Dsb;
+use tet_uarch::{Bpu, BpuConfig, CpuConfig, Machine, RunConfig};
 use whisper::channel::TetCovertChannel;
 use whisper::eval::{run_table2_matrix_detailed, run_table2_matrix_observed};
 use whisper::gadget::{TetGadget, TetGadgetSpec};
@@ -51,8 +61,7 @@ fn median_ns(samples: usize, iters: usize, mut f: impl FnMut()) -> f64 {
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let threads = tet_par::threads_from_args(&mut args);
-    let smoke =
-        args.iter().any(|a| a == "--smoke") || std::env::var("BENCH_SMOKE").is_ok_and(|v| v == "1");
+    let smoke = args.iter().any(|a| a == "--smoke");
     let out = args
         .iter()
         .position(|a| a == "--out")
@@ -267,6 +276,150 @@ fn main() {
         rep.counter("table2.br_mispredicts", stats.br_mispredicts);
         matrix_rows = serial;
         matrix_trials = stats.runs;
+    }
+
+    section("simulator kernels (one Machine::run per iteration)");
+    {
+        // The substrate cost every experiment pays, free of any attack
+        // gadget: straight-line ALU work, a predicted loop, and loads
+        // that each miss the dTLB and walk the page tables.
+        let cfg = CpuConfig::kaby_lake_i7_7700();
+        let run = RunConfig::default();
+        let (samples, iters) = if smoke { (5, 20) } else { (15, 200) };
+
+        let mut a = Asm::new();
+        for i in 0..500 {
+            a.mov_imm(Reg::Rax, i).add(Reg::Rbx, Reg::Rax);
+        }
+        a.halt();
+        let straight = a.assemble().expect("program is closed");
+        let mut m = Machine::new(cfg.clone(), 1);
+        m.run(&straight, &run); // warm
+        let straight_ns = median_ns(samples, iters, || {
+            black_box(m.run(&straight, &run));
+        });
+
+        let mut a = Asm::new();
+        let top = a.fresh_label();
+        a.mov_imm(Reg::Rcx, 200);
+        a.bind(top)
+            .nops(4)
+            .sub(Reg::Rcx, 1u64)
+            .jcc(Cond::Ne, top)
+            .halt();
+        let branchy = a.assemble().expect("program is closed");
+        let mut m = Machine::new(cfg.clone(), 1);
+        m.run(&branchy, &run); // warm
+        let branchy_ns = median_ns(samples, iters, || {
+            black_box(m.run(&branchy, &run));
+        });
+
+        let mut m = Machine::new(cfg, 1);
+        let mut a = Asm::new();
+        for i in 0..16u64 {
+            m.map_user_page(0x100_0000 + i * 4096);
+            a.load_abs(Reg::Rax, 0x100_0000 + i * 4096);
+        }
+        a.halt();
+        let loads = a.assemble().expect("program is closed");
+        m.run(&loads, &run); // warm
+        let loads_ns = median_ns(samples, iters, || {
+            m.flush_tlbs();
+            black_box(m.run(&loads, &run));
+        });
+
+        for (id, ns) in [
+            ("straight_line_1k_insts", straight_ns),
+            ("branchy_loop_200_iters", branchy_ns),
+            ("tlb_miss_loads_16_pages", loads_ns),
+        ] {
+            println!("  {id:<24} {ns:>9.0} ns/iter (median of {samples} x {iters})");
+            rep.scalar(&format!("kernel.{id}_ns"), ns);
+        }
+    }
+
+    section("hot-path structures (1024 operations per iteration)");
+    {
+        // The per-cycle structures in isolation: L1d-like cache hits and
+        // streaming fills (every fill evicts the set's LRU way), dTLB
+        // hits, DSB hits, BTB-backed conditional prediction, and
+        // `Machine` construction (the whole hierarchy, LLC included).
+        let (samples, iters) = if smoke { (5, 20) } else { (15, 200) };
+        let l1_like = || Cache::new(CacheConfig::new(64, 8, 4));
+
+        let mut cache = l1_like();
+        for i in 0..512u64 {
+            cache.fill(i * 64);
+        }
+        let cache_hit_ns = median_ns(samples, iters, || {
+            black_box(
+                (0..1024u64)
+                    .filter(|i| cache.lookup((i % 512) * 64))
+                    .count(),
+            );
+        });
+
+        let mut cache = l1_like();
+        let mut next = 0u64;
+        let cache_fill_ns = median_ns(samples, iters, || {
+            let mut evicted = 0u64;
+            for _ in 0..1024 {
+                evicted += u64::from(cache.fill(next * 64).is_some());
+                next += 1;
+            }
+            black_box(evicted);
+        });
+
+        let mut tlb = Tlb::new(TlbConfig::new(16, 4));
+        for page in 0..64u64 {
+            tlb.fill(page << 12, Pte::user_data(page));
+        }
+        let tlb_hit_ns = median_ns(samples, iters, || {
+            black_box(
+                (0..1024u64)
+                    .filter(|i| tlb.lookup((i % 64) << 12).is_some())
+                    .count(),
+            );
+        });
+
+        let mut dsb = Dsb::new(1536);
+        for pc in 0..32 {
+            dsb.insert(pc);
+        }
+        let dsb_hit_ns = median_ns(samples, iters, || {
+            black_box((0..1024usize).filter(|i| dsb.lookup(i % 32)).count());
+        });
+
+        let mut bpu = Bpu::new(BpuConfig::default());
+        for pc in 0..16 {
+            for _ in 0..16 {
+                bpu.resolve_cond(pc, true, pc + 100);
+            }
+        }
+        let btb_ns = median_ns(samples, iters, || {
+            black_box(
+                (0..1024usize)
+                    .filter(|i| bpu.predict_cond(i % 16, i % 16 + 1, i % 16 + 100).from_btb)
+                    .count(),
+            );
+        });
+
+        let cfg = CpuConfig::kaby_lake_i7_7700();
+        let machine_new_ns = median_ns(samples, iters, || {
+            black_box(Machine::new(cfg.clone(), 1));
+        });
+
+        for (id, ns) in [
+            ("cache_lookup_hit_x1024", cache_hit_ns),
+            ("cache_fill_evict_x1024", cache_fill_ns),
+            ("tlb_lookup_hit_x1024", tlb_hit_ns),
+            ("dsb_lookup_hit_x1024", dsb_hit_ns),
+            ("btb_predict_cond_x1024", btb_ns),
+            ("machine_new", machine_new_ns),
+        ] {
+            println!("  {id:<24} {ns:>9.0} ns/iter (median of {samples} x {iters})");
+            rep.scalar(&format!("structures.{id}_ns"), ns);
+        }
     }
 
     section("self-profile (sampled host-time attribution, separate leg)");
