@@ -23,6 +23,8 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
+use crate::sync;
+
 /// Cache hit/miss/size/eviction counters, served by `GET /v1/cache/stats`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -153,7 +155,7 @@ impl ResultCache {
             inner: Mutex::new(inner),
         };
         // A shrunken budget applies to leftovers too.
-        cache.enforce_budget(&mut cache.inner.lock().unwrap(), None);
+        cache.enforce_budget(&mut sync::lock(&cache.inner), None);
         Ok(cache)
     }
 
@@ -191,7 +193,7 @@ impl ResultCache {
     /// stamp. A hit returns the stored bytes exactly as written.
     pub fn get(&self, key: &str) -> Option<String> {
         let indexed = {
-            let mut inner = self.inner.lock().unwrap();
+            let mut inner = sync::lock(&self.inner);
             let indexed = inner.index.contains_key(key);
             if indexed {
                 inner.hits += 1;
@@ -213,7 +215,7 @@ impl ResultCache {
                     "warning: cache entry {} unreadable: {e} (dropping from index)",
                     self.path_of(key).display()
                 );
-                let mut inner = self.inner.lock().unwrap();
+                let mut inner = sync::lock(&self.inner);
                 if let Some(entry) = inner.index.remove(key) {
                     inner.bytes -= entry.size;
                 }
@@ -231,14 +233,14 @@ impl ResultCache {
     /// content-addressed, so the bytes are still correct — in which
     /// case only the counter moves.
     pub fn record_external_hit(&self, key: &str) {
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = sync::lock(&self.inner);
         inner.hits += 1;
         inner.touch(key);
     }
 
     /// Whether `key` is cached, without counting a lookup.
     pub fn contains(&self, key: &str) -> bool {
-        self.inner.lock().unwrap().index.contains_key(key)
+        sync::lock(&self.inner).index.contains_key(key)
     }
 
     /// Reads `key`'s entry without counting a hit or miss — for report
@@ -247,7 +249,7 @@ impl ResultCache {
     /// a fetched report is a used report.
     pub fn peek(&self, key: &str) -> Option<String> {
         {
-            let mut inner = self.inner.lock().unwrap();
+            let mut inner = sync::lock(&self.inner);
             if !inner.index.contains_key(key) {
                 return None;
             }
@@ -265,7 +267,7 @@ impl ResultCache {
         std::fs::write(&tmp, body).map_err(|e| format!("write {}: {e}", tmp.display()))?;
         std::fs::rename(&tmp, &path)
             .map_err(|e| format!("rename {} -> {}: {e}", tmp.display(), path.display()))?;
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = sync::lock(&self.inner);
         inner.clock += 1;
         let stamp = inner.clock;
         let size = body.len() as u64;
@@ -279,7 +281,7 @@ impl ResultCache {
 
     /// Current counters.
     pub fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock().unwrap();
+        let inner = sync::lock(&self.inner);
         CacheStats {
             hits: inner.hits,
             misses: inner.misses,
@@ -444,5 +446,29 @@ mod tests {
         if std::env::var_os("TET_SERVE_CACHE_BYTES").is_none() {
             assert_eq!(default_max_bytes().unwrap(), 0);
         }
+    }
+
+    /// A request thread that panics while holding the index lock must
+    /// not wedge the cache: later gets and puts recover the guard.
+    #[test]
+    fn survives_a_poisoned_lock() {
+        let dir = tmpdir("poison");
+        let cache = ResultCache::open(&dir).unwrap();
+        cache.put(KEY, "{\"x\":1}").unwrap();
+        let panicked = std::thread::scope(|s| {
+            s.spawn(|| {
+                let _held = cache.inner.lock();
+                panic!("request panics while holding the cache lock");
+            })
+            .join()
+            .is_err()
+        });
+        assert!(panicked && cache.inner.is_poisoned());
+        assert_eq!(cache.get(KEY).as_deref(), Some("{\"x\":1}"));
+        cache.put(&key_n(1), "{}").unwrap();
+        assert_eq!(cache.get(&key_n(1)).as_deref(), Some("{}"));
+        let stats = cache.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (2, 0, 2));
+        std::fs::remove_dir_all(&dir).ok();
     }
 }

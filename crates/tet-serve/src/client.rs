@@ -20,6 +20,8 @@ use std::time::Duration;
 
 use tet_obs::json::{self, Value};
 
+use crate::sync;
+
 /// A server endpoint, e.g. `http://127.0.0.1:8044` or `127.0.0.1:8044`.
 #[derive(Debug)]
 pub struct Client {
@@ -87,7 +89,7 @@ impl Client {
     pub fn with_keep_alive(mut self, keep_alive: bool) -> Client {
         self.keep_alive = keep_alive;
         if !keep_alive {
-            *self.conn.lock().unwrap() = None;
+            *sync::lock(&self.conn) = None;
         }
         self
     }
@@ -215,7 +217,7 @@ impl Client {
             return Self::read_response(&mut conn, method, path).map(|p| p.response);
         }
 
-        let mut slot = self.conn.lock().unwrap();
+        let mut slot = sync::lock(&self.conn);
         let (conn, reused) = match slot.take() {
             Some(conn) => (conn, true),
             None => (self.connect()?, false),

@@ -24,6 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use crate::http::response_head;
+use crate::sync;
 
 /// Shard count: plenty for a thread-per-connection server on small
 /// hosts, cheap when idle (an empty shard is one HashMap).
@@ -162,7 +163,7 @@ impl HotCache {
     /// Looks `key` up; a hit refreshes its LRU stamp under the shard's
     /// read lock only.
     pub fn get(&self, key: &str) -> Option<Arc<HotEntry>> {
-        let shard = self.shard_of(key).read().unwrap();
+        let shard = sync::read(self.shard_of(key));
         match shard.map.get(key) {
             Some(slot) => {
                 slot.stamp.store(self.tick(), Ordering::Relaxed);
@@ -184,7 +185,7 @@ impl HotCache {
     pub fn insert(&self, key: &str, entry: Arc<HotEntry>) {
         let cost = entry.cost();
         let stamp = self.tick();
-        let mut shard = self.shard_of(key).write().unwrap();
+        let mut shard = sync::write(self.shard_of(key));
         let old = shard.map.insert(
             key.to_string(),
             Slot {
@@ -218,7 +219,7 @@ impl HotCache {
     pub fn stats(&self) -> HotCacheStats {
         let (mut entries, mut bytes) = (0u64, 0u64);
         for shard in &self.shards {
-            let shard = shard.read().unwrap();
+            let shard = sync::read(shard);
             entries += shard.map.len() as u64;
             bytes += shard.bytes;
         }
@@ -321,7 +322,7 @@ mod tests {
         let populated = cache
             .shards
             .iter()
-            .filter(|s| !s.read().unwrap().map.is_empty())
+            .filter(|s| !sync::read(s).map.is_empty())
             .count();
         assert_eq!(
             populated, 4,

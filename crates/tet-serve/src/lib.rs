@@ -29,6 +29,7 @@ pub mod scheduler;
 pub mod server;
 pub mod sha;
 pub mod spec;
+mod sync;
 
 pub use cache::{CacheStats, ResultCache};
 pub use client::Client;

@@ -49,6 +49,7 @@ use crate::hotcache::{HotCache, HotEntry};
 use crate::http::{self, ReadOutcome, Request};
 use crate::scheduler;
 use crate::spec::{CampaignSpec, KEY_FORMAT};
+use crate::sync;
 
 /// Default in-memory hot-cache budget: 64 MiB of rendered responses.
 const DEFAULT_HOT_BYTES: u64 = 1 << 26;
@@ -291,7 +292,7 @@ fn accept_loop(listener: &TcpListener, inner: &Arc<Inner>) {
 fn worker_loop(inner: &Arc<Inner>) {
     loop {
         let job_id = {
-            let mut jobs = inner.jobs.lock().unwrap();
+            let mut jobs = sync::lock(&inner.jobs);
             loop {
                 if inner.shutdown.load(Ordering::SeqCst) {
                     return;
@@ -312,7 +313,7 @@ fn worker_loop(inner: &Arc<Inner>) {
 
 fn run_job(inner: &Arc<Inner>, job_id: u64) {
     let (spec, progress, label) = {
-        let mut jobs = inner.jobs.lock().unwrap();
+        let mut jobs = sync::lock(&inner.jobs);
         let Some(entry) = jobs.entries.get_mut(&job_id) else {
             return;
         };
@@ -333,7 +334,7 @@ fn run_job(inner: &Arc<Inner>, job_id: u64) {
         progress.flight.maybe_sample();
     });
 
-    let mut jobs = inner.jobs.lock().unwrap();
+    let mut jobs = sync::lock(&inner.jobs);
     let jobs = &mut *jobs; // one deref, so field borrows can split
     let Some(entry) = jobs.entries.get_mut(&job_id) else {
         return;
@@ -574,7 +575,7 @@ fn submit(
     };
     let total = spec.total_units();
 
-    let mut jobs = inner.jobs.lock().unwrap();
+    let mut jobs = sync::lock(&inner.jobs);
     if !cached {
         if let Some(&twin) = jobs.inflight.get(&key) {
             let entry = &jobs.entries[&twin];
@@ -706,7 +707,7 @@ fn job_endpoints(
     };
     match tail {
         None => {
-            let jobs = inner.jobs.lock().unwrap();
+            let jobs = sync::lock(&inner.jobs);
             match jobs.entries.get(&id) {
                 Some(entry) => {
                     let body = status_body(entry);
@@ -719,7 +720,7 @@ fn job_endpoints(
         }
         Some("report") => {
             let (state, key, error) = {
-                let jobs = inner.jobs.lock().unwrap();
+                let jobs = sync::lock(&inner.jobs);
                 match jobs.entries.get(&id) {
                     Some(e) => (e.state, e.key.clone(), e.error.clone()),
                     None => {
@@ -779,7 +780,7 @@ fn job_endpoints(
 /// until the job leaves the running/queued states, then one final
 /// status line. EOF-delimited (the connection closes at the end).
 fn stream_events(w: &mut impl Write, id: u64, inner: &Arc<Inner>) {
-    let exists = inner.jobs.lock().unwrap().entries.contains_key(&id);
+    let exists = sync::lock(&inner.jobs).entries.contains_key(&id);
     if !exists {
         http::respond_json(w, 404, &error_body("no such job"), true);
         return;
@@ -789,7 +790,7 @@ fn stream_events(w: &mut impl Write, id: u64, inner: &Arc<Inner>) {
     }
     loop {
         let (running, line) = {
-            let jobs = inner.jobs.lock().unwrap();
+            let jobs = sync::lock(&inner.jobs);
             let Some(entry) = jobs.entries.get(&id) else {
                 return;
             };

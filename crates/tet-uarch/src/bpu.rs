@@ -119,8 +119,11 @@ impl Bpu {
         self.btb.get_refresh(pc)
     }
 
-    fn btb_insert(&mut self, pc: usize, target: usize) {
-        self.btb.insert(pc, target);
+    /// Inserts (or refreshes) a BTB entry; returns whether the BTB's
+    /// contents changed — a new entry or a new target — rather than
+    /// only its recency.
+    fn btb_insert(&mut self, pc: usize, target: usize) -> bool {
+        self.btb.insert(pc, target) != Some(target)
     }
 
     /// Whether the BTB currently holds an entry for `pc` (non-perturbing;
@@ -204,6 +207,15 @@ impl Bpu {
         self.rsb.len()
     }
 
+    /// The history the next prediction sees: the global-history window
+    /// the PHT is indexed with, and the RSB depth. Unlike the counters
+    /// and the BTB, these move on every resolution or call, so whether
+    /// a run left the predictor where it found it is decided by
+    /// comparing this before and after.
+    pub fn history(&self) -> (u64, usize) {
+        (self.ghr & ((1 << self.cfg.ghr_bits) - 1), self.rsb.len())
+    }
+
     // ----- resolution-time updates ----------------------------------------
     //
     // Updates happen at branch *resolution*, i.e. transient branches train
@@ -224,23 +236,29 @@ impl Bpu {
     }
 
     /// Updates predictor state after a conditional branch resolves.
-    pub fn resolve_cond(&mut self, pc: usize, taken: bool, target: usize) {
+    /// Returns whether a pattern counter or a BTB target changed (the
+    /// global history always shifts; see [`Bpu::history`]).
+    pub fn resolve_cond(&mut self, pc: usize, taken: bool, target: usize) -> bool {
         let idx = self.pht_index(pc);
         self.pht_touch(idx);
         let c = &mut self.pht[idx];
+        let old = *c;
+        let mut moved = false;
         if taken {
             *c = (*c + 1).min(3);
-            self.btb_insert(pc, target);
+            moved = self.btb_insert(pc, target);
         } else {
             *c = c.saturating_sub(1);
         }
         self.ghr = (self.ghr << 1) | u64::from(taken);
+        moved || self.pht[idx] != old
     }
 
     /// Updates the BTB after an indirect branch or `ret` resolves.
-    pub fn resolve_indirect(&mut self, pc: usize, target: usize) {
-        self.btb_insert(pc, target);
+    /// Returns whether the BTB target changed.
+    pub fn resolve_indirect(&mut self, pc: usize, target: usize) -> bool {
         self.ghr = (self.ghr << 1) | 1;
+        self.btb_insert(pc, target)
     }
 
     /// Seals the current state for delta restore (DESIGN.md §16).
@@ -356,6 +374,39 @@ mod tests {
             b.resolve_cond(100, false, 200);
         }
         assert!(!b.predict_cond(100, 101, 200).taken);
+    }
+
+    /// Resolutions report whether they rewrote a counter or a BTB
+    /// target; the history window moves on every resolution.
+    #[test]
+    fn resolutions_report_predictor_moves() {
+        let mut b = bpu();
+        assert!(!b.resolve_cond(10, false, 20), "a cold counter stays at 0");
+        assert_eq!(b.history(), (0, 0));
+        assert!(b.resolve_cond(10, true, 20), "counter and BTB entry move");
+        assert_eq!(b.history().0, 1, "the taken bit enters the history");
+        for _ in 0..12 {
+            b.resolve_cond(10, false, 20);
+        }
+        assert_eq!(b.history().0, 0, "twelve not-taken bits shift it out");
+        // Saturate the counter at the index a zero history selects: once
+        // it is at 3 with the target known, a taken resolution rewrites
+        // nothing.
+        let mut moved = Vec::new();
+        for _ in 0..4 {
+            for _ in 0..12 {
+                b.resolve_cond(99, false, 0);
+            }
+            moved.push(b.resolve_cond(10, true, 20));
+        }
+        assert_eq!(
+            moved,
+            [true, true, false, false],
+            "1 → 2 → 3, then saturated"
+        );
+        assert!(b.resolve_indirect(30, 40), "new indirect target");
+        assert!(!b.resolve_indirect(30, 40), "same target: recency only");
+        assert!(b.resolve_indirect(30, 41), "retargeted");
     }
 
     #[test]
@@ -528,7 +579,9 @@ mod tests {
             0 => {
                 b.resolve_cond((r >> 8) as usize % 64, r & 2 == 0, (r >> 16) as usize % 64);
             }
-            1 => b.resolve_indirect((r >> 8) as usize % 64, (r >> 16) as usize % 64),
+            1 => {
+                b.resolve_indirect((r >> 8) as usize % 64, (r >> 16) as usize % 64);
+            }
             2 => {
                 b.predict_cond((r >> 8) as usize % 64, 1, 2);
             }

@@ -309,6 +309,12 @@ pub struct Cpu {
     ff_skipped_cycles: u64,
     /// Number of fast-forward sprints taken (each skips ≥ 1 cycle).
     ff_sprints: u64,
+    /// Timer interrupts taken over this core's lifetime (diagnostic,
+    /// like the fast-forward stats: survives `reset_run` and restore).
+    interrupts_taken: u64,
+    /// Branch resolutions that changed a pattern counter or a BTB
+    /// target, over this core's lifetime (same lifetime rules).
+    predictor_moves: u64,
     /// Host wall-time profiler (disabled = one branch per step). Pure
     /// host-side observation: nothing simulated ever reads it, so
     /// results are byte-identical with profiling on or off. Installed by
@@ -377,6 +383,8 @@ impl Cpu {
             sink: SinkHandle::disabled(),
             ff_skipped_cycles: 0,
             ff_sprints: 0,
+            interrupts_taken: 0,
+            predictor_moves: 0,
             prof: ProfHandle::disabled(),
             prof_tick: 0,
             prof_sampling: false,
@@ -530,6 +538,8 @@ impl Cpu {
             sink,
             ff_skipped_cycles: _,
             ff_sprints: _,
+            interrupts_taken: _,
+            predictor_moves: _,
             // Host-profiler state is this core's own, like the ff
             // diagnostics: never copied from a snapshot.
             prof: _,
@@ -625,11 +635,32 @@ impl Cpu {
         (self.ff_skipped_cycles, self.ff_sprints)
     }
 
-    /// Zeroes the fast-forward diagnostics (a freshly forked worker
-    /// machine starts its lifetime clean).
-    pub(crate) fn reset_ff_stats(&mut self) {
+    /// Timer interrupts taken over this core's lifetime.
+    pub(crate) fn interrupts_taken(&self) -> u64 {
+        self.interrupts_taken
+    }
+
+    /// Branch resolutions that changed a pattern counter or a BTB
+    /// target over this core's lifetime.
+    pub(crate) fn predictor_moves(&self) -> u64 {
+        self.predictor_moves
+    }
+
+    /// Cycles this core can step before the next timer interrupt is
+    /// taken: a run of `n` cycles starting now is interrupt-free iff
+    /// `n <= cycles_to_interrupt`. `None` without interrupt noise.
+    pub(crate) fn cycles_to_interrupt(&self) -> Option<u64> {
+        (self.cfg.timing.interrupt_period > 0)
+            .then(|| self.next_interrupt.saturating_sub(self.global_cycle))
+    }
+
+    /// Zeroes the lifetime diagnostics (a freshly forked worker machine
+    /// starts its lifetime clean).
+    pub(crate) fn reset_lifetime_stats(&mut self) {
         self.ff_skipped_cycles = 0;
         self.ff_sprints = 0;
+        self.interrupts_taken = 0;
+        self.predictor_moves = 0;
     }
 
     /// Credits this core with the lifetime effects of runs that were
@@ -808,6 +839,7 @@ impl Cpu {
             self.interrupt_rng = x;
             self.next_interrupt =
                 self.global_cycle + t.interrupt_period / 2 + x % t.interrupt_period.max(1);
+            self.interrupts_taken += 1;
             self.sink.emit_at(
                 now,
                 EventKind::TimerInterrupt {
@@ -1166,13 +1198,12 @@ impl Cpu {
             let pred_next = e.pred_next;
 
             // Train the predictor at resolution (transient included).
-            match inst {
-                Inst::Jcc { target, .. } => {
-                    self.bpu.resolve_cond(pc, actual == target, target);
-                }
+            let moved = match inst {
+                Inst::Jcc { target, .. } => self.bpu.resolve_cond(pc, actual == target, target),
                 Inst::Ret | Inst::JmpReg { .. } => self.bpu.resolve_indirect(pc, actual),
-                _ => {}
-            }
+                _ => false,
+            };
+            self.predictor_moves += u64::from(moved);
 
             self.pmu.bump(Event::BrInstExecAll, 1);
             let mispredicted = actual != pred_next;

@@ -143,12 +143,13 @@ impl<V: Copy> LruIndex<V> {
     /// Inserts `key` as the most recently used entry. A present key is
     /// re-stamped with the new value; at capacity the least recently
     /// used entry is evicted first — exactly the dedup-then-evict order
-    /// of the `VecDeque` versions.
-    pub(crate) fn insert(&mut self, key: usize, val: V) {
+    /// of the `VecDeque` versions. Returns the value `key` held before,
+    /// if it was present.
+    pub(crate) fn insert(&mut self, key: usize, val: V) -> Option<V> {
         if let Some(s) = self.slot_of(key) {
-            self.slots[s].val = val;
+            let old = std::mem::replace(&mut self.slots[s].val, val);
             self.stamp(s);
-            return;
+            return Some(old);
         }
         let slot = LruSlot {
             key,
@@ -182,6 +183,7 @@ impl<V: Copy> LruIndex<V> {
         }
         self.touch_key(key);
         self.index[key] = s as u32 + 1;
+        None
     }
 
     /// Entries front (MRU) to back (LRU) — the same order the `VecDeque`
@@ -473,7 +475,9 @@ mod tests {
                     0 => {
                         lru.get_refresh(key);
                     }
-                    1 => lru.insert(key, r >> 32),
+                    1 => {
+                        lru.insert(key, r >> 32);
+                    }
                     _ => {
                         lru.probe(key);
                     }

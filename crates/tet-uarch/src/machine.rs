@@ -310,12 +310,16 @@ pub struct DeltaMarker {
     restores: u64,
     jitter_draws: u64,
     jitter_sum: u64,
+    interrupts: u64,
+    predictor_moves: u64,
+    predictor_history: (u64, usize),
     pmu: PmuSnapshot,
 }
 
 /// Everything a span of [`Machine::run`] calls adds to the machine's
 /// lifetime counters: run count, simulated cycles, fast-forward
-/// diagnostics, snapshot restores and the full 51-event PMU delta.
+/// diagnostics, snapshot restores, DRAM-jitter draws, timer interrupts
+/// and the full 51-event PMU delta.
 ///
 /// This is the record behind divergence-aware trial batching: a trial
 /// loop measures one probe live ([`Machine::delta_marker`] /
@@ -346,6 +350,10 @@ pub struct RunDelta {
     /// jitter*: their deltas differ by exactly the draw difference in
     /// `cycles`, `ff_skipped` and `jitter_sum`.
     pub jitter_sum: u64,
+    /// Timer interrupts taken in the span. A span that took one ran
+    /// phase-dependent (the interrupt's bubble is part of its timing),
+    /// so it is never a fixed-point record and never replayed.
+    pub interrupts: u64,
     /// PMU counter deltas accumulated over the span's runs.
     pub pmu: PmuSnapshot,
 }
@@ -542,7 +550,7 @@ impl Machine {
         m.cycles_total = 0;
         m.snap_restores = 0;
         m.pmu_lifetime = PmuSnapshot::zero();
-        m.cpu.reset_ff_stats();
+        m.cpu.reset_lifetime_stats();
         m
     }
 
@@ -580,6 +588,9 @@ impl Machine {
             restores: self.snap_restores,
             jitter_draws,
             jitter_sum,
+            interrupts: self.cpu.interrupts_taken(),
+            predictor_moves: self.cpu.predictor_moves(),
+            predictor_history: self.cpu.bpu().history(),
             pmu: self.pmu_lifetime.clone(),
         }
     }
@@ -596,8 +607,30 @@ impl Machine {
             restores: self.snap_restores - marker.restores,
             jitter_draws: jitter_draws - marker.jitter_draws,
             jitter_sum: jitter_sum - marker.jitter_sum,
+            interrupts: self.cpu.interrupts_taken() - marker.interrupts,
             pmu: self.pmu_lifetime.delta(&marker.pmu),
         }
+    }
+
+    /// Cycles the machine can simulate before the next timer interrupt
+    /// is taken: a span of `n` cycles starting now — live or replayed —
+    /// is interrupt-free iff `n <= cycles_to_interrupt`. `None` when no
+    /// interrupt noise is configured.
+    pub fn cycles_to_interrupt(&self) -> Option<u64> {
+        self.cpu.cycles_to_interrupt()
+    }
+
+    /// Whether the branch predictor moved since `marker` was taken: a
+    /// pattern counter or BTB target was rewritten, or the
+    /// global-history window or RSB depth ended elsewhere than it
+    /// started. The predictor is the one structure whose state can
+    /// keep evolving while a probe's timing repeats exactly — a taken
+    /// branch takes a dozen resolutions to shift out of the history —
+    /// so a span that moved it did not return the machine to the state
+    /// it started from, however its [`RunDelta`] compares.
+    pub fn predictor_moved_since(&self, marker: &DeltaMarker) -> bool {
+        self.cpu.predictor_moves() != marker.predictor_moves
+            || self.cpu.bpu().history() != marker.predictor_history
     }
 
     /// Advances the DRAM-jitter stream by `draws` draws on behalf of
@@ -617,8 +650,11 @@ impl Machine {
     /// core's global cycle clock — advances exactly as executing the
     /// recorded runs would have advanced it. Only valid when the
     /// machine is provably at the fixed point the record was captured
-    /// at, i.e. replaying must be state-equivalent to re-running.
+    /// at, i.e. replaying must be state-equivalent to re-running —
+    /// which also means no timer interrupt may fall inside the
+    /// replayed span (see [`Machine::cycles_to_interrupt`]).
     pub fn apply_replayed_run(&mut self, delta: &RunDelta) {
+        debug_assert_eq!(delta.interrupts, 0, "replayed span took an interrupt");
         self.runs += delta.runs;
         self.cycles_total += delta.cycles;
         self.snap_restores += delta.restores;

@@ -361,3 +361,79 @@ fn restore_of_a_wrapped_ring_matches_from_snapshot() {
         }
     }
 }
+
+/// [`Machine::cycles_to_interrupt`] is part of the snapshotted state:
+/// it survives `snapshot` → `restore` / `from_snapshot` and moves in
+/// lockstep under `reseed_interrupt_phase`; and it is exact — a span of
+/// that many cycles takes no interrupt, one cycle more takes one.
+#[test]
+fn cycles_to_interrupt_survives_snapshot_restore_and_reseed() {
+    use tet_isa::{inst::AluOp, Cond, Src};
+    assert_eq!(
+        machine_for(CpuConfig::kaby_lake_i7_7700(), 1).cycles_to_interrupt(),
+        None,
+        "no noise configured: no interrupt is ever due"
+    );
+    const PERIOD: u64 = 7919;
+    let mut noisy_cfg = CpuConfig::kaby_lake_i7_7700();
+    noisy_cfg.timing.interrupt_period = PERIOD;
+    // A counted loop far longer than any span below.
+    let program = gen::to_program(&[
+        Inst::MovImm {
+            dst: Reg::Rcx,
+            imm: 1_000_000,
+        },
+        Inst::Alu {
+            op: AluOp::Sub,
+            dst: Reg::Rcx,
+            src: Src::Imm(1),
+        },
+        Inst::Jcc {
+            cond: Cond::Ne,
+            target: 1,
+        },
+        Inst::Halt,
+    ]);
+    let span = |m: &mut Machine, cycles: u64| {
+        let marker = m.delta_marker();
+        m.run(
+            &program,
+            &RunConfig {
+                max_cycles: cycles,
+                ..run_cfg()
+            },
+        );
+        m.delta_since(&marker)
+    };
+    let mut warm = machine_for(noisy_cfg, 1);
+    span(&mut warm, 20_000);
+    let snap = warm.snapshot();
+    let due = warm.cycles_to_interrupt().expect("noise is configured");
+    let mut fresh = Machine::from_snapshot(&snap);
+    let mut polluted = machine_for(CpuConfig::kaby_lake_i7_7700(), 2);
+    span(&mut polluted, 3_000);
+    polluted.restore(&snap);
+    assert_eq!(fresh.cycles_to_interrupt(), Some(due));
+    assert_eq!(polluted.cycles_to_interrupt(), Some(due));
+
+    for salt in [0, 1, 77] {
+        fresh.restore(&snap);
+        polluted.restore(&snap);
+        fresh.cpu_mut().reseed_interrupt_phase(salt);
+        polluted.cpu_mut().reseed_interrupt_phase(salt);
+        let due = fresh.cycles_to_interrupt().expect("noise is configured");
+        assert_eq!(polluted.cycles_to_interrupt(), Some(due), "salt {salt}");
+        assert!(
+            (PERIOD / 2..PERIOD / 2 + PERIOD).contains(&due),
+            "salt {salt}: re-seeded phase {due} outside [period/2, 3·period/2)"
+        );
+        let quiet = span(&mut fresh, due);
+        assert_eq!(quiet.cycles, due);
+        assert_eq!(quiet.interrupts, 0, "salt {salt}: {due} cycles must fit");
+        let hit = span(&mut polluted, due + 1);
+        assert_eq!(
+            hit.interrupts, 1,
+            "salt {salt}: cycle {due} takes the interrupt"
+        );
+    }
+}

@@ -19,8 +19,10 @@
 //! and exits non-zero when any regresses past its 70% floor (the report
 //! is still written first so CI can upload it as an artifact). Each gate
 //! prints its baseline, current value, and tolerance (see
-//! `whisper_bench::baseline`). The `kernel.*_ns` and `structures.*_ns`
-//! keys are recorded but not gated.
+//! `whisper_bench::baseline`). The `decode_sweep_noisy.sweep_ns`,
+//! `kernel.*_ns` and `structures.*_ns` keys are recorded but not gated.
+//! `decode_sweep_noisy` repeats the decode sweep under the §4.1
+//! timer-interrupt noise (period 7919).
 //!
 //! A final self-profile section reruns the matrix with the sampled
 //! host-time profiler installed (separate from the timed legs, which
@@ -132,6 +134,26 @@ fn main() {
         rep.scalar("decode_sweep.ns_per_uop", ns_per_uop);
         rep.counter("decode_sweep.retired_uops", uops_per_sweep);
         rep.counter("decode_sweep.sim_cycles", cycles_per_sweep);
+    }
+
+    section("covert-channel decode sweep under timer-interrupt noise (period 7919)");
+    {
+        // The same sweep with the §4.1 noise on: probes replay only
+        // inside the interrupt window, so this leg tracks the
+        // noise-aware batching path. Informational (not gated).
+        let opts = ScenarioOptions {
+            interrupt_period: 7919,
+            ..ScenarioOptions::default()
+        };
+        let mut sc = Scenario::new(CpuConfig::kaby_lake_i7_7700(), &opts);
+        sc.sender_write(0x5a);
+        let ch = TetCovertChannel::new(1);
+        let (samples, iters) = if smoke { (3, 2) } else { (7, 5) };
+        let ns = median_ns(samples, iters, || {
+            ch.receive_byte(&mut sc);
+        });
+        println!("  {ns:.0} ns/sweep (median of {samples} x {iters})");
+        rep.scalar("decode_sweep_noisy.sweep_ns", ns);
     }
 
     section("snapshot fork trial (restore + probe from a shared snapshot)");

@@ -12,9 +12,11 @@ use std::process::Command;
 use whisper_bench::baseline::{bench_core_gates, run_gates, Verdict};
 use whisper_bench::{trend, RunReport};
 
-/// The raw simulator kernels and hot-path structures legs, keyed by
-/// the ids DESIGN.md's structures table uses.
+/// The informational legs: the noisy decode sweep, and the raw
+/// simulator kernels and hot-path structures keyed by the ids DESIGN.md's
+/// structures table uses.
 const FOLDED_KEYS: &[&str] = &[
+    "decode_sweep_noisy.sweep_ns",
     "kernel.straight_line_1k_insts_ns",
     "kernel.branchy_loop_200_iters_ns",
     "kernel.tlb_miss_loads_16_pages_ns",

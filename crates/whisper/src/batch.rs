@@ -13,7 +13,7 @@
 //! non-matching probes instead of simulating them
 //! ([`tet_uarch::Machine::apply_replayed_run`]).
 //!
-//! Correctness is defended on four fronts:
+//! Correctness is defended on five fronts:
 //!
 //! * the **match hint** — the one test value expected to take the
 //!   in-window branch, predicted by
@@ -29,11 +29,29 @@
 //! * every [`VERIFY_EVERY`]-th would-be skip runs live and is compared
 //!   against the fixed record — any mismatch **poisons** the memo
 //!   (every later probe runs live);
+//! * under timer-interrupt noise a probe replays only when its record
+//!   ends strictly before the next interrupt is due
+//!   ([`tet_uarch::Machine::cycles_to_interrupt`]): the interrupt
+//!   schedule is the only reader of the global clock and every run
+//!   starts with the stall windows an interrupt sets cleared, so a
+//!   probe no interrupt reaches is the same run as on a noise-free
+//!   machine in the same state. A live probe that *did* take an
+//!   interrupt is **disturbed**: it never becomes a candidate or a
+//!   verification, never poisons, and demotes an established record
+//!   to candidate so skipping resumes only after a full re-confirmation
+//!   (the interrupt's bubble may have left the machine at a different
+//!   fixed point). Single-jitter-draw records always run live under
+//!   noise. Under noise a live probe also counts toward (or as a check
+//!   of) a fixed point only if it left the branch predictor where it
+//!   found it ([`tet_uarch::Machine::predictor_moved_since`]): the
+//!   predictor's history keeps moving for a dozen probes after a taken
+//!   branch while their timing repeats exactly, and the interrupt
+//!   schedule shifts which probes run live against it;
 //! * batching disables itself entirely under the retirement oracle
-//!   (check mode / `tet_check`), under timer-interrupt noise, or when no
-//!   hint is available ([`batch_enabled`]). A hintless [`ProbeMemo`]
-//!   runs every probe live: the all-live reference the equivalence
-//!   tests compare against.
+//!   (check mode / `tet_check`) or when no hint is available
+//!   ([`batch_enabled`]). A hintless [`ProbeMemo`] runs every probe
+//!   live: the all-live reference the equivalence tests compare
+//!   against.
 //!
 //! Replayed probes return the recorded result and advance every
 //! machine lifetime counter exactly as the live run would have, so
@@ -43,11 +61,11 @@
 use tet_uarch::{DeltaMarker, Machine, RunDelta};
 
 /// Whether trial batching may be used on `machine` right now: the
-/// machine is not under the retirement oracle, and no timer-interrupt
-/// noise is configured (interrupts make probe timing phase-dependent,
-/// so there is no fixed point).
+/// machine is not under the retirement oracle. Timer-interrupt noise
+/// does not disable batching — [`ProbeMemo::try_skip`] replays only
+/// probes that end before the next interrupt is due.
 pub fn batch_enabled(machine: &Machine) -> bool {
-    !machine.check_mode() && !tet_check::enabled() && machine.config().timing.interrupt_period == 0
+    !machine.check_mode() && !tet_check::enabled()
 }
 
 /// Live probes between sampled verifications: every `VERIFY_EVERY`-th
@@ -124,6 +142,7 @@ fn learn_unit(a: &RunDelta, b: &RunDelta) -> Option<RunDelta> {
         restores: 0,
         jitter_draws: 0,
         jitter_sum: 1,
+        interrupts: 0,
         pmu: a.pmu.unit_shift(&b.pmu, d0)?,
     })
 }
@@ -141,6 +160,7 @@ fn apply_unit(base: &RunDelta, unit: &RunDelta, d: i64) -> RunDelta {
         restores: base.restores,
         jitter_draws: base.jitter_draws,
         jitter_sum: base.jitter_sum.wrapping_add_signed(d),
+        interrupts: base.interrupts,
         pmu: base.pmu.add_scaled(&unit.pmu, d),
     }
 }
@@ -256,6 +276,11 @@ pub struct ProbeMemo<R> {
     skips: u32,
     /// The in-flight live probe is a sampled verification.
     pending_verify: bool,
+    /// Timer-interrupt noise is configured: a live probe only counts
+    /// toward (or as a check of) a fixed point if it also left the
+    /// branch predictor where it found it
+    /// ([`tet_uarch::Machine::predictor_moved_since`]).
+    settle: bool,
 }
 
 impl<R: Clone + PartialEq + JitterShift> ProbeMemo<R> {
@@ -284,6 +309,7 @@ impl<R: Clone + PartialEq + JitterShift> ProbeMemo<R> {
             diverged: false,
             skips: 0,
             pending_verify: false,
+            settle: machine.cycles_to_interrupt().is_some(),
         }
     }
 
@@ -327,7 +353,8 @@ impl<R: Clone + PartialEq + JitterShift> ProbeMemo<R> {
     /// recorded counter movement to `machine` and returns the recorded
     /// result. Returns `None` when the probe must run live — then take
     /// a [`tet_uarch::Machine::delta_marker`], run it, and call
-    /// [`ProbeMemo::record`].
+    /// [`ProbeMemo::record`]. Under timer-interrupt noise a record
+    /// replays only if it ends before the next interrupt is due.
     pub fn try_skip(&mut self, machine: &mut Machine, test: u64) -> Option<R> {
         if !self.enabled || self.diverged || self.hint == Some(test) {
             return None;
@@ -335,6 +362,15 @@ impl<R: Clone + PartialEq + JitterShift> ProbeMemo<R> {
         let MemoState::Fixed(rec) = &self.state else {
             return None;
         };
+        if let Some(free) = machine.cycles_to_interrupt() {
+            // Under noise only a record that ends before the next
+            // interrupt is due is the run the live probe would make. A
+            // single-draw record's length moves with its draw, so it
+            // always runs live.
+            if rec.unit.is_some() || rec.delta.cycles > free {
+                return None;
+            }
+        }
         self.skips += 1;
         if self.skips >= VERIFY_EVERY {
             // Sampled verification: run this one live and compare.
@@ -368,6 +404,21 @@ impl<R: Clone + PartialEq + JitterShift> ProbeMemo<R> {
             return;
         }
         let delta = machine.delta_since(marker);
+        if delta.interrupts > 0 {
+            // Disturbed: the interrupt's bubble is part of this probe's
+            // timing, so it says nothing about the fixed point — it is
+            // neither a candidate nor a verification, and cannot
+            // poison. It may have moved the machine to a different
+            // fixed point, though, so an established record drops back
+            // to candidate and needs a full re-confirmation.
+            self.pending_verify = false;
+            self.diverged = false;
+            self.state = match std::mem::replace(&mut self.state, MemoState::Poisoned) {
+                MemoState::Fixed(rec) => MemoState::Candidate(rec),
+                other => other,
+            };
+            return;
+        }
         if self.hint == Some(test) {
             // The predicted divergence: its timing IS the signal. The
             // machine re-converges one probe later, so flag the next
@@ -375,9 +426,19 @@ impl<R: Clone + PartialEq + JitterShift> ProbeMemo<R> {
             self.diverged = true;
             return;
         }
+        // Under noise, a probe that moved the branch predictor did not
+        // return the machine to where it started, whatever its timing:
+        // the predictor's history keeps shifting for a dozen probes
+        // after a taken branch (the hint's, or the warm-up's) while
+        // every one of them times identically. Replays leave the
+        // history where it is, and the interrupt schedule moves which
+        // probes run live, so a residue can line up with a later hint
+        // probe and change its prediction. Such a probe never becomes a
+        // candidate, and as a check of an established record it fails.
+        let settled = !self.settle || !machine.predictor_moved_since(marker);
         if std::mem::take(&mut self.pending_verify) {
             if let MemoState::Fixed(rec) = &self.state {
-                if !rec.matches(result, &delta) {
+                if !settled || !rec.matches(result, &delta) {
                     self.state = MemoState::Poisoned;
                 }
             }
@@ -407,29 +468,31 @@ impl<R: Clone + PartialEq + JitterShift> ProbeMemo<R> {
             };
             return;
         }
-        self.state = match std::mem::replace(&mut self.state, MemoState::Poisoned) {
-            MemoState::Empty => MemoState::Candidate(FixedRec {
+        let observed = |delta| {
+            MemoState::Candidate(FixedRec {
                 result: result.clone(),
                 delta,
                 unit: None,
-            }),
+            })
+        };
+        self.state = match std::mem::replace(&mut self.state, MemoState::Poisoned) {
+            MemoState::Empty if settled => observed(delta),
+            MemoState::Empty => MemoState::Empty,
             MemoState::Candidate(c) => {
-                if let Some(fixed) = c.establish(result, &delta) {
+                if !settled {
+                    MemoState::Candidate(c)
+                } else if let Some(fixed) = c.establish(result, &delta) {
                     MemoState::Fixed(fixed)
                 } else {
-                    // Not settled yet (or a stale seed): this
+                    // Not repeating yet (or a stale seed): this
                     // observation becomes the new candidate.
-                    MemoState::Candidate(FixedRec {
-                        result: result.clone(),
-                        delta,
-                        unit: None,
-                    })
+                    observed(delta)
                 }
             }
             MemoState::Fixed(rec) => {
                 // A live probe the caller chose to run anyway: treat
                 // it as a free verification.
-                if rec.matches(result, &delta) {
+                if settled && rec.matches(result, &delta) {
                     MemoState::Fixed(rec)
                 } else {
                     MemoState::Poisoned
@@ -454,6 +517,7 @@ mod tests {
             restores: 0,
             jitter_draws: 0,
             jitter_sum: 0,
+            interrupts: 0,
             pmu: tet_pmu::PmuSnapshot::zero(),
         }
     }
@@ -616,6 +680,7 @@ mod tests {
             restores: 1,
             jitter_draws: 0,
             jitter_sum: 0,
+            interrupts: 0,
             pmu: tet_pmu::PmuSnapshot::zero(),
         };
         m.apply_replayed_run(&delta);
@@ -625,5 +690,181 @@ mod tests {
         assert_eq!(after.ff_skipped_cycles, before.ff_skipped_cycles + 120);
         assert_eq!(after.ff_sprints, before.ff_sprints + 3);
         assert_eq!(after.snapshot_restores, before.snapshot_restores + 1);
+    }
+
+    /// The interrupt-window boundary: a fixed TET-CC record of `N`
+    /// cycles against a machine whose next interrupt is due `N - 1`,
+    /// `N` or `N + 1` cycles from now. Only the first window holds the
+    /// interrupt, so only that probe must run live; every case must
+    /// leave the same result, counters and interrupt phase as the live
+    /// run from the same state.
+    #[test]
+    fn interrupt_window_boundary_matches_live() {
+        use crate::gadget::{TetGadget, TetGadgetSpec};
+        use crate::scenario::{Scenario, ScenarioOptions};
+
+        // A period whose re-seeded phase range, [period/2, 3·period/2),
+        // covers a ~220-cycle covert-channel probe, and a bubble short
+        // enough that some probes still fit between interrupts.
+        let opts = ScenarioOptions {
+            interrupt_period: 300,
+            ..ScenarioOptions::default()
+        };
+        let mut cfg = CpuConfig::kaby_lake_i7_7700();
+        cfg.timing.interrupt_cost = 20;
+        let mut sc = Scenario::new(cfg, &opts);
+        if !batch_enabled(&sc.machine) {
+            return;
+        }
+        sc.sender_write(0xc3);
+        let gadget = TetGadget::build(TetGadgetSpec::covert_channel(
+            sc.shared_page(),
+            sc.machine.config(),
+        ));
+        let hint = gadget.match_hint(&sc.machine);
+        assert_eq!(hint, Some(0xc3));
+        // Probe a non-matching value until the memo holds a fixed record
+        // (interrupts disturb most probes at this period); the machine
+        // then sits at the record's fixed point.
+        let mut memo = ProbeMemo::new(&sc.machine, hint);
+        for _ in 0..5_000 {
+            if memo.fixed().is_some() {
+                break;
+            }
+            memo.probe(&mut sc.machine, 7, |m| gadget.measure_detailed(m, 7));
+        }
+        let rec = memo.fixed().expect("a fixed record establishes").clone();
+        let n = rec.delta.cycles;
+        let snap = sc.machine.snapshot();
+
+        let mut search = Machine::from_snapshot(&snap);
+        for (due, replays) in [(n - 1, false), (n, true), (n + 1, true)] {
+            // The interrupt phase is a function of the re-seed salt:
+            // find one that puts the next interrupt `due` cycles out.
+            let salt = (0..1_000_000u64)
+                .find(|&salt| {
+                    search.restore(&snap);
+                    search.cpu_mut().reseed_interrupt_phase(salt);
+                    search.cycles_to_interrupt() == Some(due)
+                })
+                .expect("some salt reaches every phase in range");
+            let mut live = Machine::from_snapshot(&snap);
+            let mut batched = Machine::from_snapshot(&snap);
+            live.cpu_mut().reseed_interrupt_phase(salt);
+            batched.cpu_mut().reseed_interrupt_phase(salt);
+            let (want, want_delta) = {
+                let marker = live.delta_marker();
+                let r = gadget.measure_detailed(&mut live, 7);
+                (r, live.delta_since(&marker))
+            };
+            assert_eq!(
+                want_delta.interrupts,
+                u64::from(!replays),
+                "due {due}, record {n}"
+            );
+
+            let mut memo = ProbeMemo::new(&batched, hint);
+            memo.state = MemoState::Fixed(rec.clone());
+            let marker = batched.delta_marker();
+            let mut ran_live = false;
+            let got = memo.probe(&mut batched, 7, |m| {
+                ran_live = true;
+                gadget.measure_detailed(m, 7)
+            });
+            assert_eq!(
+                ran_live, !replays,
+                "due {due}, record {n}: live/replay choice"
+            );
+            assert_eq!(got, want, "due {due}: result");
+            assert_eq!(
+                batched.delta_since(&marker),
+                want_delta,
+                "due {due}: counters"
+            );
+            assert_eq!(batched.stats(), live.stats(), "due {due}: machine stats");
+            assert_eq!(
+                batched.pmu_lifetime(),
+                live.pmu_lifetime(),
+                "due {due}: PMU"
+            );
+            assert_eq!(
+                batched.cycles_to_interrupt(),
+                live.cycles_to_interrupt(),
+                "due {due}: phase"
+            );
+            // The disturbed probe demotes the record; a replay keeps it.
+            assert_eq!(
+                memo.state_name(),
+                if replays { "fixed" } else { "candidate" },
+                "due {due}"
+            );
+            // Both machines are in the same state: the next probe agrees.
+            for m in [&mut live, &mut batched] {
+                m.cpu_mut().reseed_interrupt_phase(0);
+            }
+            let next = |m: &mut Machine| {
+                let marker = m.delta_marker();
+                (gadget.measure_detailed(m, 8), m.delta_since(&marker))
+            };
+            assert_eq!(next(&mut batched), next(&mut live), "due {due}: next probe");
+        }
+    }
+
+    /// A disturbed live probe — one that took a timer interrupt —
+    /// never poisons the memo and never counts as a verification: it
+    /// demotes the fixed record, and skipping resumes only after an
+    /// undisturbed probe re-confirms it in full.
+    #[test]
+    fn disturbed_probe_demotes_without_poisoning() {
+        use crate::gadget::{TetGadget, TetGadgetSpec};
+        use crate::scenario::{Scenario, ScenarioOptions};
+
+        let opts = ScenarioOptions {
+            interrupt_period: 7919,
+            ..ScenarioOptions::default()
+        };
+        let mut sc = Scenario::new(CpuConfig::kaby_lake_i7_7700(), &opts);
+        if !batch_enabled(&sc.machine) {
+            return;
+        }
+        let gadget = TetGadget::build(TetGadgetSpec::covert_channel(
+            sc.shared_page(),
+            sc.machine.config(),
+        ));
+        let hint = gadget.match_hint(&sc.machine);
+        let mut memo = ProbeMemo::new(&sc.machine, hint);
+        let (mut disturbed, mut resumed) = (0, 0);
+        let mut after_disturbance = false;
+        for _ in 0..3_000 {
+            let marker = sc.machine.delta_marker();
+            let fixed_before = memo.fixed().is_some();
+            let mut ran_live = false;
+            memo.probe(&mut sc.machine, 7, |m| {
+                ran_live = true;
+                gadget.measure_detailed(m, 7)
+            });
+            assert_ne!(
+                memo.state_name(),
+                "poisoned",
+                "a steady sweep never poisons"
+            );
+            if sc.machine.delta_since(&marker).interrupts > 0 {
+                assert!(ran_live, "an interrupted probe was live");
+                if fixed_before {
+                    disturbed += 1;
+                    assert_eq!(memo.state_name(), "candidate", "disturbance demotes");
+                    after_disturbance = true;
+                }
+            } else if after_disturbance && memo.fixed().is_some() {
+                // The re-confirming probe itself was live.
+                assert!(ran_live, "re-establishment needs a live probe");
+                resumed += 1;
+                after_disturbance = false;
+            }
+        }
+        assert!(
+            disturbed > 0 && resumed > 0,
+            "{disturbed} demotions, {resumed} resumptions"
+        );
     }
 }

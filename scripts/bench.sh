@@ -17,7 +17,8 @@
 # trial split into restore and simulate, Table 2 matrix wall time at
 # --threads 1 vs the effective worker count (min(max(--threads, 8), host
 # CPUs), recorded as table2.threads_n) with the measured speedup, and the
-# informational kernel.*_ns and structures.*_ns legs.
+# informational decode_sweep_noisy.sweep_ns (the decode sweep under the
+# §4.1 timer-interrupt noise), kernel.*_ns and structures.*_ns legs.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -2,6 +2,10 @@
 //! identical to unbatched (all-live) trials, serially and under the
 //! thread pool at 1 and 8 workers (DESIGN.md §13).
 //!
+//! The noisy arm repeats the comparison for TET-CC, TET-MD and TET-RSB
+//! under timer-interrupt noise (periods 7919 and 601), where replays
+//! are limited to the interrupt window.
+//!
 //! The unbatched arm is a hintless [`ProbeMemo`]: by construction it
 //! never skips, so every probe simulates live.
 //!
@@ -13,10 +17,10 @@
 
 use std::sync::{Arc, OnceLock};
 
-use tet_uarch::{CpuConfig, Machine, RunDelta};
+use tet_uarch::{CpuConfig, Machine, MachineSnapshot, RunDelta};
 use whisper::batch::{batch_enabled, FixedRec, ProbeMemo, VERIFY_EVERY};
 use whisper::gadget::{RsbGadget, TetGadget, TetGadgetSpec};
-use whisper::scenario::{Scenario, ScenarioOptions, STACK_TOP};
+use whisper::scenario::{Scenario, ScenarioOptions, SHARED_PAGE, STACK_TOP};
 
 /// What one probe reports: `Some((ToTE, cycles))`, `None` on a run
 /// that did not complete.
@@ -351,5 +355,245 @@ fn seeded_sibling_fanout_is_delta_restore_invariant() {
             "threads={threads} rebuild={rebuild}: in-place restores must be \
              byte-and-cycle identical to fresh machines"
         );
+    }
+}
+
+// ---------------------------------------------------------------------
+// The noisy arm: timer-interrupt noise (DESIGN.md §13). The memo
+// replays only probes that end before the next interrupt is due, and
+// treats probes that took an interrupt as disturbed. Trials follow the
+// `transmit_chunked` decomposition — restore the shared snapshot,
+// re-seed the interrupt phase from the trial index, sweep through a
+// memo (fresh, or seeded from the first established record) — and
+// must be byte-and-cycle identical to hintless all-live trials.
+// ---------------------------------------------------------------------
+
+/// Trials per noisy arm.
+const NOISY_TRIALS: usize = 3;
+/// 0..=255 sweeps per noisy trial.
+const NOISY_BATCHES: u32 = 2;
+
+/// A gadget the noisy arm can sweep.
+trait Sweep: Sync {
+    fn hint(&self, m: &Machine) -> Option<u64>;
+    fn probe(&self, m: &mut Machine, test: u64) -> ProbeResult;
+}
+
+impl Sweep for TetGadget {
+    fn hint(&self, m: &Machine) -> Option<u64> {
+        self.match_hint(m)
+    }
+    fn probe(&self, m: &mut Machine, test: u64) -> ProbeResult {
+        self.measure_detailed(m, test)
+    }
+}
+
+impl Sweep for RsbGadget {
+    fn hint(&self, m: &Machine) -> Option<u64> {
+        self.match_hint(m)
+    }
+    fn probe(&self, m: &mut Machine, test: u64) -> ProbeResult {
+        self.measure_detailed(m, test)
+    }
+}
+
+/// One noisy trial's outcome plus how many of its probes ran live and
+/// how many of those took a timer interrupt.
+type NoisyTrial = (TrialOutcome, u32, u32);
+
+/// Runs noisy trial `i` on `m`: batched trials seed their memo from
+/// (and publish to) `fixed`; all-live trials use a hintless memo.
+/// `payload`, when given, supplies the byte written into the shared
+/// page before the hint is read (the TET-CC sender).
+fn noisy_trial(
+    m: &mut Machine,
+    snap: &MachineSnapshot,
+    i: usize,
+    gadget: &dyn Sweep,
+    payload: Option<&[u8]>,
+    fixed: Option<&OnceLock<SweepFixedRec>>,
+) -> NoisyTrial {
+    m.restore(snap);
+    m.cpu_mut().reseed_interrupt_phase(i as u64);
+    if let Some(payload) = payload {
+        let pa = m.aspace().translate(SHARED_PAGE).expect("shared page");
+        m.phys_mut().write_u8(pa, payload[i]);
+    }
+    let hint = fixed.and_then(|_| gadget.hint(m));
+    let seed = fixed.and_then(|f| f.get().cloned());
+    let marker = m.delta_marker();
+    let mut memo = ProbeMemo::seeded(m, hint, seed);
+    let (mut live, mut disturbed) = (0u32, 0u32);
+    let mut out = Vec::with_capacity(256 * NOISY_BATCHES as usize);
+    for _ in 0..NOISY_BATCHES {
+        for test in 0..=255u64 {
+            out.push(memo.probe(m, test, |m| {
+                live += 1;
+                let before = m.delta_marker();
+                let r = gadget.probe(m, test);
+                if m.delta_since(&before).interrupts > 0 {
+                    disturbed += 1;
+                }
+                r
+            }));
+        }
+    }
+    let delta = m.delta_since(&marker);
+    if let (Some(fixed), Some(rec)) = (fixed, memo.fixed()) {
+        let _ = fixed.set(rec.clone());
+    }
+    ((out, delta), live, disturbed)
+}
+
+/// The noisy comparison for one warmed snapshot: batched trials —
+/// serial on one machine with and without a shared seed, and on the
+/// pool at 1 and 8 workers — against serial hintless all-live trials. Returns the batched arms' summed
+/// (live, disturbed) probe counts.
+fn assert_noisy_batched_equals_unbatched(
+    label: &str,
+    snap: &MachineSnapshot,
+    gadget: &dyn Sweep,
+    payload: Option<&[u8]>,
+) -> (u32, u32) {
+    let total = 256 * NOISY_BATCHES;
+    let mut m = Machine::from_snapshot(snap);
+    let reference: Vec<TrialOutcome> = (0..NOISY_TRIALS)
+        .map(|i| {
+            let (outcome, live, _) = noisy_trial(&mut m, snap, i, gadget, payload, None);
+            assert_eq!(live, total, "{label}: hintless trial must run fully live");
+            outcome
+        })
+        .collect();
+
+    let (mut live, mut disturbed) = (0, 0);
+    let mut check = |arm: &str, trials: Vec<NoisyTrial>| {
+        for (t, ((got, l, d), want)) in trials.into_iter().zip(&reference).enumerate() {
+            live += l;
+            disturbed += d;
+            let first = (0..want.0.len()).find(|&k| got.0[k] != want.0[k]);
+            assert!(
+                &got == want,
+                "{label} {arm} trial {t}: per-probe results and counter movement must \
+                 match the all-live reference (first differing probe {first:?}, \
+                 deltas equal: {})",
+                got.1 == want.1
+            );
+        }
+    };
+    let mut m = Machine::from_snapshot(snap);
+    // Every trial establishes its own fixed point from an empty memo...
+    let unseeded = (0..NOISY_TRIALS)
+        .map(|i| noisy_trial(&mut m, snap, i, gadget, payload, Some(&OnceLock::new())))
+        .collect();
+    check("serial unseeded", unseeded);
+    // ...or seeds from the first trial's, serially and on the pool.
+    let fixed = OnceLock::new();
+    let seeded = (0..NOISY_TRIALS)
+        .map(|i| noisy_trial(&mut m, snap, i, gadget, payload, Some(&fixed)))
+        .collect();
+    check("serial seeded", seeded);
+    for threads in [1, 8] {
+        let fixed = OnceLock::new();
+        let pooled = tet_par::run_indexed_with(
+            threads,
+            NOISY_TRIALS,
+            || Machine::from_snapshot(snap),
+            |m, i| noisy_trial(m, snap, i, gadget, payload, Some(&fixed)),
+        );
+        check(&format!("threads={threads}"), pooled);
+    }
+    (live, disturbed)
+}
+
+/// A warmed i7-7700 scenario with timer-interrupt noise at `period`.
+fn noisy_scenario(period: u64) -> Scenario {
+    let opts = ScenarioOptions {
+        interrupt_period: period,
+        ..ScenarioOptions::default()
+    };
+    Scenario::new(CpuConfig::kaby_lake_i7_7700(), &opts)
+}
+
+/// Asserts the noisy arm was not vacuous at the §4.1 period: some live
+/// probe took an interrupt, and (for jitter-free gadgets) some probe
+/// replayed. At period 601 nearly every window holds an interrupt, so
+/// only equality is asserted there.
+fn assert_noisy_coverage(
+    label: &str,
+    period: u64,
+    warm: &Machine,
+    (live, disturbed): (u32, u32),
+    replays_expected: bool,
+) {
+    if period != 7919 || !batch_enabled(warm) {
+        return;
+    }
+    // Four batched arms: serial unseeded and seeded, and the pool at 1
+    // and 8 workers.
+    let probes = 4 * NOISY_TRIALS as u32 * 256 * NOISY_BATCHES;
+    assert!(disturbed > 0, "{label}: no live probe took an interrupt");
+    if replays_expected {
+        assert!(
+            live < probes,
+            "{label}: no probe replayed ({live}/{probes} live)"
+        );
+    }
+}
+
+type SweepFixedRec = FixedRec<ProbeResult>;
+
+/// TET-CC under noise: the §4.1 covert channel, one payload byte per
+/// trial written by the sender after the fork.
+#[test]
+fn noisy_cc_sweep_batched_equals_unbatched() {
+    let payload = [0x5a, 0xc3, 0x01];
+    for period in [7919, 601] {
+        let label = format!("noisy cc/{period}");
+        let sc = noisy_scenario(period);
+        let cfg = sc.machine.config().clone();
+        let gadget = TetGadget::build(TetGadgetSpec::covert_channel(SHARED_PAGE, &cfg));
+        let mut warm = sc.machine.clone();
+        gadget.measure_detailed(&mut warm, 0);
+        let snap = warm.snapshot();
+        let counts = assert_noisy_batched_equals_unbatched(&label, &snap, &gadget, Some(&payload));
+        assert_noisy_coverage(&label, period, &warm, counts, true);
+    }
+}
+
+/// TET-MD under noise: jitter-free records, replayed inside the
+/// interrupt window.
+#[test]
+fn noisy_meltdown_sweep_batched_equals_unbatched() {
+    for period in [7919, 601] {
+        let label = format!("noisy md/{period}");
+        let sc = noisy_scenario(period);
+        let cfg = sc.machine.config().clone();
+        let gadget = TetGadget::build(TetGadgetSpec::meltdown(sc.kernel_secret_va, &cfg));
+        let mut warm = sc.machine.clone();
+        for _ in 0..4 {
+            gadget.measure(&mut warm, 0);
+        }
+        let snap = warm.snapshot();
+        let counts = assert_noisy_batched_equals_unbatched(&label, &snap, &gadget, None);
+        assert_noisy_coverage(&label, period, &warm, counts, true);
+    }
+}
+
+/// TET-RSB under noise: single-jitter-draw records, which always run
+/// live under noise — the memo must still establish, demote and verify
+/// without changing a single result.
+#[test]
+fn noisy_rsb_sweep_batched_equals_unbatched() {
+    for period in [7919, 601] {
+        let label = format!("noisy rsb/{period}");
+        let sc = noisy_scenario(period);
+        let gadget = RsbGadget::build(sc.user_secret_va, STACK_TOP, 96);
+        let mut warm = sc.machine.clone();
+        for _ in 0..4 {
+            gadget.measure(&mut warm, 0);
+        }
+        let snap = warm.snapshot();
+        let counts = assert_noisy_batched_equals_unbatched(&label, &snap, &gadget, None);
+        assert_noisy_coverage(&label, period, &warm, counts, false);
     }
 }
