@@ -2,36 +2,49 @@
 //!
 //! # Representation
 //!
-//! Each set is a fixed window of `ways` slots in two flat arrays (tags
-//! and LRU age stamps) — one allocation per array for the whole cache,
-//! instead of the original per-set `Vec` MRU lists. Recency is tracked
-//! with a monotone per-cache tick: a touched way takes the next stamp,
-//! the LRU victim is the minimum-stamp way, and stamp `0` marks an empty
-//! slot. This is observationally identical to the MRU-first list (the
+//! Each set is a fixed window of `ways` slots (tag, LRU age stamp,
+//! validity epoch). Recency is tracked with a monotone per-cache tick: a
+//! touched way takes the next stamp, the LRU victim is the minimum-stamp
+//! way, and stamp `0` marks an empty slot. This is observationally
+//! identical to the original per-set MRU-first `Vec` lists (the
 //! equivalence property test below drives both against random traces)
-//! while making lookup a branch-light scan of `ways` contiguous tags, and
-//! it removes the `sets`-sized allocation storm an LLC paid on every
-//! `Machine` construction or scenario clone.
+//! while making lookup a branch-light scan of `ways` contiguous slots.
 //!
 //! A one-entry MRU filter (the last line that hit or filled) short-cuts
 //! the repeated-line case that dominates warm gadget loops: the filter
 //! line necessarily holds its set's maximum stamp, so re-touching it can
 //! skip even the stamp update without reordering any set.
 //!
+//! # Copy-on-write chunks (DESIGN.md §19)
+//!
+//! The slots live in a table of chunks of `CHUNK_SETS` whole sets each,
+//! `Option<Arc<[Slot]>>` per chunk. A chunk that was never written is
+//! absent and reads as empty (stamp 0 already means empty), so a new
+//! 8 MiB LLC costs a table of null pointers, not megabytes of zeroes.
+//! Cloning a cache bumps one reference count per present chunk; every
+//! write goes through `Cache::chunk_mut`, which allocates an absent
+//! chunk and forks a shared one with `Arc::make_mut`. Cloning,
+//! snapshotting and forking a machine therefore cost O(chunks present),
+//! and the clone's writes never reach the snapshot.
+//!
 //! # Delta restore and O(1) flush (DESIGN.md §16)
 //!
-//! Snapshot restore used to memcpy every tag/stamp array (2 MiB for a
-//! skylake-class LLC) per forked trial. [`Cache::seal`] starts a journal
-//! epoch: every slot write records its index once per epoch (deduplicated
-//! by a per-slot journal stamp), so [`Cache::restore`] repairs only
-//! the slots touched since the seal. A slot is *valid* iff its LRU stamp
-//! is non-zero **and** its validity epoch matches the cache-wide flush
-//! epoch, which turns [`Cache::flush_all`] into a single counter bump with
-//! lazy revalidation on next access instead of an O(slots) `fill(0)`.
+//! [`Cache::seal`] starts a journal epoch: the first write to a chunk in
+//! an epoch records its index (deduplicated by a per-chunk journal
+//! stamp), so [`Cache::restore`] re-points only the chunks touched since
+//! the seal at the snapshot's shared copies. A slot is *valid* iff its
+//! LRU stamp is non-zero **and** its validity epoch matches the
+//! cache-wide flush epoch, which turns [`Cache::flush_all`] into a single
+//! counter bump with lazy revalidation on next access instead of an
+//! O(slots) walk.
 
 use std::sync::Arc;
 
 use crate::{line_addr, same_seal, LINE_SIZE};
+
+/// Sets per chunk — the unit of lazy allocation, copy-on-write sharing
+/// and restore journaling. Caches with fewer sets use one chunk.
+const CHUNK_SETS: usize = 4;
 
 /// Geometry and latency of one cache level.
 ///
@@ -78,6 +91,20 @@ impl CacheConfig {
     }
 }
 
+/// One way of one set.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    /// Resident line address. Valid iff `stamp` is non-zero (line
+    /// address 0 is legal, so validity cannot live in the tag).
+    tag: u64,
+    /// LRU age stamp; larger = more recent, 0 = empty.
+    stamp: u64,
+    /// Validity epoch: the slot is live iff `stamp != 0` and
+    /// `vepoch == flush_epoch`. `flush_all` bumps `flush_epoch`, lazily
+    /// invalidating every slot in O(1).
+    vepoch: u32,
+}
+
 /// One level of set-associative cache, tracking line presence (tags only —
 /// data lives in [`PhysMem`](crate::PhysMem), which is always coherent in
 /// this single-socket model).
@@ -99,53 +126,52 @@ impl CacheConfig {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    /// Resident line addresses, `ways` consecutive slots per set. Valid
-    /// iff the matching stamp is non-zero (line address 0 is legal, so
-    /// validity cannot live in the tag).
-    tags: Vec<u64>,
-    /// LRU age stamps, parallel to `tags`; larger = more recent, 0 = empty.
-    stamps: Vec<u64>,
+    /// log2 of the sets per chunk: `CHUNK_SETS`, or every set of a
+    /// smaller cache.
+    chunk_shift: u32,
+    /// `ways` consecutive slots per set, `1 << chunk_shift` sets per
+    /// chunk; `None` = never written, every slot empty. Shared with
+    /// clones until written.
+    chunks: Vec<Option<Arc<[Slot]>>>,
     /// Monotone recency clock (starts at 1 so 0 stays the empty marker).
     tick: u64,
     /// One-entry MRU filter: the last line that hit or filled.
     mru: Option<u64>,
     hits: u64,
     misses: u64,
-    /// Per-slot validity epoch: a slot is live iff `stamps[w] != 0` and
-    /// `vepoch[w] == flush_epoch`. `flush_all` bumps `flush_epoch`, lazily
-    /// invalidating every slot in O(1).
-    vepoch: Vec<u32>,
     flush_epoch: u32,
     /// Identity of the seal this cache (and any clone of it) derives
     /// from; `restore` only trusts journals across a shared seal.
     seal: Option<Arc<()>>,
-    /// Journal epoch: 0 = journaling off (never sealed). A slot is
-    /// already journaled this epoch iff `jepoch[w] == epoch`.
+    /// Journal epoch: 0 = journaling off (never sealed). A chunk is
+    /// already journaled this epoch iff `jepoch[ci] == epoch`.
     epoch: u32,
-    /// Per-slot journal stamps, deduplicating `journal`.
+    /// Per-chunk journal stamps, deduplicating `journal`.
     jepoch: Vec<u32>,
-    /// Slots written since the last seal/restore.
+    /// Chunks written since the last seal/restore.
     journal: Vec<u32>,
-    /// Set when a rare event (epoch counter wrap) mutated slots without
+    /// Set when a rare event (epoch counter wrap) mutated chunks without
     /// journaling; forces the next restore down the exhaustive path.
     full_dirty: bool,
 }
 
 impl Cache {
-    /// Creates an empty cache with the given geometry.
+    /// Creates an empty cache with the given geometry. No slot storage
+    /// is allocated until a line is installed.
     pub fn new(cfg: CacheConfig) -> Self {
+        let chunk_sets = CHUNK_SETS.min(cfg.sets);
+        let n = cfg.sets / chunk_sets;
         Cache {
-            tags: vec![0; cfg.sets * cfg.ways],
-            stamps: vec![0; cfg.sets * cfg.ways],
+            chunk_shift: chunk_sets.trailing_zeros(),
+            chunks: vec![None; n],
             tick: 0,
             mru: None,
             hits: 0,
             misses: 0,
-            vepoch: vec![0; cfg.sets * cfg.ways],
             flush_epoch: 0,
             seal: None,
             epoch: 0,
-            jepoch: vec![0; cfg.sets * cfg.ways],
+            jepoch: vec![0; n],
             journal: Vec::new(),
             full_dirty: false,
             cfg,
@@ -157,11 +183,14 @@ impl Cache {
         self.cfg
     }
 
+    /// The chunk holding `line`'s set, and the offset of that set's
+    /// first slot within the chunk.
     #[inline]
-    fn set_range(&self, line: u64) -> std::ops::Range<usize> {
+    fn locate(&self, line: u64) -> (usize, usize) {
         let set = ((line / LINE_SIZE) as usize) & (self.cfg.sets - 1);
-        let start = set * self.cfg.ways;
-        start..start + self.cfg.ways
+        let ci = set >> self.chunk_shift;
+        let off = (set & ((1 << self.chunk_shift) - 1)) * self.cfg.ways;
+        (ci, off)
     }
 
     #[inline]
@@ -170,23 +199,44 @@ impl Cache {
         self.tick
     }
 
-    /// Whether slot `w` holds a live line (non-empty and not lazily
+    /// Whether `s` holds a live line (non-empty and not lazily
     /// invalidated by a later `flush_all`).
     #[inline]
-    fn valid(&self, w: usize) -> bool {
-        self.stamps[w] != 0 && self.vepoch[w] == self.flush_epoch
+    fn live(&self, s: &Slot) -> bool {
+        s.stamp != 0 && s.vepoch == self.flush_epoch
     }
 
-    /// Records slot `w` in the journal (once per epoch) ahead of a write.
+    /// The chunk-relative slot holding `line` in the set at `off` of
+    /// chunk `ci`, if resident.
     #[inline]
-    fn touch(&mut self, w: usize) {
-        if self.epoch != 0 && self.jepoch[w] != self.epoch {
-            self.jepoch[w] = self.epoch;
-            self.journal.push(w as u32);
-        }
+    fn find(&self, ci: usize, off: usize, line: u64) -> Option<usize> {
+        let chunk = self.chunks[ci].as_ref()?;
+        chunk[off..off + self.cfg.ways]
+            .iter()
+            .position(|s| self.live(s) && s.tag == line)
+            .map(|i| off + i)
     }
 
-    /// Starts a new journal epoch; wraps reset the per-slot stamps so a
+    /// The one write path: journals chunk `ci` (once per epoch), then
+    /// allocates it if absent or forks it if shared with a clone.
+    #[inline]
+    fn chunk_mut(&mut self, ci: usize) -> &mut [Slot] {
+        if self.epoch != 0 && self.jepoch[ci] != self.epoch {
+            self.jepoch[ci] = self.epoch;
+            self.journal.push(ci as u32);
+        }
+        let len = self.cfg.ways << self.chunk_shift;
+        let chunk = self.chunks[ci]
+            .get_or_insert_with(|| std::iter::repeat_n(Slot::default(), len).collect());
+        Arc::make_mut(chunk)
+    }
+
+    /// Every slot of every present chunk.
+    fn slots(&self) -> impl Iterator<Item = &Slot> {
+        self.chunks.iter().flatten().flat_map(|c| c.iter())
+    }
+
+    /// Starts a new journal epoch; wraps reset the per-chunk stamps so a
     /// recycled epoch value can never alias a stale journal mark.
     fn bump_epoch(&mut self) {
         self.epoch = self.epoch.wrapping_add(1);
@@ -206,15 +256,13 @@ impl Cache {
             self.hits += 1;
             return true;
         }
-        let range = self.set_range(line);
-        for w in range {
-            if self.valid(w) && self.tags[w] == line {
-                self.touch(w);
-                self.stamps[w] = self.next_stamp();
-                self.mru = Some(line);
-                self.hits += 1;
-                return true;
-            }
+        let (ci, off) = self.locate(line);
+        if let Some(w) = self.find(ci, off, line) {
+            let stamp = self.next_stamp();
+            self.chunk_mut(ci)[w].stamp = stamp;
+            self.mru = Some(line);
+            self.hits += 1;
+            return true;
         }
         self.misses += 1;
         false
@@ -223,45 +271,45 @@ impl Cache {
     /// Checks for presence without updating LRU or statistics.
     pub fn probe(&self, addr: u64) -> bool {
         let line = line_addr(addr);
-        self.set_range(line)
-            .any(|w| self.valid(w) && self.tags[w] == line)
+        let (ci, off) = self.locate(line);
+        self.find(ci, off, line).is_some()
     }
 
     /// Installs the line containing `addr`, evicting the LRU way if the
     /// set is full. Returns the evicted line address, if any.
     pub fn fill(&mut self, addr: u64) -> Option<u64> {
         let line = line_addr(addr);
-        let range = self.set_range(line);
+        let (ci, off) = self.locate(line);
+        let stamp = self.next_stamp();
+        self.mru = Some(line);
         // Present: refresh recency only.
-        for w in range.clone() {
-            if self.valid(w) && self.tags[w] == line {
-                self.touch(w);
-                self.stamps[w] = self.next_stamp();
-                self.mru = Some(line);
-                return None;
-            }
+        if let Some(w) = self.find(ci, off, line) {
+            self.chunk_mut(ci)[w].stamp = stamp;
+            return None;
         }
+        let (ways, flush_epoch) = (self.cfg.ways, self.flush_epoch);
+        let set = &mut self.chunk_mut(ci)[off..off + ways];
         // Reuse an empty way, else evict the minimum-stamp (LRU) way.
-        let mut victim = range.start;
+        let mut victim = 0;
         let mut victim_stamp = u64::MAX;
         let mut evicted = None;
-        for w in range {
-            if !self.valid(w) {
-                victim = w;
+        for (i, s) in set.iter().enumerate() {
+            if s.stamp == 0 || s.vepoch != flush_epoch {
+                victim = i;
                 evicted = None;
                 break;
             }
-            if self.stamps[w] < victim_stamp {
-                victim_stamp = self.stamps[w];
-                victim = w;
-                evicted = Some(self.tags[w]);
+            if s.stamp < victim_stamp {
+                victim_stamp = s.stamp;
+                victim = i;
+                evicted = Some(s.tag);
             }
         }
-        self.touch(victim);
-        self.tags[victim] = line;
-        self.stamps[victim] = self.next_stamp();
-        self.vepoch[victim] = self.flush_epoch;
-        self.mru = Some(line);
+        set[victim] = Slot {
+            tag: line,
+            stamp,
+            vepoch: flush_epoch,
+        };
         evicted
     }
 
@@ -272,14 +320,14 @@ impl Cache {
         if self.mru == Some(line) {
             self.mru = None;
         }
-        for w in self.set_range(line) {
-            if self.valid(w) && self.tags[w] == line {
-                self.touch(w);
-                self.stamps[w] = 0;
-                return true;
+        let (ci, off) = self.locate(line);
+        match self.find(ci, off, line) {
+            Some(w) => {
+                self.chunk_mut(ci)[w].stamp = 0;
+                true
             }
+            None => false,
         }
-        false
     }
 
     /// Empties the cache: a single flush-epoch bump — every slot's
@@ -289,10 +337,10 @@ impl Cache {
         self.mru = None;
         self.flush_epoch = self.flush_epoch.wrapping_add(1);
         if self.flush_epoch == 0 {
-            // Counter wrap (once per 2^32 flushes): materialize emptiness
-            // eagerly; the unjournaled bulk write forces a full restore.
-            self.stamps.fill(0);
-            self.vepoch.fill(0);
+            // Counter wrap (once per 2^32 flushes): drop every chunk so
+            // no stale slot can alias the recycled epoch; the unjournaled
+            // bulk write forces a full restore.
+            self.chunks.fill(None);
             self.full_dirty = true;
         }
     }
@@ -300,15 +348,16 @@ impl Cache {
     /// Number of resident lines (stealth experiments diff this across an
     /// attack to show TET leaves no footprint — Table 1's *stateless*).
     pub fn resident_lines(&self) -> usize {
-        (0..self.stamps.len()).filter(|&w| self.valid(w)).count()
+        self.slots().filter(|s| self.live(s)).count()
     }
 
     /// A stable fingerprint of cache contents: the sorted list of resident
     /// line addresses. Two fingerprints differ iff the cache state differs.
     pub fn fingerprint(&self) -> Vec<u64> {
-        let mut lines: Vec<u64> = (0..self.tags.len())
-            .filter(|&w| self.valid(w))
-            .map(|w| self.tags[w])
+        let mut lines: Vec<u64> = self
+            .slots()
+            .filter(|s| self.live(s))
+            .map(|s| s.tag)
             .collect();
         lines.sort_unstable();
         lines
@@ -319,14 +368,15 @@ impl Cache {
         (self.hits, self.misses)
     }
 
-    /// Number of slots journaled since the last seal/restore.
+    /// Number of chunks journaled since the last seal/restore.
     pub fn journal_len(&self) -> usize {
         self.journal.len()
     }
 
     /// Marks the current state as a snapshot point: clones taken now
-    /// share this seal, and every later slot write journals itself so
-    /// [`Cache::restore`] can repair in O(slots touched).
+    /// share this seal (and every chunk), and every later chunk write
+    /// journals itself so [`Cache::restore`] can repair in O(chunks
+    /// touched).
     pub fn seal(&mut self) {
         self.seal = Some(Arc::new(()));
         self.journal.clear();
@@ -334,22 +384,21 @@ impl Cache {
         self.bump_epoch();
     }
 
-    /// Rolls this cache back to the state of `src`, a sealed snapshot,
-    /// reusing the flat tag/stamp allocations. Across a shared seal only
-    /// the journaled slots are repaired, in O(slots touched). Otherwise
-    /// (a foreign or unsealed source, or an epoch wrap that left this
-    /// cache full-dirty) every array is copied and the source's seal is
-    /// adopted, so the next restore replays the journal.
+    /// Rolls this cache back to the state of `src`, a sealed snapshot.
+    /// Across a shared seal only the journaled chunks are re-pointed at
+    /// the snapshot's copies, in O(chunks touched). Otherwise (a foreign
+    /// or unsealed source, or an epoch wrap that left this cache
+    /// full-dirty) the whole chunk table is cloned and the source's seal
+    /// is adopted, so the next restore replays the journal.
     pub fn restore(&mut self, src: &Cache) {
         let Cache {
             cfg,
-            tags,
-            stamps,
+            chunk_shift,
+            chunks,
             tick,
             mru,
             hits,
             misses,
-            vepoch,
             flush_epoch,
             seal,
             // Journal bookkeeping is this cache's own; it restarts below.
@@ -363,21 +412,15 @@ impl Cache {
                 journal.is_empty() && !full_dirty,
                 "restore source must be a sealed, unmutated snapshot"
             );
-            for i in 0..self.journal.len() {
-                let w = self.journal[i] as usize;
-                self.tags[w] = tags[w];
-                self.stamps[w] = stamps[w];
-                self.vepoch[w] = vepoch[w];
+            for &ci in &self.journal {
+                self.chunks[ci as usize].clone_from(&chunks[ci as usize]);
             }
         } else {
             debug_assert_eq!(self.cfg, *cfg, "restore across cache geometries");
             self.cfg = *cfg;
-            self.tags.clear();
-            self.tags.extend_from_slice(tags);
-            self.stamps.clear();
-            self.stamps.extend_from_slice(stamps);
-            self.vepoch.clear();
-            self.vepoch.extend_from_slice(vepoch);
+            self.chunk_shift = *chunk_shift;
+            self.chunks.clone_from(chunks);
+            self.jepoch.resize(chunks.len(), 0);
             self.seal.clone_from(seal);
             self.full_dirty = false;
         }
@@ -492,6 +535,7 @@ mod tests {
 
     /// The original per-set MRU-first `Vec` implementation, kept verbatim
     /// as the equivalence oracle for the flat stamp representation.
+    #[derive(Clone)]
     struct RefCache {
         sets: Vec<Vec<u64>>,
         cfg: CacheConfig,
@@ -558,6 +602,16 @@ mod tests {
             }
         }
 
+        fn probe(&self, addr: u64) -> bool {
+            self.sets[self.set_index(addr)].contains(&line_addr(addr))
+        }
+
+        fn flush_all(&mut self) {
+            for set in &mut self.sets {
+                set.clear();
+            }
+        }
+
         fn fingerprint(&self) -> Vec<u64> {
             let mut lines: Vec<u64> = self.sets.iter().flatten().copied().collect();
             lines.sort_unstable();
@@ -565,56 +619,128 @@ mod tests {
         }
     }
 
-    #[test]
-    fn flat_stamp_representation_matches_linear_reference() {
-        // xorshift-driven op mix over a small address space so every set
-        // sees hits, evictions, flushes and full flushes many times.
-        let mut state = 0x2545f4914f6cdd1du64;
-        let mut rng = move || {
+    /// The i7-7700's LLC: 8192 sets × 16 ways, 2048 chunks.
+    const LLC: (usize, usize) = (8192, 16);
+
+    /// Geometries below one chunk (1×4, 2×2), a few chunks, and the LLC.
+    const GEOMETRIES: [(usize, usize); 6] = [(1, 1), (1, 4), (2, 2), (4, 8), (8, 3), LLC];
+
+    fn xorshift(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
             state
-        };
-        for (sets, ways) in [(1usize, 1usize), (2, 2), (4, 8), (8, 3)] {
+        }
+    }
+
+    /// An address from random bits: one of `2 × ways` lines in one of at
+    /// most 64 sets, spread evenly over the cache so a large geometry
+    /// sees hits, evictions and flushes in as many distinct chunks.
+    fn spread_addr(cfg: CacheConfig, r: u64) -> u64 {
+        let spread = cfg.sets.min(64);
+        let set = ((r >> 16) as usize % spread) * (cfg.sets / spread);
+        let tag = (r >> 32) % (2 * cfg.ways as u64);
+        (tag * cfg.sets as u64 + set as u64) * LINE_SIZE + (r >> 8) % LINE_SIZE
+    }
+
+    /// Applies one random operation (picked by `r`) at `addr` to both
+    /// caches and asserts they agree on its result.
+    fn step_both(cache: &mut Cache, reference: &mut RefCache, r: u64, addr: u64, ctx: &str) {
+        match r % 16 {
+            0..=5 => assert_eq!(cache.lookup(addr), reference.lookup(addr), "lookup {ctx}"),
+            6..=10 => assert_eq!(cache.fill(addr), reference.fill(addr), "fill {ctx}"),
+            11..=12 => assert_eq!(cache.probe(addr), reference.probe(addr), "probe {ctx}"),
+            13..=14 => assert_eq!(
+                cache.flush_line(addr),
+                reference.flush_line(addr),
+                "flush {ctx}"
+            ),
+            _ => {
+                cache.flush_all();
+                reference.flush_all();
+            }
+        }
+    }
+
+    #[test]
+    fn flat_stamp_representation_matches_linear_reference() {
+        // xorshift-driven op mix over a small address space so every set
+        // sees hits, evictions, flushes and full flushes many times.
+        let mut rng = xorshift(0x2545f4914f6cdd1d);
+        for (sets, ways) in GEOMETRIES {
             let cfg = CacheConfig::new(sets, ways, 1);
             let mut cache = Cache::new(cfg);
             let mut reference = RefCache::new(cfg);
             for step in 0..40_000 {
                 let r = rng();
-                let addr = (r >> 16) % (sets as u64 * ways as u64 * 2 * LINE_SIZE);
-                match r % 16 {
-                    0..=5 => assert_eq!(
-                        cache.lookup(addr),
-                        reference.lookup(addr),
-                        "lookup step {step} ({sets}x{ways})"
-                    ),
-                    6..=10 => assert_eq!(
-                        cache.fill(addr),
-                        reference.fill(addr),
-                        "fill step {step} ({sets}x{ways})"
-                    ),
-                    11..=12 => assert_eq!(
-                        cache.probe(addr),
-                        reference.sets[reference.set_index(addr)].contains(&line_addr(addr)),
-                        "probe step {step} ({sets}x{ways})"
-                    ),
-                    13..=14 => assert_eq!(
-                        cache.flush_line(addr),
-                        reference.flush_line(addr),
-                        "flush step {step} ({sets}x{ways})"
-                    ),
-                    _ => {
-                        cache.flush_all();
-                        for set in &mut reference.sets {
-                            set.clear();
-                        }
-                    }
+                let addr = spread_addr(cfg, r);
+                step_both(
+                    &mut cache,
+                    &mut reference,
+                    r,
+                    addr,
+                    &format!("step {step} ({sets}x{ways})"),
+                );
+                // Every step on small caches; a fingerprint walks all
+                // 2048 chunks of the LLC, so sample it there.
+                if sets <= 64 || step % 512 == 0 {
+                    debug_assert_eq!(cache.fingerprint(), reference.fingerprint());
                 }
-                debug_assert_eq!(cache.fingerprint(), reference.fingerprint());
             }
             assert_eq!(cache.fingerprint(), reference.fingerprint());
             assert_eq!(cache.stats(), (reference.hits, reference.misses));
+        }
+    }
+
+    /// Copy-on-write isolation: a sealed cache and its clone, driven by
+    /// interleaved random operations, each match their own copy of the
+    /// linear reference, and neither moves the snapshot they share.
+    #[test]
+    fn cow_clones_stay_isolated_from_each_other_and_the_snapshot() {
+        let mut rng = xorshift(0xd1b54a32d192ed03);
+        for (sets, ways) in GEOMETRIES {
+            let cfg = CacheConfig::new(sets, ways, 1);
+            let mut a = Cache::new(cfg);
+            let mut ref_a = RefCache::new(cfg);
+            for _ in 0..4 * sets.min(64) * ways {
+                let addr = spread_addr(cfg, rng());
+                assert_eq!(a.fill(addr), ref_a.fill(addr));
+            }
+            a.seal();
+            let snap = a.clone();
+            let snap_fp = snap.fingerprint();
+            let mut b = a.clone();
+            let mut ref_b = ref_a.clone();
+            for step in 0..20_000 {
+                let r = rng();
+                let addr = spread_addr(cfg, r >> 1);
+                let (cache, reference, side) = if r & 1 == 0 {
+                    (&mut a, &mut ref_a, "sealed")
+                } else {
+                    (&mut b, &mut ref_b, "clone")
+                };
+                step_both(
+                    cache,
+                    reference,
+                    r >> 1,
+                    addr,
+                    &format!("{side} step {step} ({sets}x{ways})"),
+                );
+                if sets <= 64 || step % 512 == 0 {
+                    assert_eq!(a.fingerprint(), ref_a.fingerprint(), "sealed step {step}");
+                    assert_eq!(b.fingerprint(), ref_b.fingerprint(), "clone step {step}");
+                    assert_eq!(snap.fingerprint(), snap_fp, "snapshot moved at step {step}");
+                }
+            }
+            assert_eq!(a.stats(), (ref_a.hits, ref_a.misses));
+            assert_eq!(b.stats(), (ref_b.hits, ref_b.misses));
+            assert_eq!(snap.fingerprint(), snap_fp, "{sets}x{ways}");
+            // Both sides still restore to the untouched snapshot.
+            a.restore(&snap);
+            b.restore(&snap);
+            assert_eq!(a.fingerprint(), snap_fp);
+            assert_eq!(b.fingerprint(), snap_fp);
         }
     }
 
@@ -623,20 +749,14 @@ mod tests {
     /// behavior.
     #[test]
     fn delta_restore_matches_exhaustive_restore() {
-        let mut state = 0x9e3779b97f4a7c15u64;
-        let mut rng = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for (sets, ways) in [(2usize, 2usize), (8, 4), (16, 16)] {
+        let mut rng = xorshift(0x9e3779b97f4a7c15);
+        for (sets, ways) in [(1usize, 4usize), (2, 2), (8, 4), (16, 16), LLC] {
             let cfg = CacheConfig::new(sets, ways, 1);
             let mut c = Cache::new(cfg);
             for _ in 0..500 {
                 let r = rng();
-                let addr = (r >> 16) % (sets as u64 * ways as u64 * 2 * LINE_SIZE);
-                if r % 2 == 0 {
+                let addr = spread_addr(cfg, r);
+                if r.is_multiple_of(2) {
                     c.fill(addr);
                 } else {
                     c.lookup(addr);
@@ -647,7 +767,7 @@ mod tests {
             // Churn, including whole-cache flushes.
             for _ in 0..2_000 {
                 let r = rng();
-                let addr = (r >> 16) % (sets as u64 * ways as u64 * 2 * LINE_SIZE);
+                let addr = spread_addr(cfg, r);
                 match r % 8 {
                     0..=3 => {
                         c.fill(addr);
@@ -664,16 +784,27 @@ mod tests {
             assert!(c.journal_len() > 0);
             c.restore(&snap);
             assert_eq!(c.journal_len(), 0);
+            // The exhaustive path: an unsealed cache restores by copying
+            // the whole chunk table.
+            let mut exhaustive = Cache::new(cfg);
+            exhaustive.fill(spread_addr(cfg, rng()));
+            exhaustive.restore(&snap);
             let mut reference = snap.clone();
-            assert_eq!(c.fingerprint(), reference.fingerprint(), "{sets}x{ways}");
-            assert_eq!(c.stats(), reference.stats());
-            assert_eq!(c.tick, reference.tick);
+            for other in [&exhaustive, &reference] {
+                assert_eq!(c.fingerprint(), other.fingerprint(), "{sets}x{ways}");
+                assert_eq!(c.stats(), other.stats());
+                assert_eq!(c.tick, other.tick);
+            }
             // Future behavior must also agree (LRU order fully restored).
             for step in 0..500 {
                 let r = rng();
-                let addr = (r >> 16) % (sets as u64 * ways as u64 * 2 * LINE_SIZE);
-                assert_eq!(c.fill(addr), reference.fill(addr), "post step {step}");
-                assert_eq!(c.lookup(addr), reference.lookup(addr), "post step {step}");
+                let addr = spread_addr(cfg, r);
+                let fill = c.fill(addr);
+                assert_eq!(fill, reference.fill(addr), "post step {step}");
+                assert_eq!(fill, exhaustive.fill(addr), "post step {step}");
+                let hit = c.lookup(addr);
+                assert_eq!(hit, reference.lookup(addr), "post step {step}");
+                assert_eq!(hit, exhaustive.lookup(addr), "post step {step}");
             }
         }
     }

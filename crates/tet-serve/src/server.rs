@@ -35,6 +35,7 @@
 use std::collections::{HashMap, VecDeque};
 use std::io::{BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -42,7 +43,7 @@ use std::time::{Duration, Instant};
 
 use tet_metrics::{FlightRecorder, MetricsHandle, Registry};
 use tet_obs::json::Value;
-use tet_obs::Progress;
+use tet_obs::{Progress, RunReport};
 
 use crate::cache::ResultCache;
 use crate::hotcache::{HotCache, HotEntry};
@@ -149,9 +150,14 @@ struct Jobs {
     next_id: u64,
 }
 
+/// The campaign a worker runs for each job: [`scheduler::run_campaign`],
+/// unless a unit test substitutes one that panics.
+type CampaignFn = fn(&CampaignSpec, usize, &(dyn Fn(usize) + Sync)) -> Result<RunReport, String>;
+
 /// Shared server state.
 struct Inner {
     jobs: Mutex<Jobs>,
+    campaign: CampaignFn,
     work_ready: Condvar,
     cache: ResultCache,
     hot: HotCache,
@@ -220,6 +226,12 @@ impl ServerHandle {
 
 /// Binds, spawns the worker pool and the accept loop, and returns.
 pub fn start(cfg: ServerConfig) -> Result<ServerHandle, String> {
+    start_with(cfg, |spec, threads, observe| {
+        scheduler::run_campaign(spec, threads, observe)
+    })
+}
+
+fn start_with(cfg: ServerConfig, campaign: CampaignFn) -> Result<ServerHandle, String> {
     let cache = ResultCache::open_capped(&cfg.cache_dir, cfg.cache_bytes)?;
     let listener = TcpListener::bind(&cfg.addr).map_err(|e| format!("bind {}: {e}", cfg.addr))?;
     let addr = listener
@@ -229,6 +241,7 @@ pub fn start(cfg: ServerConfig) -> Result<ServerHandle, String> {
     let metrics = registry.handle();
     let inner = Arc::new(Inner {
         jobs: Mutex::new(Jobs::default()),
+        campaign,
         work_ready: Condvar::new(),
         cache,
         hot: HotCache::new(cfg.hot_bytes),
@@ -328,11 +341,18 @@ fn run_job(inner: &Arc<Inner>, job_id: u64) {
         .progress
         .note(&format!("job {job_id}: running {label}"));
 
-    let result = scheduler::run_campaign(&spec, inner.threads, |done| {
+    let observe = |done| {
         progress.done.store(done, Ordering::Relaxed);
         progress.flight.record_work(1, 0, 0);
         progress.flight.maybe_sample();
-    });
+    };
+    // A panicking campaign fails its job instead of killing this worker,
+    // which would strand every later job in the queue and leave the
+    // key in `inflight`, so duplicate submits would join a dead job.
+    let result = panic::catch_unwind(AssertUnwindSafe(|| {
+        (inner.campaign)(&spec, inner.threads, &observe)
+    }))
+    .unwrap_or_else(|payload| Err(format!("campaign panicked: {}", panic_message(&*payload))));
 
     let mut jobs = sync::lock(&inner.jobs);
     let jobs = &mut *jobs; // one deref, so field borrows can split
@@ -364,6 +384,18 @@ fn run_job(inner: &Arc<Inner>, job_id: u64) {
     }
     jobs.inflight.remove(&entry.key);
     progress.flight.finish();
+}
+
+/// The message a panic was raised with (`panic!` payloads are `&str` or
+/// `String`).
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        s
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s
+    } else {
+        "non-string panic payload"
+    }
 }
 
 /// One connection's lifetime: read requests off a shared buffer (so
@@ -812,5 +844,90 @@ fn stream_events(w: &mut impl Write, id: u64, inner: &Arc<Inner>) {
             return;
         }
         std::thread::sleep(Duration::from_millis(50));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::Client;
+
+    /// `scheduler::run_campaign`, except that seed 666 panics.
+    fn campaign_with_a_panicking_seed(
+        spec: &CampaignSpec,
+        threads: usize,
+        observe: &(dyn Fn(usize) + Sync),
+    ) -> Result<RunReport, String> {
+        assert_ne!(spec.seed, 666, "injected campaign panic");
+        scheduler::run_campaign(spec, threads, observe)
+    }
+
+    fn job_id(submitted: &Value) -> u64 {
+        submitted
+            .get("job")
+            .and_then(Value::as_u64)
+            .expect("submit returns a job id")
+    }
+
+    /// `job`'s final state and error, failing the test (rather than
+    /// hanging it) if the job is still unfinished after 60 s.
+    fn finish(client: &Client, job: u64) -> (String, Option<String>) {
+        let deadline = Instant::now() + Duration::from_secs(60);
+        loop {
+            let st = client.status(job).unwrap();
+            let state = st.get("state").and_then(Value::as_str).unwrap_or("");
+            if state == "done" || state == "failed" {
+                let error = st.get("error").and_then(Value::as_str).map(str::to_string);
+                return (state.to_string(), error);
+            }
+            assert!(Instant::now() < deadline, "job {job} stuck in {state:?}");
+            std::thread::sleep(Duration::from_millis(20));
+        }
+    }
+
+    #[test]
+    fn a_panicking_job_fails_without_wedging_a_one_worker_server() {
+        let cache_dir =
+            std::env::temp_dir().join(format!("tet_serve_panic_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&cache_dir);
+        let handle = start_with(
+            ServerConfig {
+                addr: "127.0.0.1:0".to_string(),
+                workers: 1,
+                threads: 1,
+                cache_dir: cache_dir.clone(),
+                cache_bytes: 0,
+                hot_bytes: 1 << 20,
+                idle_timeout_ms: 5_000,
+            },
+            campaign_with_a_panicking_seed,
+        )
+        .expect("server must start");
+        let client = Client::new(&handle.addr().to_string());
+
+        let bad =
+            r#"{"kind":"table2_cell","preset":"intel-core-i7-7700","attack":"cc","seed":666}"#;
+        let first = job_id(&client.submit(bad).unwrap());
+        let (state, error) = finish(&client, first);
+        assert_eq!(state, "failed");
+        let error = error.expect("a failed job reports its error");
+        assert!(error.contains("injected campaign panic"), "{error}");
+
+        // The key left `inflight`: a resubmit starts a new job instead of
+        // joining the failed one.
+        let again = client.submit(bad).unwrap();
+        assert_ne!(job_id(&again), first);
+        assert_eq!(again.get("deduped").and_then(Value::as_bool), Some(false));
+        assert_eq!(finish(&client, job_id(&again)).0, "failed");
+
+        // The one worker survived both panics and serves the next job.
+        let good = r#"{"kind":"table2_cell","preset":"intel-core-i7-7700","attack":"cc","seed":1}"#;
+        assert_eq!(
+            finish(&client, job_id(&client.submit(good).unwrap())).0,
+            "done"
+        );
+
+        handle.shutdown();
+        let _ = std::fs::remove_dir_all(&cache_dir);
     }
 }

@@ -1,7 +1,13 @@
+//! Allocation budgets of the simulator's hot calls.
+//!
 //! A warmed `Machine::run` of a non-faulting program makes no heap
 //! allocation: PMU snapshots are inline arrays, ROB entries are plain
 //! `Copy` data, and every per-run buffer is reused — including the ROB
 //! and IDQ rings, which grow only until they reach their steady size.
+//! Building a machine or forking one from a snapshot costs a bounded
+//! number of bytes, not the size of its caches: cache slots live in
+//! lazily allocated, copy-on-write chunks (DESIGN.md §19). A restore
+//! from a snapshot in a trial loop allocates nothing.
 //!
 //! This file is its own test binary because it installs a counting
 //! global allocator. Only allocations made by the test's own thread are
@@ -12,29 +18,36 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
 use tet_isa::{Asm, Cond, Reg};
-use tet_uarch::{CpuConfig, Machine, RunConfig, RunExit};
+use tet_uarch::{CpuConfig, Machine, MachineSnapshot, RunConfig, RunExit};
 
 struct Counting;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Counts one allocation of `bytes` (a reallocation counts its new size).
+fn count(bytes: usize) {
+    ALLOCS.with(|c| c.set(c.get() + 1));
+    BYTES.with(|c| c.set(c.get() + bytes as u64));
 }
 
 // SAFETY: forwards every call to the system allocator unchanged; the
-// counter is a const-initialised thread-local, which never allocates.
+// counters are const-initialised thread-locals, which never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
+        count(layout.size());
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.with(|c| c.set(c.get() + 1));
+        count(new_size);
         System.realloc(ptr, layout, new_size)
     }
 
@@ -48,6 +61,67 @@ static HEAP: Counting = Counting;
 
 fn allocs() -> u64 {
     ALLOCS.with(Cell::get)
+}
+
+fn bytes() -> u64 {
+    BYTES.with(Cell::get)
+}
+
+/// Runs `f` and returns its value with the bytes it allocated.
+fn bytes_allocated<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = bytes();
+    let value = f();
+    (value, bytes() - before)
+}
+
+/// ROADMAP's budget for building or forking a whole machine.
+const MACHINE_BUDGET: u64 = 256 * 1024;
+
+const SHARED_PAGE: u64 = 0x20_0000;
+
+/// The Figure 1a covert-channel gadget: a timed transient block that
+/// loads the shared byte and branches on its comparison with `rbx`.
+fn covert_gadget() -> (tet_isa::Program, usize) {
+    let mut a = Asm::new();
+    let matched = a.fresh_label();
+    a.rdtsc()
+        .mov_reg(Reg::R8, Reg::Rax)
+        .lfence()
+        .load_byte_abs(Reg::Rax, SHARED_PAGE)
+        .cmp(Reg::Rax, Reg::Rbx)
+        .jcc(Cond::E, matched)
+        .nops(1)
+        .bind(matched)
+        .nop();
+    let handler_pc = a.here();
+    a.lfence().rdtsc().sub(Reg::Rax, Reg::R8).halt();
+    (a.assemble().expect("assembles"), handler_pc)
+}
+
+fn probe_cfg(handler_pc: usize, test: u64) -> RunConfig {
+    RunConfig {
+        handler_pc: Some(handler_pc),
+        init_regs: vec![(Reg::Rbx, test)],
+        ..RunConfig::default()
+    }
+}
+
+/// An i7-7700 in the §4.1 covert-channel set-up (timer interrupts every
+/// 7919 cycles, a shared page holding the sent byte), warmed by a probe
+/// sweep and sealed into a snapshot.
+fn warmed_covert_machine() -> (Machine, MachineSnapshot) {
+    let mut cfg = CpuConfig::kaby_lake_i7_7700();
+    cfg.timing.interrupt_period = 7919;
+    let mut m = Machine::new(cfg, 41);
+    let pa = m.map_user_page(SHARED_PAGE);
+    m.phys_mut().write_u8(pa, 0xa5);
+    let (program, handler_pc) = covert_gadget();
+    for test in 0..16 {
+        let r = m.run(&program, &probe_cfg(handler_pc, test));
+        assert_eq!(r.exit, RunExit::Halted);
+    }
+    let snap = m.snapshot();
+    (m, snap)
 }
 
 #[test]
@@ -127,4 +201,51 @@ fn warmed_loop_runs_that_wrap_the_rings_do_not_allocate() {
     }
     let per_run = (allocs() - before) as f64 / RUNS as f64;
     assert_eq!(per_run, 0.0, "allocations per warmed looping Machine::run");
+}
+
+#[test]
+fn new_machine_allocates_a_bounded_budget() {
+    let (m, bytes) = bytes_allocated(|| Machine::new(CpuConfig::kaby_lake_i7_7700(), 1));
+    drop(m);
+    assert!(
+        bytes <= MACHINE_BUDGET,
+        "Machine::new allocated {bytes} bytes (budget {MACHINE_BUDGET})"
+    );
+}
+
+#[test]
+fn forking_a_warmed_machine_allocates_a_bounded_budget() {
+    let (_warm, snap) = warmed_covert_machine();
+    let (fork, bytes) = bytes_allocated(|| Machine::from_snapshot(&snap));
+    drop(fork);
+    assert!(
+        bytes <= MACHINE_BUDGET,
+        "Machine::from_snapshot allocated {bytes} bytes (budget {MACHINE_BUDGET})"
+    );
+}
+
+#[test]
+fn steady_state_restores_do_not_allocate() {
+    let (_warm, snap) = warmed_covert_machine();
+    let mut m = Machine::from_snapshot(&snap);
+    let (program, handler_pc) = covert_gadget();
+    // Warm-up trials grow the journals to their steady size.
+    for test in 0..4 {
+        m.restore(&snap);
+        m.run(&program, &probe_cfg(handler_pc, test));
+    }
+
+    const TRIALS: u64 = 16;
+    let mut restore_allocs = 0;
+    for test in 0..TRIALS {
+        let before = allocs();
+        m.restore(&snap);
+        restore_allocs += allocs() - before;
+        let r = m.run(&program, &probe_cfg(handler_pc, 0xa5 ^ test));
+        assert_eq!(r.exit, RunExit::Halted);
+    }
+    assert_eq!(
+        restore_allocs, 0,
+        "allocations in {TRIALS} steady-state restores"
+    );
 }

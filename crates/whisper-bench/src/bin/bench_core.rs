@@ -364,8 +364,10 @@ fn main() {
     {
         // The per-cycle structures in isolation: L1d-like cache hits and
         // streaming fills (every fill evicts the set's LRU way), dTLB
-        // hits, DSB hits, BTB-backed conditional prediction, and
-        // `Machine` construction (the whole hierarchy, LLC included).
+        // hits, DSB hits, BTB-backed conditional prediction, `Machine`
+        // construction (the whole hierarchy, LLC included), and cloning
+        // and forking the warmed §4.1 covert-channel machine — the copies
+        // `TetCovertChannel::transmit_chunked` makes per message.
         let (samples, iters) = if smoke { (5, 20) } else { (15, 200) };
         let l1_like = || Cache::new(CacheConfig::new(64, 8, 4));
 
@@ -431,6 +433,22 @@ fn main() {
             black_box(Machine::new(cfg.clone(), 1));
         });
 
+        let opts = ScenarioOptions {
+            interrupt_period: 7919,
+            ..ScenarioOptions::default()
+        };
+        let mut sc = Scenario::new(cfg.clone(), &opts);
+        sc.sender_write(0xa5);
+        let gadget = TetGadget::build(TetGadgetSpec::covert_channel(sc.shared_page(), &cfg));
+        gadget.measure(&mut sc.machine, 0);
+        let snap = sc.machine.snapshot();
+        let machine_clone_ns = median_ns(samples, iters, || {
+            black_box(sc.machine.clone());
+        });
+        let from_snapshot_ns = median_ns(samples, iters, || {
+            black_box(Machine::from_snapshot(&snap));
+        });
+
         for (id, ns) in [
             ("cache_lookup_hit_x1024", cache_hit_ns),
             ("cache_fill_evict_x1024", cache_fill_ns),
@@ -438,6 +456,8 @@ fn main() {
             ("dsb_lookup_hit_x1024", dsb_hit_ns),
             ("btb_predict_cond_x1024", btb_ns),
             ("machine_new", machine_new_ns),
+            ("machine_clone", machine_clone_ns),
+            ("from_snapshot", from_snapshot_ns),
         ] {
             println!("  {id:<24} {ns:>9.0} ns/iter (median of {samples} x {iters})");
             rep.scalar(&format!("structures.{id}_ns"), ns);

@@ -26,6 +26,8 @@ const FOLDED_KEYS: &[&str] = &[
     "structures.dsb_lookup_hit_x1024_ns",
     "structures.btb_predict_cond_x1024_ns",
     "structures.machine_new_ns",
+    "structures.machine_clone_ns",
+    "structures.from_snapshot_ns",
 ];
 
 #[test]
