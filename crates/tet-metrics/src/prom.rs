@@ -5,8 +5,8 @@
 //! gauges as `gauge`, histogram summaries as `summary` with
 //! `quantile`-labelled samples plus `_sum`/`_count`. Metric names are
 //! sanitized to the Prometheus charset (`[a-zA-Z_:][a-zA-Z0-9_:]*`);
-//! dotted registry names like `prof.fetch.est_ns` become
-//! `prof_fetch_est_ns`.
+//! dotted registry names like `snapshot_fork.restores` become
+//! `snapshot_fork_restores`.
 //!
 //! The parser exists for the CI `metrics-smoke` step: it checks the
 //! scraped file is well-formed (every sample line is `name{labels} value`

@@ -1,11 +1,11 @@
 //! One parser for the boolean `TET_*` environment switches.
 //!
 //! The repository's on/off environment variables (`TET_METRICS`,
-//! `TET_PROF`, `TET_CHECK`, `TET_QUIET`, `TET_SERVE_KEEPALIVE`) once had
-//! three subtly different parsers: some sites treated *any* set value as
-//! enabled, some required exactly `=1`, some required "non-empty and not
-//! `0`". `TET_METRICS=true` therefore enabled nothing — a trap once
-//! several switches are set together on live server requests.
+//! `TET_CHECK`, `TET_QUIET`) once had three subtly different parsers:
+//! some sites treated *any* set value as enabled, some required exactly
+//! `=1`, some required "non-empty and not `0`". `TET_METRICS=true`
+//! therefore enabled nothing — a trap once several switches are set
+//! together on live server requests.
 //!
 //! [`env_flag`] is the single shared rule, used by every switch:
 //!

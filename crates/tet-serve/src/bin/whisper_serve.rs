@@ -125,7 +125,7 @@ fn main() {
 fn run_self_test(addr: &str) -> bool {
     let spec = "{\"kind\": \"table2_cell\", \"preset\": \"intel-core-i7-7700\", \
                 \"attack\": \"cc\", \"seed\": 11, \"trials\": 2}";
-    let keep_alive = Client::new(addr).with_keep_alive(true);
+    let keep_alive = Client::new(addr);
     let one_shot = Client::new(addr).with_keep_alive(false);
     let checks: Result<(), String> = (|| {
         let health = keep_alive.health()?;

@@ -91,15 +91,18 @@ pub fn default_dir() -> PathBuf {
         .unwrap_or_else(|| PathBuf::from("target/serve-cache"))
 }
 
-/// The default byte budget, honoring `TET_SERVE_CACHE_BYTES`
-/// (0 or unset = unlimited; unparsable values are refused loudly).
-pub fn default_max_bytes() -> Result<u64, String> {
-    match std::env::var("TET_SERVE_CACHE_BYTES") {
-        Ok(v) if !v.trim().is_empty() => v
+/// The one parse rule for the serve byte budgets
+/// (`TET_SERVE_CACHE_BYTES`, `TET_SERVE_HOT_BYTES`): `raw` is the
+/// variable's value, if set. Unset or blank gives `default`; a
+/// non-negative integer is the budget; anything else is an error naming
+/// the variable, so the caller can warn instead of guessing.
+pub fn parse_budget(name: &str, raw: Option<String>, default: u64) -> Result<u64, String> {
+    match raw {
+        Some(v) if !v.trim().is_empty() => v
             .trim()
             .parse::<u64>()
-            .map_err(|e| format!("TET_SERVE_CACHE_BYTES={v:?}: {e}")),
-        _ => Ok(0),
+            .map_err(|e| format!("{name}={v:?}: {e}")),
+        _ => Ok(default),
     }
 }
 
@@ -441,10 +444,14 @@ mod tests {
 
     #[test]
     fn default_max_bytes_parses_the_env_contract() {
-        // Only the unset path is asserted (the set path would race other
-        // tests through the process-global environment).
-        if std::env::var_os("TET_SERVE_CACHE_BYTES").is_none() {
-            assert_eq!(default_max_bytes().unwrap(), 0);
+        let parse = |raw: Option<&str>| parse_budget("B", raw.map(String::from), 7);
+        assert_eq!(parse(None), Ok(7));
+        assert_eq!(parse(Some(" ")), Ok(7));
+        assert_eq!(parse(Some(" 4096\n")), Ok(4096));
+        assert_eq!(parse(Some("0")), Ok(0));
+        for bad in ["64MiB", "-1", "1e6"] {
+            let err = parse(Some(bad)).unwrap_err();
+            assert!(err.starts_with(&format!("B={bad:?}: ")), "{err}");
         }
     }
 

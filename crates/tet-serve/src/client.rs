@@ -7,9 +7,8 @@
 //! connection that fails before a full response arrives is retried once
 //! on a fresh connection — safe here because every endpoint is
 //! idempotent (submits are content-addressed and single-flight deduped
-//! server-side). `TET_SERVE_KEEPALIVE=0` (or
-//! [`Client::with_keep_alive`]`(false)`) restores the PR-8
-//! connection-per-request behavior for A/B measurements. All methods
+//! server-side). [`Client::with_keep_alive`]`(false)` opens one
+//! connection per request instead, for A/B measurements. All methods
 //! return one-line `String` errors naming the endpoint, so callers can
 //! print them and move on.
 
@@ -68,9 +67,7 @@ struct Parsed {
 
 impl Client {
     /// Builds a client for `base` (with or without an `http://` prefix,
-    /// trailing slashes ignored). Keep-alive defaults on; the
-    /// `TET_SERVE_KEEPALIVE` environment switch (`0`/`false`/`off`
-    /// disables) applies here.
+    /// trailing slashes ignored). Keep-alive defaults on.
     pub fn new(base: &str) -> Client {
         let host_port = base
             .trim()
@@ -79,7 +76,7 @@ impl Client {
             .to_string();
         Client {
             host_port,
-            keep_alive: tet_obs::env_flag("TET_SERVE_KEEPALIVE", true),
+            keep_alive: true,
             conn: Mutex::new(None),
         }
     }

@@ -13,11 +13,15 @@
 //! deterministic simulator campaigns on localhost, not the open
 //! internet.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
 /// Upper bound on a request body, so a stray client cannot balloon the
 /// server's memory.
 pub const MAX_BODY_BYTES: usize = 1 << 20;
+
+/// Upper bound on the request line plus headers, for the same reason:
+/// a header line that never ends must not grow a `String` forever.
+pub const MAX_HEAD_BYTES: usize = 64 << 10;
 
 /// One parsed request.
 #[derive(Debug, Clone)]
@@ -55,6 +59,24 @@ fn is_timeout(e: &std::io::Error) -> bool {
     )
 }
 
+/// `read_line` that reads at most `*left` bytes (plus one, to detect
+/// overflow) and charges what it read against `*left`.
+fn read_head_line(
+    reader: &mut impl BufRead,
+    line: &mut String,
+    left: &mut usize,
+) -> std::io::Result<usize> {
+    let n = reader.take(*left as u64 + 1).read_line(line)?;
+    if n > *left {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::InvalidData,
+            format!("request head exceeds the {MAX_HEAD_BYTES}-byte limit"),
+        ));
+    }
+    *left -= n;
+    Ok(n)
+}
+
 impl Request {
     /// A header value by lowercase name.
     pub fn header(&self, name: &str) -> Option<&str> {
@@ -84,8 +106,9 @@ impl Request {
     /// close without serving a response body it cannot trust. Other
     /// errors are one-line protocol diagnostics (answered 400).
     pub fn read_from(reader: &mut impl BufRead) -> Result<ReadOutcome, String> {
+        let mut left = MAX_HEAD_BYTES;
         let mut line = String::new();
-        match reader.read_line(&mut line) {
+        match read_head_line(reader, &mut line, &mut left) {
             Ok(0) => return Ok(ReadOutcome::Closed),
             Ok(_) if !line.ends_with('\n') => {
                 return Err("truncated request line (EOF mid-line)".to_string());
@@ -109,7 +132,7 @@ impl Request {
         let mut headers = Vec::new();
         loop {
             let mut hline = String::new();
-            match reader.read_line(&mut hline) {
+            match read_head_line(reader, &mut hline, &mut left) {
                 Ok(0) => return Err("truncated headers (EOF before blank line)".to_string()),
                 Ok(_) if !hline.ends_with('\n') => {
                     return Err("truncated header line (EOF mid-line)".to_string());
@@ -326,6 +349,177 @@ mod tests {
             Request::read_from(&mut two).unwrap(),
             ReadOutcome::Closed
         ));
+    }
+
+    #[test]
+    fn oversized_head_is_an_error() {
+        let head = |pad: usize| format!("GET / HTTP/1.1\r\nx-pad: {}\n\r\n", "a".repeat(pad));
+        assert!(Request::read_from(&mut head(128 << 10).as_bytes()).is_err());
+        assert!(matches!(
+            Request::read_from(&mut head(MAX_HEAD_BYTES - 64).as_bytes()),
+            Ok(ReadOutcome::Request(_))
+        ));
+    }
+
+    /// SplitMix64: the seeded generator of the split-invariance checks.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        fn text(&mut self, alphabet: &[u8], len: usize) -> String {
+            (0..len)
+                .map(|_| alphabet[self.below(alphabet.len())] as char)
+                .collect()
+        }
+    }
+
+    /// What the parser must return for one request.
+    type Fields = (String, String, Vec<(String, String)>, String, bool);
+
+    fn fields(r: &Request) -> Fields {
+        (
+            r.method.clone(),
+            r.path.clone(),
+            r.headers.clone(),
+            r.body.clone(),
+            r.http10,
+        )
+    }
+
+    const TOKEN: &[u8] = b"abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-";
+    const TEXT: &[u8] = b"abc XYZ 019 :;{}\"/\\=-\r\n";
+
+    /// One random request: its wire bytes and the fields it must parse
+    /// to. Line endings mix `\r\n` and `\n`; header names mix case; the
+    /// body may hold CR, LF and colons.
+    fn gen_request(rng: &mut Rng) -> (Vec<u8>, Fields) {
+        let method = ["GET", "POST", "PUT", "DELETE"][rng.below(4)].to_string();
+        let len = rng.below(12);
+        let path = format!("/v1/{}", rng.text(TOKEN, len));
+        let http10 = rng.below(4) == 0;
+        let len = rng.below(2) * rng.below(48);
+        let body = rng.text(TEXT, len);
+        let mut headers: Vec<(String, String)> = (0..rng.below(4))
+            .map(|_| {
+                let len = 1 + rng.below(8);
+                let name = format!("X-{}", rng.text(TOKEN, len));
+                let len = rng.below(16);
+                (name, rng.text(b"abc XYZ 019 :;", len))
+            })
+            .collect();
+        if !body.is_empty() || rng.below(2) == 0 {
+            let name = ["Content-Length", "content-length", "CONTENT-LENGTH"][rng.below(3)];
+            let at = rng.below(headers.len() + 1);
+            headers.insert(at, (name.to_string(), body.len().to_string()));
+        }
+        let eol = |rng: &mut Rng| if rng.below(2) == 0 { "\r\n" } else { "\n" };
+        let version = if http10 { "HTTP/1.0" } else { "HTTP/1.1" };
+        let mut wire = format!("{method} {path} {version}{}", eol(rng));
+        for (name, value) in &headers {
+            wire += &format!("{name}: {value}{}", eol(rng));
+        }
+        wire += eol(rng);
+        wire += &body;
+        let headers = headers
+            .into_iter()
+            .map(|(n, v)| (n.to_ascii_lowercase(), v.trim().to_string()))
+            .collect();
+        (wire.into_bytes(), (method, path, headers, body, http10))
+    }
+
+    /// A reader that hands out `data` in random-sized chunks.
+    struct Chunked<'a> {
+        data: &'a [u8],
+        rng: Rng,
+        max_chunk: usize,
+    }
+
+    impl std::io::Read for Chunked<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = (1 + self.rng.below(self.max_chunk))
+                .min(buf.len())
+                .min(self.data.len());
+            buf[..n].copy_from_slice(&self.data[..n]);
+            self.data = &self.data[n..];
+            Ok(n)
+        }
+    }
+
+    /// Reads requests off `data`, split by `seed`, until something other
+    /// than a request comes back. Returns the requests and that outcome.
+    /// Every request consumes at least one byte, so the loop is bounded.
+    fn read_all(data: &[u8], seed: u64) -> (Vec<Fields>, Result<ReadOutcome, String>) {
+        let mut rng = Rng(seed);
+        let capacity = 1 + rng.below(64);
+        let max_chunk = 1 + rng.below(32);
+        let mut reader = std::io::BufReader::with_capacity(
+            capacity,
+            Chunked {
+                data,
+                rng,
+                max_chunk,
+            },
+        );
+        let mut got = Vec::new();
+        for _ in 0..=data.len() {
+            match Request::read_from(&mut reader) {
+                Ok(ReadOutcome::Request(r)) => got.push(fields(&r)),
+                end => return (got, end),
+            }
+        }
+        panic!("more requests than bytes in {data:?}");
+    }
+
+    #[test]
+    fn any_split_of_a_pipelined_stream_yields_the_same_requests() {
+        for case in 0..300 {
+            let mut rng = Rng(case);
+            let mut wire = Vec::new();
+            let mut want = Vec::new();
+            for _ in 0..1 + rng.below(5) {
+                let (bytes, f) = gen_request(&mut rng);
+                wire.extend_from_slice(&bytes);
+                want.push(f);
+            }
+            for split in 0..8 {
+                let (got, end) = read_all(&wire, rng.next() ^ split);
+                let stream = String::from_utf8_lossy(&wire);
+                assert_eq!(got, want, "case {case} split {split}: {stream:?}");
+                assert!(
+                    matches!(end, Ok(ReadOutcome::Closed)),
+                    "case {case} split {split}: stream must end in a clean close, got {end:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn garbage_is_an_error_or_a_close_never_a_panic() {
+        for case in 0..300 {
+            let mut rng = Rng(case);
+            let len = match rng.below(8) {
+                0 => MAX_HEAD_BYTES + rng.below(MAX_HEAD_BYTES),
+                _ => rng.below(512),
+            };
+            let garbage: Vec<u8> = (0..len).map(|_| rng.next() as u8).collect();
+            let (got, end) = read_all(&garbage, rng.next());
+            assert!(got.is_empty(), "case {case}: garbage parsed as {got:?}");
+            assert!(
+                matches!(end, Err(_) | Ok(ReadOutcome::Closed)),
+                "case {case}: {end:?}"
+            );
+        }
     }
 
     #[test]

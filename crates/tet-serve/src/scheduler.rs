@@ -12,7 +12,6 @@
 //! reproduce. Latency lives in the transport layer (job status,
 //! `BENCH_serve.json`), not in the result.
 
-use tet_metrics::ProfHandle;
 use tet_obs::{Histogram, RunReport};
 use tet_uarch::CpuConfig;
 use whisper::eval::{self, AttackStatus, CellStats, Table2Row, TABLE2_ATTACKS};
@@ -85,7 +84,7 @@ where
                 interrupt_period: spec.interrupt_period,
                 ..ScenarioOptions::default()
             };
-            eval::run_table2_cell_opts(&cfg, &opts, attack, &ProfHandle::disabled())
+            eval::run_table2_cell_opts(&cfg, &opts, attack)
         },
         |_, _| observe(1 + done.fetch_add(1, std::sync::atomic::Ordering::Relaxed)),
     );
@@ -132,7 +131,7 @@ where
 {
     let done = std::sync::atomic::AtomicUsize::new(0);
     let (rows, total): (Vec<Table2Row>, CellStats) =
-        eval::run_table2_matrix_observed(spec.seed, threads, &ProfHandle::disabled(), |_, _| {
+        eval::run_table2_matrix_observed(spec.seed, threads, |_, _| {
             observe(1 + done.fetch_add(1, std::sync::atomic::Ordering::Relaxed))
         });
     let mut rep = base_report(spec);

@@ -70,7 +70,7 @@ pub struct ServerConfig {
     /// Result-cache directory.
     pub cache_dir: PathBuf,
     /// Disk-cache byte budget (0 = unlimited; default honors
-    /// `TET_SERVE_CACHE_BYTES`).
+    /// `TET_SERVE_CACHE_BYTES`, falling back to 0).
     pub cache_bytes: u64,
     /// In-memory hot-cache byte budget (0 = unlimited; default honors
     /// `TET_SERVE_HOT_BYTES`, falling back to 64 MiB).
@@ -87,17 +87,20 @@ impl Default for ServerConfig {
             workers: 2,
             threads: tet_par::default_threads(),
             cache_dir: crate::cache::default_dir(),
-            cache_bytes: crate::cache::default_max_bytes().unwrap_or_else(|e| {
-                eprintln!("warning: {e} (treating as unlimited)");
-                0
-            }),
-            hot_bytes: std::env::var("TET_SERVE_HOT_BYTES")
-                .ok()
-                .and_then(|v| v.trim().parse().ok())
-                .unwrap_or(DEFAULT_HOT_BYTES),
+            cache_bytes: budget_from_env("TET_SERVE_CACHE_BYTES", 0),
+            hot_bytes: budget_from_env("TET_SERVE_HOT_BYTES", DEFAULT_HOT_BYTES),
             idle_timeout_ms: DEFAULT_IDLE_TIMEOUT_MS,
         }
     }
+}
+
+/// Reads byte budget `name` from the environment; an unparsable value
+/// warns and falls back to `default`.
+fn budget_from_env(name: &str, default: u64) -> u64 {
+    crate::cache::parse_budget(name, std::env::var(name).ok(), default).unwrap_or_else(|e| {
+        eprintln!("warning: {e} (using the default, {default})");
+        default
+    })
 }
 
 /// A job's lifecycle state.

@@ -43,6 +43,7 @@ fn start_server_with(
 
 const SPEC: &str = "{\"kind\": \"table2_cell\", \"preset\": \"intel-core-i7-7700\", \
                     \"attack\": \"cc\", \"seed\": 5, \"trials\": 2}";
+const MATRIX_SPEC: &str = "{\"kind\":\"table2_matrix\",\"seed\":42}";
 
 /// Reads one HTTP response off a raw socket reader. Returns
 /// `None` on immediate EOF (connection closed), otherwise
@@ -118,6 +119,17 @@ fn cold_then_cached_round_trip() {
     assert!(
         stats.get("hot_hits").and_then(|v| v.as_u64()).unwrap_or(0) >= 2,
         "warm traffic must be served from the hot tier: {stats:?}"
+    );
+
+    // The same comparison for the full matrix, computed over keep-alive
+    // and re-read connection-per-request (`table2_matrix --server`).
+    let (matrix, was_cached) = client.run_to_report(MATRIX_SPEC).unwrap();
+    assert!(!was_cached);
+    let (plain, was_cached) = one_shot.run_to_report(MATRIX_SPEC).unwrap();
+    assert!(was_cached);
+    assert_eq!(
+        matrix, plain,
+        "keep-alive and close matrix reports must match"
     );
 
     handle.shutdown();
@@ -232,8 +244,7 @@ fn status_and_events_follow_a_job() {
 #[test]
 fn matrix_campaign_runs_as_a_service() {
     let (handle, client, dir) = start_server("matrix");
-    let spec = "{\"kind\": \"table2_matrix\", \"seed\": 42}";
-    let (body, was_cached) = client.run_to_report(spec).unwrap();
+    let (body, was_cached) = client.run_to_report(MATRIX_SPEC).unwrap();
     assert!(!was_cached);
     let report = RunReport::from_json(&body).unwrap();
     assert_eq!(report.counters["rows"], 5);
@@ -243,7 +254,7 @@ fn matrix_campaign_runs_as_a_service() {
     );
     assert!(report.meta.contains_key("row.intel-core-i7-7700"));
     // Served again: identical bytes.
-    let (again, was_cached) = client.run_to_report(spec).unwrap();
+    let (again, was_cached) = client.run_to_report(MATRIX_SPEC).unwrap();
     assert!(was_cached);
     assert_eq!(body, again);
     handle.shutdown();

@@ -19,7 +19,6 @@
 use tet_isa::reg::RegFile;
 use tet_isa::{Flags, Inst, Opcode, Program, Reg};
 use tet_mem::{AddressSpace, HitLevel, MemorySystem, PageWalker, PhysMem, Pte, Tlb, WalkOutcome};
-use tet_metrics::{ProfHandle, Stage as ProfStage};
 use tet_obs::{EventKind, SinkHandle, TlbKind};
 use tet_pmu::{Event, Pmu};
 
@@ -315,19 +314,6 @@ pub struct Cpu {
     /// Branch resolutions that changed a pattern counter or a BTB
     /// target, over this core's lifetime (same lifetime rules).
     predictor_moves: u64,
-    /// Host wall-time profiler (disabled = one branch per step). Pure
-    /// host-side observation: nothing simulated ever reads it, so
-    /// results are byte-identical with profiling on or off. Installed by
-    /// [`crate::Machine::set_profiler`].
-    prof: ProfHandle,
-    /// Steps until the next timed sample (counts up to `sample_every`).
-    prof_tick: u32,
-    /// Whether the step in progress is the timed 1-in-N sample.
-    prof_sampling: bool,
-    /// Scratch for the sampled step: measured execute/memory
-    /// nanoseconds, split out of the scheduler's elapsed time.
-    prof_exec_ns: u64,
-    prof_mem_ns: u64,
 }
 
 impl Cpu {
@@ -385,21 +371,8 @@ impl Cpu {
             ff_sprints: 0,
             interrupts_taken: 0,
             predictor_moves: 0,
-            prof: ProfHandle::disabled(),
-            prof_tick: 0,
-            prof_sampling: false,
-            prof_exec_ns: 0,
-            prof_mem_ns: 0,
             cfg,
         }
-    }
-
-    /// Installs (or removes) the host-time profiler handle. Host-side
-    /// only; the simulation never observes it.
-    pub(crate) fn set_profiler(&mut self, prof: ProfHandle) {
-        self.prof = prof;
-        self.prof_tick = 0;
-        self.prof_sampling = false;
     }
 
     /// The configuration this core was built with.
@@ -540,13 +513,6 @@ impl Cpu {
             ff_sprints: _,
             interrupts_taken: _,
             predictor_moves: _,
-            // Host-profiler state is this core's own, like the ff
-            // diagnostics: never copied from a snapshot.
-            prof: _,
-            prof_tick: _,
-            prof_sampling: _,
-            prof_exec_ns: _,
-            prof_mem_ns: _,
         } = src;
         debug_assert_eq!(
             self.cfg.ports, cfg.ports,
@@ -806,18 +772,6 @@ impl Cpu {
 
     /// Advances the core by one cycle.
     pub fn step(&mut self, template: &ProgramTemplate, env: &mut Env<'_>) -> StepEvents {
-        // Host-profiler sampling gate: time one full step in every
-        // `sample_every`. The decision depends only on a host-side
-        // counter, never on simulated state.
-        if self.prof.enabled() {
-            self.prof_tick += 1;
-            if self.prof_tick >= self.prof.sample_every() {
-                self.prof_tick = 0;
-                self.prof_sampling = true;
-                self.prof_exec_ns = 0;
-                self.prof_mem_ns = 0;
-            }
-        }
         let mut events = StepEvents::default();
         let now = self.cycle;
         self.sink.tick(now);
@@ -849,21 +803,13 @@ impl Cpu {
         }
         self.global_cycle += 1;
 
-        // On the sampled step each stage call is bracketed by `Instant`
-        // reads; `t*` are all `None` otherwise (one branch each).
-        let clock = |on: bool| on.then(std::time::Instant::now);
-        let t0 = clock(self.prof_sampling);
         self.resolve_branches(now);
         if let Some(flush) = self.retire_cycle(now, env) {
             events.flush_until = Some(flush);
         }
-        let t1 = clock(self.prof_sampling);
         let exec_started = self.schedule_cycle(now, env);
-        let t2 = clock(self.prof_sampling);
         let issued = self.rename_cycle(now, template);
-        let t3 = clock(self.prof_sampling);
         let (dsb_uops, mite_uops, fetch_stalled) = self.fetch_cycle(now, template, env);
-        let t4 = clock(self.prof_sampling);
 
         self.account_cycle(
             now,
@@ -873,25 +819,6 @@ impl Cpu {
             mite_uops,
             fetch_stalled,
         );
-        if let (Some(t0), Some(t1), Some(t2), Some(t3), Some(t4)) = (t0, t1, t2, t3, t4) {
-            let ns = |a: std::time::Instant, b: std::time::Instant| {
-                b.duration_since(a).as_nanos() as u64
-            };
-            self.prof.add_ns(ProfStage::Retire, ns(t0, t1));
-            // The scheduler's elapsed time minus what execute_uop spent
-            // is wakeup/select overhead; execute splits into compute vs
-            // memory µops at the call site.
-            let sched = ns(t1, t2);
-            self.prof.add_ns(ProfStage::Execute, self.prof_exec_ns);
-            self.prof.add_ns(ProfStage::Memory, self.prof_mem_ns);
-            self.prof.add_ns(
-                ProfStage::Issue,
-                sched.saturating_sub(self.prof_exec_ns + self.prof_mem_ns),
-            );
-            self.prof.add_ns(ProfStage::Rename, ns(t2, t3));
-            self.prof.add_ns(ProfStage::Fetch, ns(t3, t4));
-            self.prof_sampling = false;
-        }
         self.cycle += 1;
         events
     }
@@ -1765,20 +1692,7 @@ impl Cpu {
                         self.park_on(i, blocker);
                     } else if let Some(port) = self.free_port(now) {
                         self.ports_busy[port] = now + 1;
-                        if self.prof_sampling {
-                            let kind = self.rob[i].kind;
-                            let is_mem = kind.is_load_kind() || kind.is_store_kind();
-                            let t = std::time::Instant::now();
-                            self.execute_uop(i, now, env);
-                            let ns = t.elapsed().as_nanos() as u64;
-                            if is_mem {
-                                self.prof_mem_ns += ns;
-                            } else {
-                                self.prof_exec_ns += ns;
-                            }
-                        } else {
-                            self.execute_uop(i, now, env);
-                        }
+                        self.execute_uop(i, now, env);
                         started += 1;
                         self.pmu.bump(Event::UopsExecutedAny, 1);
                     } else {

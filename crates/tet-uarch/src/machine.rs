@@ -6,7 +6,6 @@ use std::sync::Arc;
 use tet_isa::reg::RegFile;
 use tet_isa::{Flags, Program, Reg};
 use tet_mem::{AddressSpace, FrameAlloc, MemorySystem, PhysMem, Pte, PAGE_SIZE};
-use tet_metrics::{ProfHandle, Stage as ProfStage};
 use tet_obs::{EventKind, FanoutSink, MemorySink, RunReport, SinkHandle, TraceEvent, TraceSink};
 use tet_pmu::PmuSnapshot;
 
@@ -254,12 +253,6 @@ pub struct Machine {
     /// the totals survive snapshot restores (which roll the live
     /// counter bank back). Deterministic like the rest of the PMU.
     pmu_lifetime: PmuSnapshot,
-    /// Host wall-time profiler (host-side only; see
-    /// [`Machine::set_profiler`]). Times whole runs and restores
-    /// exactly, fast-forward attempts 1-in-N.
-    prof: ProfHandle,
-    /// Countdown to the next timed fast-forward attempt.
-    prof_ff_tick: u32,
     ctx: RunCtx,
 }
 
@@ -441,20 +434,8 @@ impl Machine {
             cycles_total: 0,
             snap_restores: 0,
             pmu_lifetime: PmuSnapshot::zero(),
-            prof: ProfHandle::disabled(),
-            prof_ff_tick: 0,
             ctx: RunCtx::new(),
         }
-    }
-
-    /// Installs a host-time profiler handle on this machine and its
-    /// core. Strictly host-side observation: simulated results are
-    /// byte-identical with a profiler installed or not (the determinism
-    /// suite gates this). Pass [`ProfHandle::disabled`] to remove.
-    pub fn set_profiler(&mut self, prof: ProfHandle) {
-        self.cpu.set_profiler(prof.clone());
-        self.prof = prof;
-        self.prof_ff_tick = 0;
     }
 
     /// Turns event-driven fast-forward on (the default) or off for this
@@ -514,13 +495,8 @@ impl Machine {
             cycles_total: _,
             snap_restores: _,
             pmu_lifetime: _,
-            prof: _,
-            prof_ff_tick: _,
             ctx: _,
         } = &snap.state;
-        // Restores are rare relative to steps and bracket real work, so
-        // they are always timed exactly (never sampled).
-        let t = self.prof.enabled().then(std::time::Instant::now);
         // Each structure repairs only the slots it journaled since the
         // shared seal, or copies exhaustively when no seal is shared
         // (e.g. the first restore from a foreign snapshot, which then
@@ -535,10 +511,6 @@ impl Machine {
         self.code_pages_mapped = *code_pages_mapped;
         self.check_mode = *check_mode;
         self.snap_restores += 1;
-        if let Some(t) = t {
-            self.prof
-                .add_ns(ProfStage::SnapshotRestore, t.elapsed().as_nanos() as u64);
-        }
     }
 
     /// Builds a fresh machine from a snapshot — how parallel workers
@@ -853,9 +825,6 @@ impl Machine {
     /// Pipeline state and architectural registers reset per run; BPU,
     /// DSB, TLBs, caches, fill buffers and the PMU persist.
     pub fn run(&mut self, program: &Program, cfg: &RunConfig) -> RunResult {
-        // Whole runs are timed exactly (two clock reads per run — noise
-        // next to a run's millions of steps).
-        let prof_run_t = self.prof.enabled().then(std::time::Instant::now);
         self.map_code(program.len());
         let (handle, recorder) = compose_run_sink(cfg, self.ctx.recorder.as_ref());
         self.mem.set_sink(handle.clone());
@@ -901,22 +870,7 @@ impl Machine {
                 break;
             }
             if fast_forward {
-                // Fast-forward attempts run once per step, so they are
-                // sampled 1-in-N like the pipeline stages.
-                if self.prof.enabled() {
-                    self.prof_ff_tick += 1;
-                    if self.prof_ff_tick >= self.prof.sample_every() {
-                        self.prof_ff_tick = 0;
-                        let t = std::time::Instant::now();
-                        self.cpu.try_fast_forward(cfg.max_cycles);
-                        self.prof
-                            .add_ns(ProfStage::FastForward, t.elapsed().as_nanos() as u64);
-                    } else {
-                        self.cpu.try_fast_forward(cfg.max_cycles);
-                    }
-                } else {
-                    self.cpu.try_fast_forward(cfg.max_cycles);
-                }
+                self.cpu.try_fast_forward(cfg.max_cycles);
                 if self.cpu.cycle() >= cfg.max_cycles {
                     break; // skipped to the budget: CycleLimit, like stepping would
                 }
@@ -957,10 +911,6 @@ impl Machine {
         };
         self.runs += 1;
         self.cycles_total += self.cpu.cycle();
-        if let Some(t) = prof_run_t {
-            self.prof
-                .add_ns(ProfStage::Run, t.elapsed().as_nanos() as u64);
-        }
         let pmu_delta = self.cpu.pmu.snapshot().delta(&pmu_before);
         self.pmu_lifetime.accumulate(&pmu_delta);
         RunResult {
@@ -1017,58 +967,6 @@ mod tests {
         // And the value is architecturally visible afterwards.
         let pa = m.aspace().translate(0x20_0008).unwrap();
         assert_eq!(m.phys().read_u64(pa), 0xfeed);
-    }
-
-    #[test]
-    fn profiler_never_perturbs_simulated_results() {
-        // The same program on identical machines, profiled (timing every
-        // step, restore and run — the most invasive setting) vs not:
-        // every simulated output must match exactly.
-        let build = || {
-            let mut a = Asm::new();
-            let top = a.fresh_label();
-            a.mov_imm(Reg::Rcx, 50).mov_imm(Reg::Rax, 0);
-            a.bind(top)
-                .add(Reg::Rax, 7u64)
-                .sub(Reg::Rcx, 1u64)
-                .jcc(Cond::Ne, top)
-                .halt();
-            a.assemble().unwrap()
-        };
-        let prog = build();
-
-        let mut plain = machine();
-        let base = plain.run(&prog, &RunConfig::default());
-        let snap_plain = plain.snapshot();
-        let mut r_plain = plain;
-        r_plain.restore(&snap_plain);
-        let base2 = r_plain.run(&prog, &RunConfig::default());
-
-        let profiler = tet_metrics::HostProfiler::new(1);
-        let mut profiled = machine();
-        profiled.set_profiler(profiler.handle());
-        let got = profiled.run(&prog, &RunConfig::default());
-        let snap_prof = profiled.snapshot();
-        profiled.restore(&snap_prof);
-        let got2 = profiled.run(&prog, &RunConfig::default());
-
-        assert_eq!(base.cycles, got.cycles);
-        assert_eq!(base.regs, got.regs);
-        assert_eq!(base.pmu, got.pmu);
-        assert_eq!(base2.cycles, got2.cycles);
-        assert_eq!(base2.regs, got2.regs);
-        assert_eq!(base2.pmu, got2.pmu);
-        // And the profiler did observe the work.
-        let est: std::collections::HashMap<_, _> = profiler.estimate_ns().into_iter().collect();
-        assert!(est[&tet_metrics::Stage::Run] > 0, "runs were timed");
-        assert!(
-            profiler.hits(tet_metrics::Stage::SnapshotRestore) == 1,
-            "the restore was timed"
-        );
-        assert!(
-            profiler.hits(tet_metrics::Stage::Retire) > 0,
-            "steps were sampled"
-        );
     }
 
     /// The µop-template cache is keyed on program contents: one machine

@@ -23,28 +23,19 @@
 //! `kernel.*_ns` and `structures.*_ns` keys are recorded but not gated.
 //! `decode_sweep_noisy` repeats the decode sweep under the §4.1
 //! timer-interrupt noise (period 7919).
-//!
-//! A final self-profile section reruns the matrix with the sampled
-//! host-time profiler installed (separate from the timed legs, which
-//! stay unprofiled) and exports `bench_core.folded` (collapsed stacks
-//! for flamegraphs) and `bench_core.prom` (Prometheus text) next to the
-//! JSON reports.
 
 use std::hint::black_box;
 use std::time::Instant;
 
 use tet_isa::{Asm, Cond, Reg};
 use tet_mem::{Cache, CacheConfig, Pte, Tlb, TlbConfig};
-use tet_metrics::{prof, to_prometheus, HostProfiler};
-use tet_obs::MetricsSection;
 use tet_uarch::frontend::Dsb;
 use tet_uarch::{Bpu, BpuConfig, CpuConfig, Machine, RunConfig};
 use whisper::channel::TetCovertChannel;
-use whisper::eval::{run_table2_matrix_detailed, run_table2_matrix_observed};
+use whisper::eval::run_table2_matrix_detailed;
 use whisper::gadget::{TetGadget, TetGadgetSpec};
 use whisper::scenario::{Scenario, ScenarioOptions};
-use whisper_bench::telemetry::Campaign;
-use whisper_bench::{baseline, section, write_sidecar, RunReport};
+use whisper_bench::{baseline, section, RunReport};
 
 /// Median ns/iteration over `samples` timing windows of `iters` calls.
 fn median_ns(samples: usize, iters: usize, mut f: impl FnMut()) -> f64 {
@@ -82,10 +73,6 @@ fn main() {
     // Simulated-cycles-per-host-second, measured on the decode sweep (the
     // dominant single-thread workload of every experiment binary).
     let mut sim_rate = None;
-    // The unprofiled matrix result and trial count, compared against the
-    // self-profile leg to prove profiling never perturbs results.
-    let matrix_rows;
-    let matrix_trials;
 
     section("fig1 gadget probe (one Machine::run through the transient window)");
     {
@@ -296,8 +283,6 @@ fn main() {
         rep.counter("table2.dtlb_walks", stats.dtlb_walks);
         rep.counter("table2.branches", stats.branches);
         rep.counter("table2.br_mispredicts", stats.br_mispredicts);
-        matrix_rows = serial;
-        matrix_trials = stats.runs;
     }
 
     section("simulator kernels (one Machine::run per iteration)");
@@ -462,53 +447,6 @@ fn main() {
             println!("  {id:<24} {ns:>9.0} ns/iter (median of {samples} x {iters})");
             rep.scalar(&format!("structures.{id}_ns"), ns);
         }
-    }
-
-    section("self-profile (sampled host-time attribution, separate leg)");
-    {
-        // The timed legs above run unprofiled so their numbers are the
-        // clean ones; this leg reruns the matrix with the profiler and
-        // the campaign dashboard installed and exports the attribution.
-        let profiler = HostProfiler::new(prof::sample_every_from_env());
-        let campaign = Campaign::new("bench_core", (CpuConfig::table2_presets().len() * 5) as u64);
-        let t = Instant::now();
-        let (rows, pstats) =
-            run_table2_matrix_observed(42, effective, &profiler.handle(), |_, cs| {
-                campaign.on_cell(cs)
-            });
-        let profiled_s = t.elapsed().as_secs_f64();
-        assert_eq!(
-            rows, matrix_rows,
-            "profiled matrix must match the unprofiled one"
-        );
-        assert_eq!(pstats.runs, matrix_trials, "profiler must not add trials");
-        let mut metrics = MetricsSection::default();
-        profiler.fill_metrics(&mut metrics);
-        campaign.finish(&mut metrics);
-        let run_ns = profiler
-            .estimate_ns()
-            .iter()
-            .find(|(s, _)| *s == prof::Stage::Run)
-            .map_or(0, |&(_, ns)| ns)
-            .max(1);
-        for (stage, ns) in profiler.estimate_ns() {
-            if ns > 0 && stage != prof::Stage::Run {
-                println!(
-                    "  {:<16} {:>8.1} ms  ({:>4.1}% of run time)",
-                    stage.label(),
-                    ns as f64 / 1e6,
-                    ns as f64 / run_ns as f64 * 100.0
-                );
-            }
-        }
-        println!(
-            "  profiled leg: {profiled_s:.3} s at 1-in-{} step sampling",
-            profiler.sample_every()
-        );
-        rep.scalar("self_profile.seconds", profiled_s);
-        write_sidecar("bench_core.folded", &profiler.to_folded());
-        write_sidecar("bench_core.prom", &to_prometheus(&metrics));
-        rep.set_metrics(metrics);
     }
 
     rep.set_throughput(started.elapsed(), threads, None);

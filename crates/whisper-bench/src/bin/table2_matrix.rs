@@ -10,10 +10,9 @@
 //! silences it; `TET_FLIGHT=path` appends the telemetry as JSONL).
 //!
 //! With `TET_METRICS=1` the run also exports a metrics section in the
-//! JSON report plus a Prometheus text file next to it; `TET_PROF=1`
-//! adds sampled host-time attribution and a collapsed-stack export.
-//! All of that is host-side observation — stdout is byte-identical
-//! with every combination of those switches.
+//! JSON report plus a Prometheus text file next to it. All of that is
+//! host-side observation — stdout is byte-identical with every
+//! combination of those switches.
 //!
 //! With `--server URL` the binary becomes a thin client of the
 //! `whisper-serve` campaign service: it submits the same matrix
@@ -26,7 +25,7 @@
 //! Run: `cargo run -p whisper-bench --bin table2_matrix [--threads N] [--check]
 //!       [--server URL]`
 
-use tet_metrics::{to_prometheus, HostProfiler, ProfHandle, Registry};
+use tet_metrics::{to_prometheus, Registry};
 use tet_obs::MetricsSection;
 use tet_uarch::CpuConfig;
 use whisper::eval::{
@@ -133,7 +132,6 @@ fn main() {
     let mut all_match = true;
     let mut rep = RunReport::new("table2_matrix");
     let registry = Registry::from_env(); // TET_METRICS=1
-    let profiler = HostProfiler::from_env(); // TET_PROF=1
     let cells_total =
         (CpuConfig::table2_presets().len() * whisper::eval::TABLE2_ATTACKS.len()) as u64;
     let campaign = Campaign::with_metrics(
@@ -143,9 +141,6 @@ fn main() {
             .as_ref()
             .map_or_else(tet_metrics::MetricsHandle::disabled, |r| r.handle()),
     );
-    let prof_handle = profiler
-        .as_ref()
-        .map_or_else(ProfHandle::disabled, |p| p.handle());
     let started = std::time::Instant::now();
     let (rows, stats) = if let Some(url) = &server {
         matrix_via_server(url).unwrap_or_else(|e| {
@@ -153,7 +148,7 @@ fn main() {
             std::process::exit(1);
         })
     } else {
-        run_table2_matrix_observed(42, threads, &prof_handle, |_, cs| campaign.on_cell(cs))
+        run_table2_matrix_observed(42, threads, |_, cs| campaign.on_cell(cs))
     };
     let wall = started.elapsed();
     for row in &rows {
@@ -190,22 +185,16 @@ fn main() {
     rep.set_throughput(wall, threads, None);
 
     // Host-side telemetry exports: the dashboard always closes (stderr,
-    // quiet-gated); the metrics section and sidecar files only exist
-    // when TET_METRICS=1 / TET_PROF=1 opted in.
+    // quiet-gated); the metrics section and sidecar file only exist
+    // when TET_METRICS=1 opted in.
     let mut metrics = MetricsSection::default();
     campaign.finish(&mut metrics);
-    if let Some(p) = &profiler {
-        p.fill_metrics(&mut metrics);
-        write_sidecar("table2_matrix.folded", &p.to_folded());
-    }
     if let Some(r) = &registry {
         let shards = r.snapshot();
         metrics.counters.extend(shards.counters);
         metrics.gauges.extend(shards.gauges);
         metrics.histograms.extend(shards.histograms);
         write_sidecar("table2_matrix.prom", &to_prometheus(&metrics));
-    }
-    if registry.is_some() || profiler.is_some() {
         rep.set_metrics(metrics);
     }
 

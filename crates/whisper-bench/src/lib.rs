@@ -135,7 +135,7 @@ pub fn write_report(report: &RunReport) {
     }
 }
 
-/// The directory sidecar exports (`.prom`, `.folded`, flight JSONL)
+/// The directory sidecar exports (`.prom`, flight JSONL)
 /// share with the JSON reports: `TET_REPORT_DIR` or `target/reports`,
 /// created on demand.
 pub fn report_dir() -> std::path::PathBuf {

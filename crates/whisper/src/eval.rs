@@ -6,7 +6,6 @@
 //! a majority of the secret bytes recovered (leaks), a decoded bit
 //! pattern (covert channels), or the exact base found (KASLR).
 
-use tet_metrics::ProfHandle;
 use tet_pmu::Event;
 use tet_uarch::CpuConfig;
 
@@ -142,24 +141,11 @@ pub fn run_table2_cell_detailed(
     seed: u64,
     attack: usize,
 ) -> (AttackStatus, CellStats) {
-    run_table2_cell_instrumented(cfg, seed, attack, &ProfHandle::disabled())
-}
-
-/// [`run_table2_cell_detailed`] with a host profiler installed on the
-/// cell's machine. The profiler only accumulates host wall-time on the
-/// side (see `tet-metrics`); pass [`ProfHandle::disabled`] for the
-/// plain path — the simulated outcome is identical either way.
-pub fn run_table2_cell_instrumented(
-    cfg: &CpuConfig,
-    seed: u64,
-    attack: usize,
-    prof: &ProfHandle,
-) -> (AttackStatus, CellStats) {
     let opts = ScenarioOptions {
         seed,
         ..ScenarioOptions::default()
     };
-    run_table2_cell_opts(cfg, &opts, attack, prof)
+    run_table2_cell_opts(cfg, &opts, attack)
 }
 
 /// The fully-general cell entry point: one attack on one preset with an
@@ -170,12 +156,8 @@ pub fn run_table2_cell_opts(
     cfg: &CpuConfig,
     opts: &ScenarioOptions,
     attack: usize,
-    prof: &ProfHandle,
 ) -> (AttackStatus, CellStats) {
     let mut sc = Scenario::new(cfg.clone(), opts);
-    if prof.enabled() {
-        sc.machine.set_profiler(prof.clone());
-    }
     let status = run_attack_on(&mut sc, attack);
     let mut stats = CellStats::default();
     stats.absorb(sc.machine.stats());
@@ -258,22 +240,20 @@ pub fn run_table2_matrix(seed: u64, threads: usize) -> Vec<Table2Row> {
 /// cells — what `bench_core` divides wall time by to get
 /// `table2.ns_per_trial`.
 pub fn run_table2_matrix_detailed(seed: u64, threads: usize) -> (Vec<Table2Row>, CellStats) {
-    run_table2_matrix_observed(seed, threads, &ProfHandle::disabled(), |_, _| {})
+    run_table2_matrix_observed(seed, threads, |_, _| {})
 }
 
-/// [`run_table2_matrix_detailed`] with live telemetry hooks: installs
-/// `prof` on every cell's machine and calls `observe(cell_index,
-/// &cell_stats)` on the worker thread as each cell completes (completion
-/// order — see [`tet_par::run_indexed_observed`]).
+/// [`run_table2_matrix_detailed`] with a live telemetry hook: calls
+/// `observe(cell_index, &cell_stats)` on the worker thread as each cell
+/// completes (completion order — see [`tet_par::run_indexed_observed`]).
 ///
 /// The observer is telemetry-only (flight recorders, stderr dashboards):
 /// results are committed before it runs, so the returned rows and summed
 /// stats are byte-identical to [`run_table2_matrix_detailed`] for any
-/// thread count, profiler, or observer.
+/// thread count or observer.
 pub fn run_table2_matrix_observed<O>(
     seed: u64,
     threads: usize,
-    prof: &ProfHandle,
     observe: O,
 ) -> (Vec<Table2Row>, CellStats)
 where
@@ -285,7 +265,7 @@ where
         threads,
         presets.len() * n_attacks,
         || (),
-        |(), i| run_table2_cell_instrumented(&presets[i / n_attacks], seed, i % n_attacks, prof),
+        |(), i| run_table2_cell_detailed(&presets[i / n_attacks], seed, i % n_attacks),
         |i, (_, cs): &(AttackStatus, CellStats)| observe(i, cs),
     );
     let mut total = CellStats::default();
@@ -371,16 +351,10 @@ mod tests {
     #[test]
     fn instrumented_cell_matches_plain_and_counts_pmu() {
         let cfg = CpuConfig::kaby_lake_i7_7700();
-        let prof = tet_metrics::HostProfiler::new(8);
-        let plain = run_table2_cell_detailed(&cfg, 3, 0);
-        let inst = run_table2_cell_instrumented(&cfg, 3, 0, &prof.handle());
-        assert_eq!(plain, inst, "profiler must not perturb the cell");
-        assert!(inst.1.l1_hits > 0, "covert channel retires L1 hits");
-        assert!(inst.1.dtlb_walks > 0, "covert channel walks the DTLB");
-        assert!(
-            prof.hits(tet_metrics::Stage::Run) > 0,
-            "profiler saw the runs"
-        );
+        let (status, stats) = run_table2_cell_detailed(&cfg, 3, 0);
+        assert_eq!(status, run_table2_cell(&cfg, 3, 0));
+        assert!(stats.l1_hits > 0, "covert channel retires L1 hits");
+        assert!(stats.dtlb_walks > 0, "covert channel walks the DTLB");
     }
 
     #[test]
