@@ -2,27 +2,33 @@
 //!
 //! # Representation
 //!
-//! Each set is a fixed window of `ways` slots (tag, LRU age stamp,
-//! validity epoch). Recency is tracked with a monotone per-cache tick: a
-//! touched way takes the next stamp, the LRU victim is the minimum-stamp
-//! way, and stamp `0` marks an empty slot. This is observationally
-//! identical to the original per-set MRU-first `Vec` lists (the
-//! equivalence property test below drives both against random traces)
-//! while making lookup a branch-light scan of `ways` contiguous slots.
+//! `SetAssoc<P>`, the one set-associative array behind caches and TLBs,
+//! maps a `u64` key whose low bits pick the set to a payload `P`: `()`
+//! for a cache line keyed by line number, a [`Pte`](crate::Pte) for a
+//! TLB entry keyed by VPN. [`Cache`] and [`Tlb`](crate::Tlb) are thin
+//! address-to-key views over it.
 //!
-//! A one-entry MRU filter (the last line that hit or filled) short-cuts
-//! the repeated-line case that dominates warm gadget loops: the filter
-//! line necessarily holds its set's maximum stamp, so re-touching it can
-//! skip even the stamp update without reordering any set.
+//! Each set is a fixed window of `ways` slots (key, payload, LRU age
+//! stamp, validity epoch). Recency is a monotone per-array tick: a
+//! touched way takes the next stamp, the victim is the first invalid way
+//! or else the minimum-stamp way, and stamp `0` marks an empty slot.
+//! This is observationally identical to the original per-set MRU-first
+//! `Vec` lists (the equivalence property tests here and in `tlb.rs`
+//! drive both against random traces).
+//!
+//! A one-entry MRU filter (the last key that hit or filled, with its
+//! payload) short-cuts the repeated-key case of warm gadget loops: the
+//! filter key holds its set's maximum stamp, so re-touching it skips
+//! even the stamp update without reordering any set.
 //!
 //! # Copy-on-write chunks (DESIGN.md §19)
 //!
 //! The slots live in a table of chunks of `CHUNK_SETS` whole sets each,
-//! `Option<Arc<[Slot]>>` per chunk. A chunk that was never written is
+//! `Option<Arc<[Slot<P>]>>` per chunk. A chunk that was never written is
 //! absent and reads as empty (stamp 0 already means empty), so a new
 //! 8 MiB LLC costs a table of null pointers, not megabytes of zeroes.
-//! Cloning a cache bumps one reference count per present chunk; every
-//! write goes through `Cache::chunk_mut`, which allocates an absent
+//! Cloning an array bumps one reference count per present chunk; every
+//! write goes through `SetAssoc::chunk_mut`, which allocates an absent
 //! chunk and forks a shared one with `Arc::make_mut`. Cloning,
 //! snapshotting and forking a machine therefore cost O(chunks present),
 //! and the clone's writes never reach the snapshot.
@@ -34,16 +40,16 @@
 //! stamp), so [`Cache::restore`] re-points only the chunks touched since
 //! the seal at the snapshot's shared copies. A slot is *valid* iff its
 //! LRU stamp is non-zero **and** its validity epoch matches the
-//! cache-wide flush epoch, which turns [`Cache::flush_all`] into a single
+//! array-wide flush epoch, which turns [`Cache::flush_all`] into a single
 //! counter bump with lazy revalidation on next access instead of an
 //! O(slots) walk.
 
 use std::sync::Arc;
 
-use crate::{line_addr, same_seal, LINE_SIZE};
+use crate::{same_seal, LINE_SIZE};
 
 /// Sets per chunk — the unit of lazy allocation, copy-on-write sharing
-/// and restore journaling. Caches with fewer sets use one chunk.
+/// and restore journaling. Arrays with fewer sets use one chunk.
 const CHUNK_SETS: usize = 4;
 
 /// Geometry and latency of one cache level.
@@ -93,16 +99,356 @@ impl CacheConfig {
 
 /// One way of one set.
 #[derive(Debug, Clone, Copy, Default)]
-struct Slot {
-    /// Resident line address. Valid iff `stamp` is non-zero (line
-    /// address 0 is legal, so validity cannot live in the tag).
-    tag: u64,
+struct Slot<P> {
+    /// Resident key. Valid iff `stamp` is non-zero (key 0 is legal, so
+    /// validity cannot live in the key).
+    key: u64,
     /// LRU age stamp; larger = more recent, 0 = empty.
     stamp: u64,
     /// Validity epoch: the slot is live iff `stamp != 0` and
     /// `vepoch == flush_epoch`. `flush_all` bumps `flush_epoch`, lazily
     /// invalidating every slot in O(1).
     vepoch: u32,
+    /// What the key maps to.
+    payload: P,
+}
+
+/// A set-associative array of `key → payload` entries with LRU
+/// replacement, copy-on-write chunks and a restore journal (see the
+/// module docs). [`Cache`] and [`Tlb`](crate::Tlb) wrap one each.
+#[derive(Debug, Clone)]
+pub(crate) struct SetAssoc<P> {
+    sets: usize,
+    ways: usize,
+    /// log2 of the sets per chunk: `CHUNK_SETS`, or every set of a
+    /// smaller array.
+    chunk_shift: u32,
+    /// `ways` consecutive slots per set, `1 << chunk_shift` sets per
+    /// chunk; `None` = never written, every slot empty. Shared with
+    /// clones until written.
+    chunks: Vec<Option<Arc<[Slot<P>]>>>,
+    /// Monotone recency clock (starts at 1 so 0 stays the empty marker).
+    tick: u64,
+    /// One-entry MRU filter: the last key that hit or filled, and its
+    /// payload.
+    mru: Option<(u64, P)>,
+    hits: u64,
+    misses: u64,
+    flush_epoch: u32,
+    /// Identity of the seal this array (and any clone of it) derives
+    /// from; `restore` only trusts journals across a shared seal.
+    seal: Option<Arc<()>>,
+    /// Journal epoch: 0 = journaling off (never sealed). A chunk is
+    /// already journaled this epoch iff `jepoch[ci] == epoch`.
+    epoch: u32,
+    /// Per-chunk journal stamps, deduplicating `journal`.
+    jepoch: Vec<u32>,
+    /// Chunks written since the last seal/restore.
+    journal: Vec<u32>,
+    /// Set when a rare event (flush-epoch wrap) mutated chunks without
+    /// journaling; forces the next restore down the exhaustive path.
+    full_dirty: bool,
+}
+
+impl<P: Copy + Default> SetAssoc<P> {
+    /// An empty array of `sets` (a power of two) × `ways` slots. No slot
+    /// storage is allocated until a key is installed.
+    pub(crate) fn new(sets: usize, ways: usize) -> Self {
+        let chunk_sets = CHUNK_SETS.min(sets);
+        let n = sets / chunk_sets;
+        SetAssoc {
+            sets,
+            ways,
+            chunk_shift: chunk_sets.trailing_zeros(),
+            chunks: vec![None; n],
+            tick: 0,
+            mru: None,
+            hits: 0,
+            misses: 0,
+            flush_epoch: 0,
+            seal: None,
+            epoch: 0,
+            jepoch: vec![0; n],
+            journal: Vec::new(),
+            full_dirty: false,
+        }
+    }
+
+    /// The chunk holding `key`'s set, and the offset of that set's first
+    /// slot within the chunk.
+    #[inline]
+    fn locate(&self, key: u64) -> (usize, usize) {
+        let set = (key as usize) & (self.sets - 1);
+        let ci = set >> self.chunk_shift;
+        let off = (set & ((1 << self.chunk_shift) - 1)) * self.ways;
+        (ci, off)
+    }
+
+    #[inline]
+    fn next_stamp(&mut self) -> u64 {
+        self.tick += 1;
+        self.tick
+    }
+
+    /// Whether `s` holds a live entry (non-empty and not lazily
+    /// invalidated by a later `flush_all`).
+    #[inline]
+    fn live(&self, s: &Slot<P>) -> bool {
+        s.stamp != 0 && s.vepoch == self.flush_epoch
+    }
+
+    /// The chunk-relative slot holding `key` in the set at `off` of
+    /// chunk `ci`, if resident.
+    #[inline]
+    fn find(&self, ci: usize, off: usize, key: u64) -> Option<usize> {
+        let chunk = self.chunks[ci].as_ref()?;
+        chunk[off..off + self.ways]
+            .iter()
+            .position(|s| self.live(s) && s.key == key)
+            .map(|i| off + i)
+    }
+
+    /// The one write path: journals chunk `ci` (once per epoch), then
+    /// allocates it if absent or forks it if shared with a clone.
+    #[inline]
+    fn chunk_mut(&mut self, ci: usize) -> &mut [Slot<P>] {
+        if self.epoch != 0 && self.jepoch[ci] != self.epoch {
+            self.jepoch[ci] = self.epoch;
+            self.journal.push(ci as u32);
+        }
+        let len = self.ways << self.chunk_shift;
+        let chunk = self.chunks[ci]
+            .get_or_insert_with(|| std::iter::repeat_n(Slot::default(), len).collect());
+        Arc::make_mut(chunk)
+    }
+
+    /// Every live slot of every present chunk.
+    fn live_slots(&self) -> impl Iterator<Item = &Slot<P>> {
+        self.chunks
+            .iter()
+            .flatten()
+            .flat_map(|c| c.iter())
+            .filter(|s| self.live(s))
+    }
+
+    /// Starts a new journal epoch; wraps reset the per-chunk stamps so a
+    /// recycled epoch value can never alias a stale journal mark.
+    fn bump_epoch(&mut self) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.jepoch.fill(0);
+            self.epoch = 1;
+        }
+    }
+
+    /// Looks up `key`, updating LRU and hit/miss statistics. Returns its
+    /// payload on a hit.
+    pub(crate) fn lookup(&mut self, key: u64) -> Option<P> {
+        // MRU fast path: this key already holds its set's max stamp, so
+        // skipping the stamp refresh preserves every relative order.
+        if let Some((k, payload)) = self.mru {
+            if k == key {
+                self.hits += 1;
+                return Some(payload);
+            }
+        }
+        let (ci, off) = self.locate(key);
+        let Some(w) = self.find(ci, off, key) else {
+            self.misses += 1;
+            return None;
+        };
+        let stamp = self.next_stamp();
+        let slot = &mut self.chunk_mut(ci)[w];
+        slot.stamp = stamp;
+        let payload = slot.payload;
+        self.mru = Some((key, payload));
+        self.hits += 1;
+        Some(payload)
+    }
+
+    /// Checks for presence without updating LRU or statistics.
+    pub(crate) fn probe(&self, key: u64) -> bool {
+        let (ci, off) = self.locate(key);
+        self.find(ci, off, key).is_some()
+    }
+
+    /// Installs `key → payload`, evicting the LRU way if the set is full.
+    /// A resident key has its payload and recency refreshed in place.
+    /// Returns the evicted key, if any.
+    pub(crate) fn fill(&mut self, key: u64, payload: P) -> Option<u64> {
+        let (ci, off) = self.locate(key);
+        let stamp = self.next_stamp();
+        self.mru = Some((key, payload));
+        if let Some(w) = self.find(ci, off, key) {
+            let slot = &mut self.chunk_mut(ci)[w];
+            slot.stamp = stamp;
+            slot.payload = payload;
+            return None;
+        }
+        let (ways, flush_epoch) = (self.ways, self.flush_epoch);
+        let set = &mut self.chunk_mut(ci)[off..off + ways];
+        // Reuse an empty way, else evict the minimum-stamp (LRU) way.
+        let mut victim = 0;
+        let mut victim_stamp = u64::MAX;
+        let mut evicted = None;
+        for (i, s) in set.iter().enumerate() {
+            if s.stamp == 0 || s.vepoch != flush_epoch {
+                victim = i;
+                evicted = None;
+                break;
+            }
+            if s.stamp < victim_stamp {
+                victim_stamp = s.stamp;
+                victim = i;
+                evicted = Some(s.key);
+            }
+        }
+        set[victim] = Slot {
+            key,
+            stamp,
+            vepoch: flush_epoch,
+            payload,
+        };
+        evicted
+    }
+
+    /// Removes `key`. Returns whether it was present.
+    pub(crate) fn remove(&mut self, key: u64) -> bool {
+        if matches!(self.mru, Some((k, _)) if k == key) {
+            self.mru = None;
+        }
+        let (ci, off) = self.locate(key);
+        match self.find(ci, off, key) {
+            Some(w) => {
+                self.chunk_mut(ci)[w].stamp = 0;
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Empties the array: a single flush-epoch bump — every slot's
+    /// validity epoch goes stale and the slot reads as empty until the
+    /// next fill revalidates it (DESIGN.md §16).
+    pub(crate) fn flush_all(&mut self) {
+        self.mru = None;
+        self.flush_epoch = self.flush_epoch.wrapping_add(1);
+        if self.flush_epoch == 0 {
+            // Counter wrap (once per 2^32 flushes): drop every chunk so
+            // no stale slot can alias the recycled epoch; the unjournaled
+            // bulk write forces a full restore.
+            self.chunks.fill(None);
+            self.full_dirty = true;
+        }
+    }
+
+    /// Removes every entry whose payload fails `keep`: an eager scan
+    /// that writes, and so journals, only the chunks holding a victim.
+    pub(crate) fn retain(&mut self, keep: impl Fn(&P) -> bool) {
+        self.mru = None;
+        let epoch = self.flush_epoch;
+        let victim = move |s: &Slot<P>| s.stamp != 0 && s.vepoch == epoch && !keep(&s.payload);
+        for ci in 0..self.chunks.len() {
+            if self.chunks[ci]
+                .as_ref()
+                .is_some_and(|c| c.iter().any(&victim))
+            {
+                for s in self.chunk_mut(ci) {
+                    if victim(s) {
+                        s.stamp = 0;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Number of live entries.
+    pub(crate) fn len(&self) -> usize {
+        self.live_slots().count()
+    }
+
+    /// The sorted keys of live entries. Two arrays' key lists differ iff
+    /// their resident sets differ.
+    pub(crate) fn sorted_keys(&self) -> Vec<u64> {
+        let mut keys: Vec<u64> = self.live_slots().map(|s| s.key).collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    /// Lifetime `(hits, misses)` counts.
+    pub(crate) fn stats(&self) -> (u64, u64) {
+        (self.hits, self.misses)
+    }
+
+    /// Number of chunks journaled since the last seal/restore.
+    pub(crate) fn journal_len(&self) -> usize {
+        self.journal.len()
+    }
+
+    /// Whether this array and `other` derive from the same seal.
+    #[cfg(test)]
+    pub(crate) fn shares_seal(&self, other: &Self) -> bool {
+        same_seal(&self.seal, &other.seal)
+    }
+
+    /// Marks the current state as a snapshot point (see [`Cache::seal`]).
+    pub(crate) fn seal(&mut self) {
+        self.seal = Some(Arc::new(()));
+        self.journal.clear();
+        self.full_dirty = false;
+        self.bump_epoch();
+    }
+
+    /// Rolls this array back to `src`, a sealed snapshot (see
+    /// [`Cache::restore`]).
+    pub(crate) fn restore(&mut self, src: &Self) {
+        let SetAssoc {
+            sets,
+            ways,
+            chunk_shift,
+            chunks,
+            tick,
+            mru,
+            hits,
+            misses,
+            flush_epoch,
+            seal,
+            // Journal bookkeeping is this array's own; it restarts below.
+            epoch: _,
+            jepoch: _,
+            journal,
+            full_dirty,
+        } = src;
+        if same_seal(&self.seal, seal) && !self.full_dirty {
+            debug_assert!(
+                journal.is_empty() && !full_dirty,
+                "restore source must be a sealed, unmutated snapshot"
+            );
+            for &ci in &self.journal {
+                self.chunks[ci as usize].clone_from(&chunks[ci as usize]);
+            }
+        } else {
+            debug_assert_eq!(
+                (self.sets, self.ways),
+                (*sets, *ways),
+                "restore across geometries"
+            );
+            self.sets = *sets;
+            self.ways = *ways;
+            self.chunk_shift = *chunk_shift;
+            self.chunks.clone_from(chunks);
+            self.jepoch.resize(chunks.len(), 0);
+            self.seal.clone_from(seal);
+            self.full_dirty = false;
+        }
+        self.journal.clear();
+        self.bump_epoch();
+        self.tick = *tick;
+        self.mru = *mru;
+        self.hits = *hits;
+        self.misses = *misses;
+        self.flush_epoch = *flush_epoch;
+    }
 }
 
 /// One level of set-associative cache, tracking line presence (tags only —
@@ -126,54 +472,16 @@ struct Slot {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    /// log2 of the sets per chunk: `CHUNK_SETS`, or every set of a
-    /// smaller cache.
-    chunk_shift: u32,
-    /// `ways` consecutive slots per set, `1 << chunk_shift` sets per
-    /// chunk; `None` = never written, every slot empty. Shared with
-    /// clones until written.
-    chunks: Vec<Option<Arc<[Slot]>>>,
-    /// Monotone recency clock (starts at 1 so 0 stays the empty marker).
-    tick: u64,
-    /// One-entry MRU filter: the last line that hit or filled.
-    mru: Option<u64>,
-    hits: u64,
-    misses: u64,
-    flush_epoch: u32,
-    /// Identity of the seal this cache (and any clone of it) derives
-    /// from; `restore` only trusts journals across a shared seal.
-    seal: Option<Arc<()>>,
-    /// Journal epoch: 0 = journaling off (never sealed). A chunk is
-    /// already journaled this epoch iff `jepoch[ci] == epoch`.
-    epoch: u32,
-    /// Per-chunk journal stamps, deduplicating `journal`.
-    jepoch: Vec<u32>,
-    /// Chunks written since the last seal/restore.
-    journal: Vec<u32>,
-    /// Set when a rare event (epoch counter wrap) mutated chunks without
-    /// journaling; forces the next restore down the exhaustive path.
-    full_dirty: bool,
+    /// Resident lines, keyed by line number (`addr / LINE_SIZE`).
+    array: SetAssoc<()>,
 }
 
 impl Cache {
     /// Creates an empty cache with the given geometry. No slot storage
     /// is allocated until a line is installed.
     pub fn new(cfg: CacheConfig) -> Self {
-        let chunk_sets = CHUNK_SETS.min(cfg.sets);
-        let n = cfg.sets / chunk_sets;
         Cache {
-            chunk_shift: chunk_sets.trailing_zeros(),
-            chunks: vec![None; n],
-            tick: 0,
-            mru: None,
-            hits: 0,
-            misses: 0,
-            flush_epoch: 0,
-            seal: None,
-            epoch: 0,
-            jepoch: vec![0; n],
-            journal: Vec::new(),
-            full_dirty: false,
+            array: SetAssoc::new(cfg.sets, cfg.ways),
             cfg,
         }
     }
@@ -183,194 +491,60 @@ impl Cache {
         self.cfg
     }
 
-    /// The chunk holding `line`'s set, and the offset of that set's
-    /// first slot within the chunk.
-    #[inline]
-    fn locate(&self, line: u64) -> (usize, usize) {
-        let set = ((line / LINE_SIZE) as usize) & (self.cfg.sets - 1);
-        let ci = set >> self.chunk_shift;
-        let off = (set & ((1 << self.chunk_shift) - 1)) * self.cfg.ways;
-        (ci, off)
-    }
-
-    #[inline]
-    fn next_stamp(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
-    }
-
-    /// Whether `s` holds a live line (non-empty and not lazily
-    /// invalidated by a later `flush_all`).
-    #[inline]
-    fn live(&self, s: &Slot) -> bool {
-        s.stamp != 0 && s.vepoch == self.flush_epoch
-    }
-
-    /// The chunk-relative slot holding `line` in the set at `off` of
-    /// chunk `ci`, if resident.
-    #[inline]
-    fn find(&self, ci: usize, off: usize, line: u64) -> Option<usize> {
-        let chunk = self.chunks[ci].as_ref()?;
-        chunk[off..off + self.cfg.ways]
-            .iter()
-            .position(|s| self.live(s) && s.tag == line)
-            .map(|i| off + i)
-    }
-
-    /// The one write path: journals chunk `ci` (once per epoch), then
-    /// allocates it if absent or forks it if shared with a clone.
-    #[inline]
-    fn chunk_mut(&mut self, ci: usize) -> &mut [Slot] {
-        if self.epoch != 0 && self.jepoch[ci] != self.epoch {
-            self.jepoch[ci] = self.epoch;
-            self.journal.push(ci as u32);
-        }
-        let len = self.cfg.ways << self.chunk_shift;
-        let chunk = self.chunks[ci]
-            .get_or_insert_with(|| std::iter::repeat_n(Slot::default(), len).collect());
-        Arc::make_mut(chunk)
-    }
-
-    /// Every slot of every present chunk.
-    fn slots(&self) -> impl Iterator<Item = &Slot> {
-        self.chunks.iter().flatten().flat_map(|c| c.iter())
-    }
-
-    /// Starts a new journal epoch; wraps reset the per-chunk stamps so a
-    /// recycled epoch value can never alias a stale journal mark.
-    fn bump_epoch(&mut self) {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.jepoch.fill(0);
-            self.epoch = 1;
-        }
-    }
-
     /// Looks up the line containing `addr`, updating LRU and hit/miss
     /// statistics. Returns `true` on hit.
     pub fn lookup(&mut self, addr: u64) -> bool {
-        let line = line_addr(addr);
-        // MRU fast path: this line already holds its set's max stamp, so
-        // skipping the stamp refresh preserves every relative order.
-        if self.mru == Some(line) {
-            self.hits += 1;
-            return true;
-        }
-        let (ci, off) = self.locate(line);
-        if let Some(w) = self.find(ci, off, line) {
-            let stamp = self.next_stamp();
-            self.chunk_mut(ci)[w].stamp = stamp;
-            self.mru = Some(line);
-            self.hits += 1;
-            return true;
-        }
-        self.misses += 1;
-        false
+        self.array.lookup(addr / LINE_SIZE).is_some()
     }
 
     /// Checks for presence without updating LRU or statistics.
     pub fn probe(&self, addr: u64) -> bool {
-        let line = line_addr(addr);
-        let (ci, off) = self.locate(line);
-        self.find(ci, off, line).is_some()
+        self.array.probe(addr / LINE_SIZE)
     }
 
     /// Installs the line containing `addr`, evicting the LRU way if the
     /// set is full. Returns the evicted line address, if any.
     pub fn fill(&mut self, addr: u64) -> Option<u64> {
-        let line = line_addr(addr);
-        let (ci, off) = self.locate(line);
-        let stamp = self.next_stamp();
-        self.mru = Some(line);
-        // Present: refresh recency only.
-        if let Some(w) = self.find(ci, off, line) {
-            self.chunk_mut(ci)[w].stamp = stamp;
-            return None;
-        }
-        let (ways, flush_epoch) = (self.cfg.ways, self.flush_epoch);
-        let set = &mut self.chunk_mut(ci)[off..off + ways];
-        // Reuse an empty way, else evict the minimum-stamp (LRU) way.
-        let mut victim = 0;
-        let mut victim_stamp = u64::MAX;
-        let mut evicted = None;
-        for (i, s) in set.iter().enumerate() {
-            if s.stamp == 0 || s.vepoch != flush_epoch {
-                victim = i;
-                evicted = None;
-                break;
-            }
-            if s.stamp < victim_stamp {
-                victim_stamp = s.stamp;
-                victim = i;
-                evicted = Some(s.tag);
-            }
-        }
-        set[victim] = Slot {
-            tag: line,
-            stamp,
-            vepoch: flush_epoch,
-        };
-        evicted
+        self.array
+            .fill(addr / LINE_SIZE, ())
+            .map(|line| line * LINE_SIZE)
     }
 
     /// Removes the line containing `addr` (the `clflush` primitive).
     /// Returns whether the line was present.
     pub fn flush_line(&mut self, addr: u64) -> bool {
-        let line = line_addr(addr);
-        if self.mru == Some(line) {
-            self.mru = None;
-        }
-        let (ci, off) = self.locate(line);
-        match self.find(ci, off, line) {
-            Some(w) => {
-                self.chunk_mut(ci)[w].stamp = 0;
-                true
-            }
-            None => false,
-        }
+        self.array.remove(addr / LINE_SIZE)
     }
 
     /// Empties the cache: a single flush-epoch bump — every slot's
     /// validity epoch goes stale and the slot reads as empty until the
     /// next fill revalidates it (DESIGN.md §16).
     pub fn flush_all(&mut self) {
-        self.mru = None;
-        self.flush_epoch = self.flush_epoch.wrapping_add(1);
-        if self.flush_epoch == 0 {
-            // Counter wrap (once per 2^32 flushes): drop every chunk so
-            // no stale slot can alias the recycled epoch; the unjournaled
-            // bulk write forces a full restore.
-            self.chunks.fill(None);
-            self.full_dirty = true;
-        }
+        self.array.flush_all();
     }
 
     /// Number of resident lines (stealth experiments diff this across an
     /// attack to show TET leaves no footprint — Table 1's *stateless*).
     pub fn resident_lines(&self) -> usize {
-        self.slots().filter(|s| self.live(s)).count()
+        self.array.len()
     }
 
     /// A stable fingerprint of cache contents: the sorted list of resident
     /// line addresses. Two fingerprints differ iff the cache state differs.
     pub fn fingerprint(&self) -> Vec<u64> {
-        let mut lines: Vec<u64> = self
-            .slots()
-            .filter(|s| self.live(s))
-            .map(|s| s.tag)
-            .collect();
-        lines.sort_unstable();
+        let mut lines = self.array.sorted_keys();
+        lines.iter_mut().for_each(|line| *line *= LINE_SIZE);
         lines
     }
 
     /// Lifetime `(hits, misses)` counts.
     pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
+        self.array.stats()
     }
 
     /// Number of chunks journaled since the last seal/restore.
     pub fn journal_len(&self) -> usize {
-        self.journal.len()
+        self.array.journal_len()
     }
 
     /// Marks the current state as a snapshot point: clones taken now
@@ -378,10 +552,7 @@ impl Cache {
     /// journals itself so [`Cache::restore`] can repair in O(chunks
     /// touched).
     pub fn seal(&mut self) {
-        self.seal = Some(Arc::new(()));
-        self.journal.clear();
-        self.full_dirty = false;
-        self.bump_epoch();
+        self.array.seal();
     }
 
     /// Rolls this cache back to the state of `src`, a sealed snapshot.
@@ -391,52 +562,15 @@ impl Cache {
     /// full-dirty) the whole chunk table is cloned and the source's seal
     /// is adopted, so the next restore replays the journal.
     pub fn restore(&mut self, src: &Cache) {
-        let Cache {
-            cfg,
-            chunk_shift,
-            chunks,
-            tick,
-            mru,
-            hits,
-            misses,
-            flush_epoch,
-            seal,
-            // Journal bookkeeping is this cache's own; it restarts below.
-            epoch: _,
-            jepoch: _,
-            journal,
-            full_dirty,
-        } = src;
-        if same_seal(&self.seal, seal) && !self.full_dirty {
-            debug_assert!(
-                journal.is_empty() && !full_dirty,
-                "restore source must be a sealed, unmutated snapshot"
-            );
-            for &ci in &self.journal {
-                self.chunks[ci as usize].clone_from(&chunks[ci as usize]);
-            }
-        } else {
-            debug_assert_eq!(self.cfg, *cfg, "restore across cache geometries");
-            self.cfg = *cfg;
-            self.chunk_shift = *chunk_shift;
-            self.chunks.clone_from(chunks);
-            self.jepoch.resize(chunks.len(), 0);
-            self.seal.clone_from(seal);
-            self.full_dirty = false;
-        }
-        self.journal.clear();
-        self.bump_epoch();
-        self.tick = *tick;
-        self.mru = *mru;
-        self.hits = *hits;
-        self.misses = *misses;
-        self.flush_epoch = *flush_epoch;
+        self.cfg = src.cfg;
+        self.array.restore(&src.array);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::line_addr;
 
     fn tiny() -> Cache {
         Cache::new(CacheConfig::new(2, 2, 1))
@@ -793,7 +927,7 @@ mod tests {
             for other in [&exhaustive, &reference] {
                 assert_eq!(c.fingerprint(), other.fingerprint(), "{sets}x{ways}");
                 assert_eq!(c.stats(), other.stats());
-                assert_eq!(c.tick, other.tick);
+                assert_eq!(c.array.tick, other.array.tick);
             }
             // Future behavior must also agree (LRU order fully restored).
             for step in 0..500 {
@@ -846,7 +980,7 @@ mod tests {
         // A foreign seal cannot be trusted: copy, and adopt the seal.
         a.restore(&b);
         assert_eq!(a.fingerprint(), b.fingerprint());
-        assert!(same_seal(&a.seal, &b.seal), "copy adopts the seal");
+        assert!(a.array.shares_seal(&b.array), "copy adopts the seal");
         assert_eq!(a.journal_len(), 0);
         // The next restore replays the journal.
         a.fill(128);

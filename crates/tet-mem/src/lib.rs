@@ -5,13 +5,17 @@
 //!
 //! * [`phys`] — sparse simulated physical memory.
 //! * [`cache`] — set-associative, LRU caches (L1D/L1I/L2/LLC) with
-//!   `clflush` support.
+//!   `clflush` support, and the one set-associative array behind both
+//!   caches and TLBs: stamp LRU, MRU filter, lazily allocated
+//!   copy-on-write chunks, O(1) flush and a chunk journal for delta
+//!   restore.
 //! * [`lfb`] — line fill buffers that retain *stale data* from recent
 //!   fills, the substrate Zombieload samples.
 //! * [`paging`] — 4-level page tables, PTE permission bits (present /
 //!   user / writable / global / **reserved**, the last used by the FLARE
 //!   dummy mappings).
-//! * [`tlb`] — set-associative translation lookaside buffers. Whether a
+//! * [`tlb`] — set-associative translation lookaside buffers, a
+//!   VPN-keyed view over the cache array holding leaf PTEs. Whether a
 //!   TLB entry is installed by a *faulting* access is the root cause of
 //!   TET-KASLR (paper §5.2.4) and is decided by the CPU model, not here.
 //! * [`walker`] — the hardware page walker with per-level costs; walks

@@ -17,7 +17,7 @@ use crate::{IntMap, PAGE_SIZE};
 /// and — on the modelled Intel cores — does **not** install a TLB entry,
 /// which is how TET-KASLR distinguishes FLARE dummies from the real
 /// kernel image (see DESIGN.md).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub struct Pte {
     /// Physical frame number (physical address is `frame * 4096`).
     pub frame: u64,

@@ -7,23 +7,20 @@
 //! The fill policy lives in the CPU model; this module only provides the
 //! structure.
 //!
-//! Like [`Cache`](crate::Cache), each set is a fixed `ways`-slot window
-//! of flat entry/stamp arrays with a monotone recency tick (stamp 0 =
-//! empty), plus a one-entry MRU filter for the repeated-page case — the
-//! DTLB is consulted on every demand access and the same page dominates
-//! warm loops. Observationally identical to the original per-set
-//! MRU-first `Vec` lists (see the equivalence property test).
-//!
-//! Snapshot restore and `flush_all(false)` use the same journal/epoch
-//! layer as [`Cache`](crate::Cache) (DESIGN.md §16): slot writes journal
-//! themselves once per epoch, restore repairs O(slots touched), and a
-//! full non-global flush is a single flush-epoch bump. The
-//! `keep_global` flush stays an eager (journaled) scan — it must read
-//! every entry's global bit, and TLBs are small.
+//! A [`Tlb`] is a thin view over the set-associative array behind
+//! [`Cache`](crate::Cache) (see the `cache` module docs), keyed by VPN
+//! with the leaf [`Pte`] as payload. It inherits the array's stamp LRU,
+//! the MRU filter for the repeated-page case (the DTLB is consulted on
+//! every demand access and the same page dominates warm loops), the
+//! copy-on-write chunks of DESIGN.md §19 and the seal/journal/restore
+//! layer and O(1) `flush_all(false)` of DESIGN.md §16. The
+//! `keep_global` flush stays an eager scan — it must read every entry's
+//! global bit — that journals only the chunks holding a non-global
+//! entry. Observationally identical to the original per-set MRU-first
+//! `Vec` lists (see the equivalence property test).
 
-use std::sync::Arc;
-
-use crate::{same_seal, vpn, Pte};
+use crate::cache::SetAssoc;
+use crate::{vpn, Pte};
 
 /// TLB geometry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,64 +76,16 @@ pub struct TlbEntry {
 #[derive(Debug, Clone)]
 pub struct Tlb {
     cfg: TlbConfig,
-    /// Cached translations, `ways` consecutive slots per set; a slot is
-    /// live iff its stamp is non-zero (VPN 0 is a legal page).
-    entries: Vec<TlbEntry>,
-    /// LRU age stamps, parallel to `entries`; larger = more recent.
-    stamps: Vec<u64>,
-    /// Monotone recency clock.
-    tick: u64,
-    /// One-entry MRU filter: `(vpn, slot)` of the last hit/filled page.
-    mru: Option<(u64, usize)>,
-    hits: u64,
-    misses: u64,
-    /// Per-slot validity epoch: live iff `stamps[w] != 0` and
-    /// `vepoch[w] == flush_epoch` (see [`Cache`](crate::Cache)).
-    vepoch: Vec<u32>,
-    flush_epoch: u32,
-    /// Seal identity shared with clones; journals are only trusted
-    /// across a shared seal.
-    seal: Option<Arc<()>>,
-    /// Journal epoch (0 = journaling off until first seal).
-    epoch: u32,
-    /// Per-slot journal stamps, deduplicating `journal`.
-    jepoch: Vec<u32>,
-    /// Slots written since the last seal/restore.
-    journal: Vec<u32>,
-    /// Rare-event escape hatch (epoch wrap): forces a full restore.
-    full_dirty: bool,
+    /// Cached leaf PTEs, keyed by VPN.
+    array: SetAssoc<Pte>,
 }
 
-const EMPTY: TlbEntry = TlbEntry {
-    vpn: 0,
-    pte: Pte {
-        frame: 0,
-        present: false,
-        writable: false,
-        user: false,
-        global: false,
-        reserved: false,
-        nx: false,
-    },
-};
-
 impl Tlb {
-    /// Creates an empty TLB.
+    /// Creates an empty TLB. No entry storage is allocated until a
+    /// translation is installed.
     pub fn new(cfg: TlbConfig) -> Self {
         Tlb {
-            entries: vec![EMPTY; cfg.entries()],
-            stamps: vec![0; cfg.entries()],
-            tick: 0,
-            mru: None,
-            hits: 0,
-            misses: 0,
-            vepoch: vec![0; cfg.entries()],
-            flush_epoch: 0,
-            seal: None,
-            epoch: 0,
-            jepoch: vec![0; cfg.entries()],
-            journal: Vec::new(),
-            full_dirty: false,
+            array: SetAssoc::new(cfg.sets, cfg.ways),
             cfg,
         }
     }
@@ -146,184 +95,62 @@ impl Tlb {
         self.cfg
     }
 
-    #[inline]
-    fn set_range(&self, page: u64) -> std::ops::Range<usize> {
-        let set = (page as usize) & (self.cfg.sets - 1);
-        let start = set * self.cfg.ways;
-        start..start + self.cfg.ways
-    }
-
-    #[inline]
-    fn next_stamp(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
-    }
-
-    /// Whether slot `w` holds a live entry (non-empty and not lazily
-    /// invalidated by a later full flush).
-    #[inline]
-    fn valid(&self, w: usize) -> bool {
-        self.stamps[w] != 0 && self.vepoch[w] == self.flush_epoch
-    }
-
-    /// Records slot `w` in the journal (once per epoch) ahead of a write.
-    #[inline]
-    fn touch(&mut self, w: usize) {
-        if self.epoch != 0 && self.jepoch[w] != self.epoch {
-            self.jepoch[w] = self.epoch;
-            self.journal.push(w as u32);
-        }
-    }
-
-    /// Starts a new journal epoch (wrap-safe, as in `Cache`).
-    fn bump_epoch(&mut self) {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.jepoch.fill(0);
-            self.epoch = 1;
-        }
-    }
-
     /// Looks up the translation for `vaddr`, updating LRU and statistics.
     pub fn lookup(&mut self, vaddr: u64) -> Option<TlbEntry> {
-        let page = vpn(vaddr);
-        // MRU fast path: the filter entry holds its set's max stamp, so
-        // the recency refresh can be skipped without reordering anything.
-        if let Some((mru_vpn, slot)) = self.mru {
-            if mru_vpn == page {
-                self.hits += 1;
-                return Some(self.entries[slot]);
-            }
-        }
-        let range = self.set_range(page);
-        for w in range {
-            if self.valid(w) && self.entries[w].vpn == page {
-                self.touch(w);
-                self.stamps[w] = self.next_stamp();
-                self.mru = Some((page, w));
-                self.hits += 1;
-                return Some(self.entries[w]);
-            }
-        }
-        self.misses += 1;
-        None
+        let vpn = vpn(vaddr);
+        self.array.lookup(vpn).map(|pte| TlbEntry { vpn, pte })
     }
 
     /// Checks for presence without updating LRU or statistics.
     pub fn probe(&self, vaddr: u64) -> bool {
-        let page = vpn(vaddr);
-        self.set_range(page)
-            .any(|w| self.valid(w) && self.entries[w].vpn == page)
+        self.array.probe(vpn(vaddr))
     }
 
-    /// Installs a translation, evicting the set's LRU entry when full.
+    /// Installs a translation, evicting the set's LRU entry when full. A
+    /// resident page has its PTE and recency refreshed in place.
     pub fn fill(&mut self, vaddr: u64, pte: Pte) {
-        let page = vpn(vaddr);
-        let range = self.set_range(page);
-        // Present: refresh the PTE and the recency in place.
-        for w in range.clone() {
-            if self.valid(w) && self.entries[w].vpn == page {
-                self.touch(w);
-                self.entries[w].pte = pte;
-                self.stamps[w] = self.next_stamp();
-                self.mru = Some((page, w));
-                return;
-            }
-        }
-        // Reuse an empty way, else overwrite the minimum-stamp (LRU) way.
-        let mut victim = range.start;
-        let mut victim_stamp = u64::MAX;
-        for w in range {
-            if !self.valid(w) {
-                victim = w;
-                break;
-            }
-            if self.stamps[w] < victim_stamp {
-                victim_stamp = self.stamps[w];
-                victim = w;
-            }
-        }
-        // The victim may be the filter entry; re-arming on the filled
-        // page covers both cases.
-        self.touch(victim);
-        self.entries[victim] = TlbEntry { vpn: page, pte };
-        self.stamps[victim] = self.next_stamp();
-        self.vepoch[victim] = self.flush_epoch;
-        self.mru = Some((page, victim));
+        self.array.fill(vpn(vaddr), pte);
     }
 
     /// Invalidates the entry for `vaddr` (the `invlpg` primitive).
     pub fn flush_page(&mut self, vaddr: u64) -> bool {
-        let page = vpn(vaddr);
-        if matches!(self.mru, Some((p, _)) if p == page) {
-            self.mru = None;
-        }
-        for w in self.set_range(page) {
-            if self.valid(w) && self.entries[w].vpn == page {
-                self.touch(w);
-                self.stamps[w] = 0;
-                return true;
-            }
-        }
-        false
+        self.array.remove(vpn(vaddr))
     }
 
     /// Full flush, optionally preserving global (kernel) entries — the
     /// semantics of a CR3 write without/with PCID-style global protection.
     pub fn flush_all(&mut self, keep_global: bool) {
-        self.mru = None;
         if keep_global {
-            // Must inspect every entry's global bit: stays an eager
-            // (journaled) scan. TLBs are tens of entries, not thousands.
-            for w in 0..self.stamps.len() {
-                if self.valid(w) && !self.entries[w].pte.global {
-                    self.touch(w);
-                    self.stamps[w] = 0;
-                }
-            }
+            self.array.retain(|pte| pte.global);
         } else {
-            // O(1) lazy invalidation, as in `Cache::flush_all`.
-            self.flush_epoch = self.flush_epoch.wrapping_add(1);
-            if self.flush_epoch == 0 {
-                self.stamps.fill(0);
-                self.vepoch.fill(0);
-                self.full_dirty = true;
-            }
+            self.array.flush_all();
         }
     }
 
     /// Number of live entries.
     pub fn resident_entries(&self) -> usize {
-        (0..self.stamps.len()).filter(|&w| self.valid(w)).count()
+        self.array.len()
     }
 
     /// Sorted VPNs of live entries (stealth fingerprinting).
     pub fn fingerprint(&self) -> Vec<u64> {
-        let mut v: Vec<u64> = (0..self.entries.len())
-            .filter(|&w| self.valid(w))
-            .map(|w| self.entries[w].vpn)
-            .collect();
-        v.sort_unstable();
-        v
+        self.array.sorted_keys()
     }
 
     /// Lifetime `(hits, misses)`.
     pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
+        self.array.stats()
     }
 
-    /// Number of slots journaled since the last seal/restore.
+    /// Number of chunks journaled since the last seal/restore.
     pub fn journal_len(&self) -> usize {
-        self.journal.len()
+        self.array.journal_len()
     }
 
     /// Marks the current state as a snapshot point (see
     /// [`Cache::seal`](crate::Cache::seal)).
     pub fn seal(&mut self) {
-        self.seal = Some(Arc::new(()));
-        self.journal.clear();
-        self.full_dirty = false;
-        self.bump_epoch();
+        self.array.seal();
     }
 
     /// Rolls this TLB back to the state of `src`, a sealed snapshot:
@@ -331,52 +158,8 @@ impl Tlb {
     /// adopts the source's seal (the rule of
     /// [`Cache::restore`](crate::Cache::restore)).
     pub fn restore(&mut self, src: &Tlb) {
-        let Tlb {
-            cfg,
-            entries,
-            stamps,
-            tick,
-            mru,
-            hits,
-            misses,
-            vepoch,
-            flush_epoch,
-            seal,
-            epoch: _,
-            jepoch: _,
-            journal,
-            full_dirty,
-        } = src;
-        if same_seal(&self.seal, seal) && !self.full_dirty {
-            debug_assert!(
-                journal.is_empty() && !full_dirty,
-                "restore source must be a sealed, unmutated snapshot"
-            );
-            for i in 0..self.journal.len() {
-                let w = self.journal[i] as usize;
-                self.entries[w] = entries[w];
-                self.stamps[w] = stamps[w];
-                self.vepoch[w] = vepoch[w];
-            }
-        } else {
-            debug_assert_eq!(self.cfg, *cfg, "restore across TLB geometries");
-            self.cfg = *cfg;
-            self.entries.clear();
-            self.entries.extend_from_slice(entries);
-            self.stamps.clear();
-            self.stamps.extend_from_slice(stamps);
-            self.vepoch.clear();
-            self.vepoch.extend_from_slice(vepoch);
-            self.seal.clone_from(seal);
-            self.full_dirty = false;
-        }
-        self.journal.clear();
-        self.bump_epoch();
-        self.tick = *tick;
-        self.mru = *mru;
-        self.hits = *hits;
-        self.misses = *misses;
-        self.flush_epoch = *flush_epoch;
+        self.cfg = src.cfg;
+        self.array.restore(&src.array);
     }
 }
 
@@ -476,6 +259,7 @@ mod tests {
 
     /// The original per-set MRU-first `Vec` implementation, kept verbatim
     /// as the equivalence oracle for the flat stamp representation.
+    #[derive(Clone)]
     struct RefTlb {
         sets: Vec<Vec<TlbEntry>>,
         cfg: TlbConfig,
@@ -553,6 +337,41 @@ mod tests {
         }
     }
 
+    /// Applies one random operation (picked by `r`) at `vaddr` to both
+    /// TLBs and asserts they agree on its result.
+    fn step_both(tlb: &mut Tlb, reference: &mut RefTlb, r: u64, vaddr: u64, ctx: &str) {
+        match r % 16 {
+            0..=5 => {
+                assert_eq!(tlb.lookup(vaddr), reference.lookup(vaddr), "lookup {ctx}");
+            }
+            6..=10 => {
+                // Vary PTE contents (incl. the global bit) so
+                // keep_global flushes discriminate.
+                let mut pte = Pte::user_data(r >> 32);
+                pte.global = r & 0x1000 != 0;
+                tlb.fill(vaddr, pte);
+                reference.fill(vaddr, pte);
+            }
+            11..=12 => assert_eq!(
+                tlb.probe(vaddr),
+                reference.sets[reference.set_index(vpn(vaddr))]
+                    .iter()
+                    .any(|e| e.vpn == vpn(vaddr)),
+                "probe {ctx}"
+            ),
+            13 => assert_eq!(
+                tlb.flush_page(vaddr),
+                reference.flush_page(vaddr),
+                "flush {ctx}"
+            ),
+            _ => {
+                let keep = r & 1 == 0;
+                tlb.flush_all(keep);
+                reference.flush_all(keep);
+            }
+        }
+    }
+
     #[test]
     fn flat_stamp_representation_matches_linear_reference() {
         let mut state = 0x853c49e6748fea9bu64;
@@ -562,51 +381,61 @@ mod tests {
             state ^= state << 17;
             state
         };
-        for (sets, ways) in [(1usize, 1usize), (1, 4), (2, 2), (4, 3)] {
+        // One-chunk geometries, and the DTLB's four chunks.
+        for (sets, ways) in [(1usize, 1usize), (1, 4), (2, 2), (4, 3), (16, 4)] {
             let cfg = TlbConfig::new(sets, ways);
             let mut tlb = Tlb::new(cfg);
             let mut reference = RefTlb::new(cfg);
             let pages = (cfg.entries() * 2) as u64;
+            let vaddr = |r: u64| ((r >> 16) % pages) * 4096 + (r & 0xfff);
             for step in 0..40_000 {
                 let r = rng();
-                let vaddr = ((r >> 16) % pages) * 4096 + (r & 0xfff);
-                match r % 16 {
-                    0..=5 => {
-                        assert_eq!(
-                            tlb.lookup(vaddr),
-                            reference.lookup(vaddr),
-                            "lookup step {step} ({sets}x{ways})"
-                        );
-                    }
-                    6..=10 => {
-                        // Vary PTE contents (incl. the global bit) so
-                        // keep_global flushes discriminate.
-                        let mut pte = Pte::user_data(r >> 32);
-                        pte.global = r & 0x1000 != 0;
-                        tlb.fill(vaddr, pte);
-                        reference.fill(vaddr, pte);
-                    }
-                    11..=12 => assert_eq!(
-                        tlb.probe(vaddr),
-                        reference.sets[reference.set_index(vpn(vaddr))]
-                            .iter()
-                            .any(|e| e.vpn == vpn(vaddr)),
-                        "probe step {step}"
-                    ),
-                    13 => assert_eq!(
-                        tlb.flush_page(vaddr),
-                        reference.flush_page(vaddr),
-                        "flush step {step}"
-                    ),
-                    _ => {
-                        let keep = r & 1 == 0;
-                        tlb.flush_all(keep);
-                        reference.flush_all(keep);
-                    }
-                }
+                let ctx = format!("step {step} ({sets}x{ways})");
+                step_both(&mut tlb, &mut reference, r, vaddr(r), &ctx);
             }
             assert_eq!(tlb.fingerprint(), reference.fingerprint());
             assert_eq!(tlb.stats(), (reference.hits, reference.misses));
+
+            // Copy-on-write isolation: a sealed TLB and its clone, driven
+            // by interleaved random operations (full and keep-global
+            // flushes included), each match their own reference, and
+            // neither moves the snapshot they share.
+            for _ in 0..2 * cfg.entries() {
+                let r = rng();
+                step_both(&mut tlb, &mut reference, r & !0xf | 6, vaddr(r), "prefill");
+            }
+            tlb.seal();
+            let snap = tlb.clone();
+            let snap_fp = snap.fingerprint();
+            let mut clone = tlb.clone();
+            let mut ref_clone = reference.clone();
+            let ref_snap = reference.clone();
+            for step in 0..20_000 {
+                let r = rng();
+                let (t, rf, side) = if r & 1 == 0 {
+                    (&mut tlb, &mut reference, "sealed")
+                } else {
+                    (&mut clone, &mut ref_clone, "clone")
+                };
+                // Now and then restore a side, so short journals, some
+                // written only by a flush, get replayed too.
+                if (r >> 40) % 32 == 0 {
+                    t.restore(&snap);
+                    *rf = ref_snap.clone();
+                }
+                let ctx = format!("{side} step {step} ({sets}x{ways})");
+                step_both(t, rf, r >> 1, vaddr(r >> 1), &ctx);
+                assert_eq!(tlb.fingerprint(), reference.fingerprint(), "sealed {step}");
+                assert_eq!(clone.fingerprint(), ref_clone.fingerprint(), "clone {step}");
+                assert_eq!(snap.fingerprint(), snap_fp, "snapshot moved at step {step}");
+            }
+            assert_eq!(tlb.stats(), (reference.hits, reference.misses));
+            assert_eq!(clone.stats(), (ref_clone.hits, ref_clone.misses));
+            // Both sides still restore to the untouched snapshot.
+            tlb.restore(&snap);
+            clone.restore(&snap);
+            assert_eq!(tlb.fingerprint(), snap_fp);
+            assert_eq!(clone.fingerprint(), snap_fp);
         }
     }
 
@@ -683,7 +512,7 @@ mod tests {
         // A foreign seal cannot be trusted: copy, and adopt the seal.
         a.restore(&b);
         assert_eq!(a.fingerprint(), b.fingerprint());
-        assert!(same_seal(&a.seal, &b.seal), "copy adopts the seal");
+        assert!(a.array.shares_seal(&b.array), "copy adopts the seal");
         // The next restore replays the journal.
         a.fill(0x3000, Pte::user_data(3));
         assert_eq!(a.journal_len(), 1);

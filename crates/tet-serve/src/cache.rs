@@ -10,6 +10,15 @@
 //! cached?"; bodies stay on disk so a long-lived server's memory does
 //! not grow with its history.
 //!
+//! Integrity: every body is stored with a SHA-256 sidecar,
+//! `<hex-sha256>.sha256`, written before the body's rename so it
+//! survives a restart. Every disk read re-hashes the body against it; a
+//! truncated or bit-flipped entry (or one missing its sidecar) is moved
+//! aside to `<key>.corrupt`, dropped from the index, counted in
+//! [`CacheStats::corrupt`] and reported as a miss, so the submit
+//! recomputes the report instead of serving wrong bytes. `<key>.tmp`
+//! files left by a write that was killed mid-way are deleted on open.
+//!
 //! Eviction: an optional byte budget (`TET_SERVE_CACHE_BYTES`, or
 //! [`ResultCache::open_capped`]) bounds the store. Every entry carries a
 //! monotonic logical-clock stamp refreshed on each hit — the same
@@ -23,6 +32,7 @@ use std::collections::HashMap;
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
+use crate::sha::sha256_hex;
 use crate::sync;
 
 /// Cache hit/miss/size/eviction counters, served by `GET /v1/cache/stats`.
@@ -43,6 +53,8 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Bytes released by eviction.
     pub evicted_bytes: u64,
+    /// Entries whose body failed its digest check and were moved aside.
+    pub corrupt: u64,
 }
 
 /// The content-addressed result store.
@@ -72,6 +84,7 @@ struct CacheInner {
     misses: u64,
     evictions: u64,
     evicted_bytes: u64,
+    corrupt: u64,
 }
 
 impl CacheInner {
@@ -82,6 +95,18 @@ impl CacheInner {
             e.stamp = stamp;
         }
     }
+
+    /// Drops `key` from the index, if present.
+    fn forget(&mut self, key: &str) {
+        if let Some(entry) = self.index.remove(key) {
+            self.bytes -= entry.size;
+        }
+    }
+}
+
+/// Whether `stem` is a well-formed key (64 hex chars).
+fn is_key(stem: &str) -> bool {
+    stem.len() == 64 && stem.bytes().all(|b| b.is_ascii_hexdigit())
 }
 
 /// The default cache directory, honoring `TET_SERVE_CACHE`.
@@ -128,15 +153,21 @@ impl ResultCache {
         let mut found: Vec<(String, u64, std::time::SystemTime)> = Vec::new();
         for entry in entries.filter_map(|e| e.ok()) {
             let path = entry.path();
-            if path.extension().is_none_or(|x| x != "json") {
-                continue;
-            }
             let Some(stem) = path.file_stem().and_then(|s| s.to_str()) else {
                 continue;
             };
-            // Only well-formed keys (64 hex chars) are re-indexed;
+            // Only well-formed keys are re-indexed or cleaned up;
             // anything else in the directory is ignored, not trusted.
-            if stem.len() == 64 && stem.bytes().all(|b| b.is_ascii_hexdigit()) {
+            if !is_key(stem) {
+                continue;
+            }
+            let ext = path.extension().and_then(|x| x.to_str());
+            if ext == Some("tmp") {
+                // A write killed before its rename: never a valid entry.
+                if let Err(e) = std::fs::remove_file(&path) {
+                    eprintln!("warning: removing stale {}: {e}", path.display());
+                }
+            } else if ext == Some("json") {
                 let meta = entry.metadata().ok();
                 let size = meta.as_ref().map(|m| m.len()).unwrap_or(0);
                 let mtime = meta
@@ -164,7 +195,53 @@ impl ResultCache {
 
     /// The file path of a key's entry.
     fn path_of(&self, key: &str) -> PathBuf {
-        self.dir.join(format!("{key}.json"))
+        self.file_of(key, "json")
+    }
+
+    /// The path of a key's `ext` file: its body (`json`), digest
+    /// sidecar (`sha256`), in-flight write (`tmp`) or quarantined body
+    /// (`corrupt`).
+    fn file_of(&self, key: &str, ext: &str) -> PathBuf {
+        self.dir.join(format!("{key}.{ext}"))
+    }
+
+    /// Reads `key`'s body and checks it against its digest sidecar. A
+    /// missing file drops the entry from the index; a body that fails
+    /// the check (or has no sidecar) is moved aside to `<key>.corrupt`,
+    /// dropped and counted. Either way the caller sees a miss.
+    fn read_verified(&self, key: &str) -> Option<String> {
+        let path = self.path_of(key);
+        let body = match std::fs::read(&path) {
+            Ok(body) => body,
+            Err(e) => {
+                // Index said yes but the file is gone (external cleanup):
+                // heal the index and treat as a miss.
+                eprintln!(
+                    "warning: cache entry {} unreadable: {e} (dropping from index)",
+                    path.display()
+                );
+                sync::lock(&self.inner).forget(key);
+                return None;
+            }
+        };
+        let sidecar = std::fs::read_to_string(self.file_of(key, "sha256")).unwrap_or_default();
+        if sidecar.trim() == sha256_hex(&body) {
+            if let Ok(body) = String::from_utf8(body) {
+                return Some(body);
+            }
+        }
+        let aside = self.file_of(key, "corrupt");
+        eprintln!(
+            "warning: cache entry {} fails its digest check (moved to {})",
+            path.display(),
+            aside.display()
+        );
+        let mut inner = sync::lock(&self.inner);
+        inner.forget(key);
+        inner.corrupt += 1;
+        let _ = std::fs::rename(&path, &aside);
+        let _ = std::fs::remove_file(self.file_of(key, "sha256"));
+        None
     }
 
     /// Evicts minimum-stamp entries (skipping `keep`) until the store
@@ -189,11 +266,13 @@ impl ResultCache {
                     self.path_of(&victim).display()
                 );
             }
+            let _ = std::fs::remove_file(self.file_of(&victim, "sha256"));
         }
     }
 
     /// Looks `key` up, counting a hit or miss and refreshing its LRU
-    /// stamp. A hit returns the stored bytes exactly as written.
+    /// stamp. A hit returns the stored bytes exactly as written; an
+    /// entry that is gone or fails its digest check counts as a miss.
     pub fn get(&self, key: &str) -> Option<String> {
         let indexed = {
             let mut inner = sync::lock(&self.inner);
@@ -209,24 +288,13 @@ impl ResultCache {
         if !indexed {
             return None;
         }
-        match std::fs::read_to_string(self.path_of(key)) {
-            Ok(body) => Some(body),
-            Err(e) => {
-                // Index said yes but the file is gone (external cleanup):
-                // heal the index and treat as a miss.
-                eprintln!(
-                    "warning: cache entry {} unreadable: {e} (dropping from index)",
-                    self.path_of(key).display()
-                );
-                let mut inner = sync::lock(&self.inner);
-                if let Some(entry) = inner.index.remove(key) {
-                    inner.bytes -= entry.size;
-                }
-                inner.hits -= 1;
-                inner.misses += 1;
-                None
-            }
+        let body = self.read_verified(key);
+        if body.is_none() {
+            let mut inner = sync::lock(&self.inner);
+            inner.hits -= 1;
+            inner.misses += 1;
         }
+        body
     }
 
     /// Counts a hit that was answered upstream (the in-memory hot
@@ -249,7 +317,8 @@ impl ResultCache {
     /// Reads `key`'s entry without counting a hit or miss — for report
     /// fetches of an already-resolved job, where the cache decision was
     /// made (and counted) at submit time. Still refreshes the LRU stamp:
-    /// a fetched report is a used report.
+    /// a fetched report is a used report. Verified like
+    /// [`ResultCache::get`].
     pub fn peek(&self, key: &str) -> Option<String> {
         {
             let mut inner = sync::lock(&self.inner);
@@ -258,16 +327,20 @@ impl ResultCache {
             }
             inner.touch(key);
         }
-        std::fs::read_to_string(self.path_of(key)).ok()
+        self.read_verified(key)
     }
 
     /// Stores `body` under `key` (write-to-temp + rename, so a reader
-    /// never sees a half-written entry), indexes it, and evicts LRU
-    /// entries if the budget is now exceeded.
+    /// never sees a half-written entry; the digest sidecar is written
+    /// before the rename), indexes it, and evicts LRU entries if the
+    /// budget is now exceeded.
     pub fn put(&self, key: &str, body: &str) -> Result<(), String> {
         let path = self.path_of(key);
-        let tmp = self.dir.join(format!("{key}.tmp"));
+        let tmp = self.file_of(key, "tmp");
+        let sidecar = self.file_of(key, "sha256");
         std::fs::write(&tmp, body).map_err(|e| format!("write {}: {e}", tmp.display()))?;
+        std::fs::write(&sidecar, sha256_hex(body.as_bytes()))
+            .map_err(|e| format!("write {}: {e}", sidecar.display()))?;
         std::fs::rename(&tmp, &path)
             .map_err(|e| format!("rename {} -> {}: {e}", tmp.display(), path.display()))?;
         let mut inner = sync::lock(&self.inner);
@@ -293,6 +366,7 @@ impl ResultCache {
             max_bytes: self.max_bytes,
             evictions: inner.evictions,
             evicted_bytes: inner.evicted_bytes,
+            corrupt: inner.corrupt,
         }
     }
 }
@@ -356,6 +430,71 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.entries, 0);
         assert_eq!(stats.bytes, 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Damages `KEY`'s stored body, reopens the cache over the same
+    /// directory, and checks that the next read (`get`, or the
+    /// uncounted `peek`) treats the entry as corrupt: a miss, moved
+    /// aside, dropped from the index and counted — and that a re-put
+    /// entry is trusted again.
+    fn assert_damage_is_caught(tag: &str, via_peek: bool, damage: impl FnOnce(&mut Vec<u8>)) {
+        let dir = tmpdir(tag);
+        let body = "{\"report\": 12345}";
+        ResultCache::open(&dir).unwrap().put(KEY, body).unwrap();
+        let path = dir.join(format!("{KEY}.json"));
+        let mut bytes = std::fs::read(&path).unwrap();
+        damage(&mut bytes);
+        std::fs::write(&path, &bytes).unwrap();
+
+        let cache = ResultCache::open(&dir).unwrap();
+        assert!(cache.contains(KEY), "a restart re-indexes the entry");
+        let read = if via_peek {
+            cache.peek(KEY)
+        } else {
+            cache.get(KEY)
+        };
+        assert_eq!(read, None, "a damaged body must never be served");
+        let stats = cache.stats();
+        assert_eq!((stats.corrupt, stats.entries, stats.bytes), (1, 0, 0));
+        assert_eq!((stats.hits, stats.misses), (0, u64::from(!via_peek)));
+        assert!(!path.exists());
+        assert_eq!(
+            std::fs::read(dir.join(format!("{KEY}.corrupt"))).unwrap(),
+            bytes
+        );
+
+        cache.put(KEY, body).unwrap();
+        assert_eq!(cache.get(KEY).as_deref(), Some(body));
+        assert_eq!(cache.stats().corrupt, 1);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_truncated_entry_is_moved_aside_and_missed() {
+        assert_damage_is_caught("truncated", false, |b| b.truncate(b.len() / 2));
+    }
+
+    #[test]
+    fn a_flipped_byte_is_moved_aside_and_missed() {
+        assert_damage_is_caught("flipped", false, |b| b[3] ^= 0x01);
+        assert_damage_is_caught("flipped_peek", true, |b| b[3] ^= 0x01);
+    }
+
+    #[test]
+    fn open_deletes_stale_tmp_files() {
+        let dir = tmpdir("stale_tmp");
+        std::fs::create_dir_all(&dir).unwrap();
+        let stale = dir.join(format!("{KEY}.tmp"));
+        std::fs::write(&stale, "{\"half").unwrap();
+        std::fs::write(dir.join("notakey.tmp"), "x").unwrap();
+        let cache = ResultCache::open(&dir).unwrap();
+        assert!(!stale.exists(), "a killed write's temp file is removed");
+        assert!(
+            dir.join("notakey.tmp").exists(),
+            "foreign files are left alone"
+        );
+        assert_eq!(cache.stats().entries, 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -16,7 +16,8 @@
 //! bytes) in front of the disk [`ResultCache`] (source of truth,
 //! size-capped stamp-LRU, survives restarts). Connections are
 //! persistent — HTTP/1.1 keep-alive with pipelining, an idle timeout,
-//! and `Connection: close` honored per request — and every request's
+//! and `Connection: close` honored per request, at most
+//! `MAX_CONNECTIONS` at a time — and every request's
 //! service time lands in a cold/cached latency histogram exported at
 //! `/v1/metrics`.
 //!
@@ -57,6 +58,11 @@ const DEFAULT_HOT_BYTES: u64 = 1 << 26;
 
 /// Default keep-alive idle timeout between requests.
 const DEFAULT_IDLE_TIMEOUT_MS: u64 = 5_000;
+
+/// Live connections (one thread each) the acceptor admits; the next one
+/// is answered `503` with `Retry-After: 1` and closed, so a flood of
+/// idle keep-alive connections cannot exhaust the host's threads.
+const MAX_CONNECTIONS: usize = 512;
 
 /// Server construction options.
 #[derive(Debug, Clone)]
@@ -166,6 +172,11 @@ struct Inner {
     hot: HotCache,
     threads: usize,
     idle_timeout: Duration,
+    /// Connection cap: `MAX_CONNECTIONS`, unless a unit test sets a
+    /// small one.
+    max_connections: usize,
+    /// Connections currently holding a handler thread.
+    connections: AtomicUsize,
     shutdown: AtomicBool,
     progress: Progress,
     /// Host-metrics registry behind `/v1/metrics` …
@@ -229,12 +240,18 @@ impl ServerHandle {
 
 /// Binds, spawns the worker pool and the accept loop, and returns.
 pub fn start(cfg: ServerConfig) -> Result<ServerHandle, String> {
-    start_with(cfg, |spec, threads, observe| {
-        scheduler::run_campaign(spec, threads, observe)
-    })
+    start_with(
+        cfg,
+        |spec, threads, observe| scheduler::run_campaign(spec, threads, observe),
+        MAX_CONNECTIONS,
+    )
 }
 
-fn start_with(cfg: ServerConfig, campaign: CampaignFn) -> Result<ServerHandle, String> {
+fn start_with(
+    cfg: ServerConfig,
+    campaign: CampaignFn,
+    max_connections: usize,
+) -> Result<ServerHandle, String> {
     let cache = ResultCache::open_capped(&cfg.cache_dir, cfg.cache_bytes)?;
     let listener = TcpListener::bind(&cfg.addr).map_err(|e| format!("bind {}: {e}", cfg.addr))?;
     let addr = listener
@@ -250,6 +267,8 @@ fn start_with(cfg: ServerConfig, campaign: CampaignFn) -> Result<ServerHandle, S
         hot: HotCache::new(cfg.hot_bytes),
         threads: cfg.threads.max(1),
         idle_timeout: Duration::from_millis(cfg.idle_timeout_ms.max(1)),
+        max_connections,
+        connections: AtomicUsize::new(0),
         shutdown: AtomicBool::new(false),
         progress: Progress::new("whisper-serve"),
         registry,
@@ -292,8 +311,14 @@ fn accept_loop(listener: &TcpListener, inner: &Arc<Inner>) {
         }
         match conn {
             Ok((stream, _)) => {
-                let inner = Arc::clone(inner);
-                std::thread::spawn(move || handle_connection(stream, &inner));
+                if inner.connections.fetch_add(1, Ordering::SeqCst) >= inner.max_connections {
+                    inner.connections.fetch_sub(1, Ordering::SeqCst);
+                    inner.metrics.counter_add("serve.connections_refused", 1);
+                    refuse_busy(stream);
+                    continue;
+                }
+                let slot = ConnectionSlot(Arc::clone(inner));
+                std::thread::spawn(move || handle_connection(stream, &slot.0));
             }
             Err(e) => {
                 eprintln!("warning: accept: {e}");
@@ -302,6 +327,34 @@ fn accept_loop(listener: &TcpListener, inner: &Arc<Inner>) {
     }
     // Unblock any workers still waiting for jobs.
     inner.work_ready.notify_all();
+}
+
+/// One admitted connection's claim on the cap, released when its
+/// handler thread ends, panics included.
+struct ConnectionSlot(Arc<Inner>);
+
+impl Drop for ConnectionSlot {
+    fn drop(&mut self) {
+        self.0.connections.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// Turns away a connection over the cap without spawning a thread:
+/// `503` with `Retry-After: 1`, then close. Non-blocking, so a client
+/// that never reads cannot stall the acceptor; whatever request bytes
+/// already arrived are drained so the close is a FIN, not a reset that
+/// could discard the response.
+fn refuse_busy(mut stream: TcpStream) {
+    let body = error_body("too many connections");
+    let _ = stream.set_nonblocking(true);
+    let _ = write!(
+        stream,
+        "HTTP/1.1 503 Service Unavailable\r\ncontent-type: application/json\r\n\
+         content-length: {}\r\nretry-after: 1\r\nconnection: close\r\n\r\n{body}",
+        body.len()
+    );
+    let _ = stream.shutdown(std::net::Shutdown::Write);
+    let _ = std::io::Read::read(&mut stream, &mut [0; 4096]);
 }
 
 /// The campaign worker: pop a queued job, run it, cache the report.
@@ -531,6 +584,7 @@ fn cache_stats_body(inner: &Arc<Inner>) -> String {
     v.set("max_bytes", s.max_bytes.into());
     v.set("evictions", s.evictions.into());
     v.set("evicted_bytes", s.evicted_bytes.into());
+    v.set("corrupt", s.corrupt.into());
     v.set("hot_hits", h.hits.into());
     v.set("hot_misses", h.misses.into());
     v.set("hot_entries", h.entries.into());
@@ -558,6 +612,7 @@ fn metrics_section(inner: &Arc<Inner>) -> tet_obs::MetricsSection {
     set("serve.cache.max_bytes", s.max_bytes);
     set("serve.cache.evictions", s.evictions);
     set("serve.cache.evicted_bytes", s.evicted_bytes);
+    set("serve.cache.corrupt", s.corrupt);
     set("serve.hot.hits", h.hits);
     set("serve.hot.misses", h.misses);
     set("serve.hot.entries", h.entries);
@@ -904,6 +959,7 @@ mod tests {
                 idle_timeout_ms: 5_000,
             },
             campaign_with_a_panicking_seed,
+            MAX_CONNECTIONS,
         )
         .expect("server must start");
         let client = Client::new(&handle.addr().to_string());
@@ -929,6 +985,68 @@ mod tests {
             finish(&client, job_id(&client.submit(good).unwrap())).0,
             "done"
         );
+
+        handle.shutdown();
+        let _ = std::fs::remove_dir_all(&cache_dir);
+    }
+
+    /// Holds `cap` idle keep-alive connections: the next connection is
+    /// refused with 503 and `Retry-After` without a handler thread, and
+    /// closing one held connection frees its slot.
+    #[test]
+    fn connections_over_the_cap_get_503_until_one_closes() {
+        const CAP: usize = 2;
+        let cache_dir = std::env::temp_dir().join(format!("tet_serve_cap_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&cache_dir);
+        let handle = start_with(
+            ServerConfig {
+                addr: "127.0.0.1:0".to_string(),
+                workers: 1,
+                threads: 1,
+                cache_dir: cache_dir.clone(),
+                cache_bytes: 0,
+                hot_bytes: 1 << 20,
+                idle_timeout_ms: 60_000,
+            },
+            campaign_with_a_panicking_seed,
+            CAP,
+        )
+        .expect("server must start");
+        let addr = handle.addr().to_string();
+        // A served request proves each held connection was admitted.
+        let mut held: Vec<Client> = (0..CAP)
+            .map(|_| {
+                let client = Client::new(&addr);
+                client.health().expect("under the cap");
+                client
+            })
+            .collect();
+
+        let mut extra = TcpStream::connect(handle.addr()).unwrap();
+        extra
+            .set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let mut refused = String::new();
+        std::io::Read::read_to_string(&mut extra, &mut refused).unwrap();
+        assert!(refused.starts_with("HTTP/1.1 503 "), "{refused}");
+        assert!(refused.contains("\r\nretry-after: 1\r\n"), "{refused}");
+        assert!(refused.contains("\r\nconnection: close\r\n"), "{refused}");
+
+        // The server sees the close asynchronously: retry until the
+        // freed slot admits a new connection.
+        drop(held.pop());
+        let deadline = Instant::now() + Duration::from_secs(30);
+        loop {
+            let status = Client::new(&addr)
+                .with_keep_alive(false)
+                .request("GET", "/v1/health", "")
+                .map(|r| r.status);
+            if status == Ok(200) {
+                break;
+            }
+            assert!(Instant::now() < deadline, "a closed slot was never freed");
+            std::thread::sleep(Duration::from_millis(10));
+        }
 
         handle.shutdown();
         let _ = std::fs::remove_dir_all(&cache_dir);

@@ -1,7 +1,7 @@
 //! End-to-end: a real server on an ephemeral port, driven over real
 //! sockets by the blocking client — cold run, cache hit byte-identity,
 //! single-flight dedup, status/report/error surfaces, keep-alive
-//! reuse/pipelining edge cases, and disk-cache eviction.
+//! reuse/pipelining edge cases, disk-cache eviction and corruption.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -159,6 +159,55 @@ fn cache_survives_server_restart() {
     let (warm, was_cached) = client.run_to_report(SPEC).unwrap();
     assert!(was_cached, "restarted server must hit the disk cache");
     assert_eq!(cold, warm);
+    handle.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_corrupted_disk_entry_is_recomputed_not_served() {
+    let (handle, client, dir) = start_server("corrupt");
+    let (cold, _) = client.run_to_report(SPEC).unwrap();
+    handle.shutdown();
+
+    // Flip one byte of the one stored body while no server runs.
+    let entry = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.extension().is_some_and(|x| x == "json"))
+        .expect("the cold run stored its report");
+    let mut bytes = std::fs::read(&entry).unwrap();
+    let mid = bytes.len() / 2;
+    bytes[mid] ^= 0x01;
+    std::fs::write(&entry, &bytes).unwrap();
+
+    let handle = tet_serve::start(ServerConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        threads: 1,
+        cache_dir: dir.clone(),
+        cache_bytes: 0,
+        hot_bytes: 1 << 20,
+        idle_timeout_ms: 5_000,
+    })
+    .unwrap();
+    let client = Client::new(&handle.addr().to_string());
+    let (again, was_cached) = client.run_to_report(SPEC).unwrap();
+    assert!(
+        !was_cached,
+        "a corrupt entry must be recomputed, not served"
+    );
+    assert_eq!(cold, again, "the recomputed report is byte-identical");
+    let stats = client.cache_stats().unwrap();
+    assert_eq!(stats.get("corrupt").and_then(|v| v.as_u64()), Some(1));
+    assert_eq!(stats.get("misses").and_then(|v| v.as_u64()), Some(1));
+    let text = client.metrics().unwrap();
+    let samples = tet_metrics::parse_prometheus(&text).expect("well-formed exposition");
+    assert!(
+        samples
+            .iter()
+            .any(|s| s.name == "serve_cache_corrupt" && s.value == 1.0),
+        "{text}"
+    );
     handle.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -40,8 +40,9 @@ fn smoke_report_feeds_every_gate_and_folded_leg() {
         .arg("--out")
         .arg(&out_path)
         .env("TET_QUIET", "1")
-        // The profile sidecars land in the scratch dir, never in the
-        // repo's target/reports.
+        // bench_core writes only `--out`; should a leg ever write a
+        // report, it lands in this temp dir, not the repo's
+        // target/reports.
         .env("TET_REPORT_DIR", &dir)
         .current_dir(&dir)
         .output()
