@@ -202,11 +202,8 @@ impl MemorySystem {
     }
 
     fn line_data(pa: u64, phys: &PhysMem) -> [u8; LINE_SIZE as usize] {
-        let base = line_addr(pa);
         let mut data = [0u8; LINE_SIZE as usize];
-        for (i, b) in data.iter_mut().enumerate() {
-            *b = phys.read_u8(base + i as u64);
-        }
+        phys.read_into(line_addr(pa), &mut data);
         data
     }
 

@@ -136,32 +136,56 @@ impl PhysMem {
         self.page_mut(pa)[off] = v;
     }
 
+    /// Fills `out` with the bytes starting at `pa`: one page lookup and
+    /// one copy when the range stays inside one page (a cache line
+    /// always does), byte by byte when it crosses a page boundary.
+    pub(crate) fn read_into(&self, pa: u64, out: &mut [u8]) {
+        let off = (pa % PAGE_SIZE) as usize;
+        if off + out.len() <= PAGE_SIZE as usize {
+            match self.page(pa) {
+                Some(p) => out.copy_from_slice(&p[off..off + out.len()]),
+                None => out.fill(0),
+            }
+        } else {
+            for (i, b) in out.iter_mut().enumerate() {
+                *b = self.read_u8(pa + i as u64);
+            }
+        }
+    }
+
     /// Reads an 8-byte little-endian value (may cross a page boundary).
     pub fn read_u64(&self, pa: u64) -> u64 {
         let mut bytes = [0u8; 8];
-        for (i, b) in bytes.iter_mut().enumerate() {
-            *b = self.read_u8(pa + i as u64);
-        }
+        self.read_into(pa, &mut bytes);
         u64::from_le_bytes(bytes)
     }
 
     /// Writes an 8-byte little-endian value (may cross a page boundary).
     pub fn write_u64(&mut self, pa: u64, v: u64) {
-        for (i, b) in v.to_le_bytes().iter().enumerate() {
-            self.write_u8(pa + i as u64, *b);
-        }
+        self.write_bytes(pa, &v.to_le_bytes());
     }
 
-    /// Copies a byte slice into memory starting at `pa`.
+    /// Copies a byte slice into memory starting at `pa`: one page
+    /// lookup and one copy when it stays inside one page, byte by byte
+    /// when it crosses a page boundary.
     pub fn write_bytes(&mut self, pa: u64, bytes: &[u8]) {
-        for (i, b) in bytes.iter().enumerate() {
-            self.write_u8(pa + i as u64, *b);
+        let off = (pa % PAGE_SIZE) as usize;
+        if bytes.is_empty() {
+            // Touches no page (and so allocates and journals none).
+        } else if off + bytes.len() <= PAGE_SIZE as usize {
+            self.page_mut(pa)[off..off + bytes.len()].copy_from_slice(bytes);
+        } else {
+            for (i, b) in bytes.iter().enumerate() {
+                self.write_u8(pa + i as u64, *b);
+            }
         }
     }
 
     /// Reads `len` bytes starting at `pa`.
     pub fn read_bytes(&self, pa: u64, len: usize) -> Vec<u8> {
-        (0..len).map(|i| self.read_u8(pa + i as u64)).collect()
+        let mut bytes = vec![0; len];
+        self.read_into(pa, &mut bytes);
+        bytes
     }
 
     /// Number of physical pages that have been touched by a write.
@@ -317,6 +341,12 @@ mod tests {
         assert_eq!(a.read_u8(0x1000), 2);
     }
 
+    /// A u64 assembled from single-byte reads: the reference for the
+    /// one-lookup paths.
+    fn u64_by_bytes(m: &PhysMem, pa: u64) -> u64 {
+        u64::from_le_bytes(std::array::from_fn(|k| m.read_u8(pa + k as u64)))
+    }
+
     #[test]
     fn restore_matches_exhaustive_copy_after_random_churn() {
         let mut m = PhysMem::new();
@@ -325,8 +355,18 @@ mod tests {
         }
         m.seal();
         let snap = m.clone();
+        // u64s straddling each boundary between pages i and i + 1: the
+        // last ones reach past the sealed pages and allocate.
+        let straddle = |i: u64| 0x1000 * (i + 1) - 3;
+        let sealed: Vec<u64> = (0..20).map(|i| snap.read_u64(straddle(i))).collect();
         for i in 0..32u64 {
             m.write_u8(0x800 * i + 7, i as u8);
+        }
+        for i in 0..20u64 {
+            m.write_u64(straddle(i), !i);
+            assert_eq!(m.read_u64(straddle(i)), !i);
+            assert_eq!(u64_by_bytes(&m, straddle(i)), !i);
+            assert_eq!(snap.read_u64(straddle(i)), sealed[i as usize], "COW leaked");
         }
         m.restore(&snap);
         let reference = snap.clone();
@@ -334,6 +374,11 @@ mod tests {
         for i in 0..32u64 {
             let pa = 0x800 * i + 7;
             assert_eq!(m.read_u8(pa), reference.read_u8(pa), "pa {pa:#x}");
+        }
+        for i in 0..20u64 {
+            let pa = straddle(i);
+            assert_eq!(m.read_u64(pa), sealed[i as usize], "pa {pa:#x}");
+            assert_eq!(m.read_u64(pa), u64_by_bytes(&reference, pa), "pa {pa:#x}");
         }
     }
 }

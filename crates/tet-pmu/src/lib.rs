@@ -97,6 +97,20 @@ impl Pmu {
             counts: self.counts,
         }
     }
+
+    /// Adds every counter of `delta` (one element-wise pass, no
+    /// per-event dispatch) — how a replayed run credits the counts its
+    /// recorded delta says it would have produced.
+    pub fn add(&mut self, delta: &PmuSnapshot) {
+        add_counts(&mut self.counts, &delta.counts);
+    }
+}
+
+/// `a += b`, counter by counter.
+fn add_counts(a: &mut Counts, b: &Counts) {
+    for (a, b) in a.iter_mut().zip(b) {
+        *a += b;
+    }
 }
 
 impl Default for Pmu {
@@ -145,9 +159,7 @@ impl PmuSnapshot {
     /// accumulators (e.g. a machine's across-restore PMU totals) fold
     /// per-run deltas together.
     pub fn accumulate(&mut self, delta: &PmuSnapshot) {
-        for (a, b) in self.counts.iter_mut().zip(&delta.counts) {
-            *a += b;
-        }
+        add_counts(&mut self.counts, &delta.counts);
     }
 
     /// Learns a 0/1 response mask from two observations of the same
@@ -213,6 +225,23 @@ mod tests {
         pmu.bump(Event::UopsIssuedAny, 3);
         pmu.bump(Event::UopsIssuedAny, 4);
         assert_eq!(pmu.count(Event::UopsIssuedAny), 7);
+    }
+
+    #[test]
+    fn add_matches_bumping_every_nonzero_event() {
+        let mut src = Pmu::new();
+        for (k, e) in Event::ALL.iter().enumerate().step_by(3) {
+            src.bump(*e, k as u64 + 1);
+        }
+        let delta = src.snapshot();
+        let mut added = Pmu::new();
+        added.bump(Event::UopsIssuedAny, 5);
+        let mut bumped = added.clone();
+        added.add(&delta);
+        for (e, n) in delta.iter_nonzero() {
+            bumped.bump(e, n);
+        }
+        assert_eq!(added, bumped);
     }
 
     #[test]

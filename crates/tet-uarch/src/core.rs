@@ -25,6 +25,7 @@ use tet_pmu::{Event, Pmu};
 use crate::config::{CpuConfig, ForwardPolicy};
 use crate::frontend::{Dsb, FetchedUop};
 use crate::ring::Ring;
+use crate::rob::Rob;
 use crate::template::ProgramTemplate;
 use crate::uop::FaultRoute;
 use crate::uop::{
@@ -221,7 +222,8 @@ pub struct Cpu {
     itlb: Tlb,
 
     // ----- backend -----
-    rob: Ring<RobEntry>,
+    /// The reorder buffer with its scheduler index (`rob.rs`).
+    rob: Rob,
     next_uop_id: u64,
     rat: [Option<u64>; 16],
     flags_rat: Option<u64>,
@@ -242,21 +244,16 @@ pub struct Cpu {
     txn_top: u32,
 
     // ----- scheduler bookkeeping -----
-    // Derived counters that make the per-cycle scheduler loops O(1) per
-    // entry instead of O(ROB). All are recomputed from scratch on any
-    // squash (`recompute_sched_state`) and zeroed with the ROB.
-    /// ROB entries that have not started executing (reservation-station
-    /// occupancy).
-    unstarted_count: usize,
+    // Derived counters that let the per-cycle loops skip work the ROB
+    // cannot need (the per-entry index lives in `Rob`). All are
+    // recomputed from scratch by `recompute_sched_state` on any squash
+    // and at `reset_run`.
     /// Unstarted entries that are stores (`Store`/`StoreByte`/`Push`/
     /// `Call`) — the loads' memory-order scan is skipped when zero.
     unstarted_store_count: usize,
     /// Entries carrying in-flight store data — the store-to-load
     /// forwarding scan is skipped when zero.
     inflight_store_data: usize,
-    /// Executed-but-unresolved branches — branch resolution is skipped
-    /// when zero.
-    exec_unresolved_branches: usize,
     /// Max `done_at` over started entries still in the ROB (an entry
     /// with a larger stored value can never have retired, so the max is
     /// exact — see `account_cycle`).
@@ -319,6 +316,12 @@ pub struct Cpu {
 impl Cpu {
     /// Creates a core in reset state.
     pub fn new(cfg: CpuConfig) -> Self {
+        assert!(
+            cfg.rob_size <= Rob::MAX_ENTRIES,
+            "ROB of {} entries exceeds the scheduler index's {}",
+            cfg.rob_size,
+            Rob::MAX_ENTRIES
+        );
         let ports = cfg.ports;
         Cpu {
             pmu: Pmu::new(),
@@ -331,7 +334,7 @@ impl Cpu {
             last_fetch_page: None,
             last_fetch_from_dsb: false,
             itlb: Tlb::new(cfg.itlb),
-            rob: Ring::new(),
+            rob: Rob::new(),
             next_uop_id: 0,
             rat: [None; 16],
             flags_rat: None,
@@ -343,10 +346,8 @@ impl Cpu {
             external_stall_until: 0,
             txn_frames: vec![TXN_EMPTY],
             txn_top: 0,
-            unstarted_count: 0,
             unstarted_store_count: 0,
             inflight_store_data: 0,
-            exec_unresolved_branches: 0,
             exec_max_done: 0,
             mem_max_done: 0,
             dtlb: Tlb::new(cfg.dtlb),
@@ -407,12 +408,7 @@ impl Cpu {
         self.external_stall_until = 0;
         self.txn_frames.truncate(1);
         self.txn_top = 0;
-        self.unstarted_count = 0;
-        self.unstarted_store_count = 0;
-        self.inflight_store_data = 0;
-        self.exec_unresolved_branches = 0;
-        self.exec_max_done = 0;
-        self.mem_max_done = 0;
+        self.recompute_sched_state();
         self.txn_checkpoint = None;
         self.txn_undo.clear();
         self.txn_depth = 0;
@@ -485,10 +481,8 @@ impl Cpu {
             external_stall_until,
             txn_frames,
             txn_top,
-            unstarted_count,
             unstarted_store_count,
             inflight_store_data,
-            exec_unresolved_branches,
             exec_max_done,
             mem_max_done,
             dtlb,
@@ -545,10 +539,8 @@ impl Cpu {
         self.txn_frames.clear();
         self.txn_frames.extend_from_slice(txn_frames);
         self.txn_top = *txn_top;
-        self.unstarted_count = *unstarted_count;
         self.unstarted_store_count = *unstarted_store_count;
         self.inflight_store_data = *inflight_store_data;
-        self.exec_unresolved_branches = *exec_unresolved_branches;
         self.exec_max_done = *exec_max_done;
         self.mem_max_done = *mem_max_done;
         self.dtlb.restore(dtlb);
@@ -644,9 +636,7 @@ impl Cpu {
         self.global_cycle += cycles;
         self.ff_skipped_cycles += ff_skipped;
         self.ff_sprints += ff_sprints;
-        for (ev, n) in pmu.iter_nonzero() {
-            self.pmu.bump(ev, n);
-        }
+        self.pmu.add(pmu);
     }
 
     /// Test-only retire-path bug injection: when on, every committed
@@ -819,6 +809,9 @@ impl Cpu {
             mite_uops,
             fetch_stalled,
         );
+        if cfg!(debug_assertions) || env.check.is_some() {
+            self.validate_sched_index();
+        }
         self.cycle += 1;
         events
     }
@@ -868,21 +861,14 @@ impl Cpu {
         // skip across one — clip the sprint to the earliest `done_at`
         // and treat a due resolution as activity.
         let mut branch_done = u64::MAX;
-        if self.exec_unresolved_branches > 0 {
-            let mut remaining = self.exec_unresolved_branches;
-            for e in &self.rob {
-                if e.started && e.kind.is_branch() && !e.resolved {
-                    let done = e.done_at;
-                    if done <= now {
-                        return 0;
-                    }
-                    branch_done = branch_done.min(done);
-                    remaining -= 1;
-                    if remaining == 0 {
-                        break;
-                    }
-                }
+        let mut from = 0;
+        while let Some(i) = self.rob.next_branch(from) {
+            from = i + 1;
+            let done = self.rob[i].done_at;
+            if done <= now {
+                return 0;
             }
+            branch_done = branch_done.min(done);
         }
         let t = self.cfg.timing;
         // A due timer interrupt mutates stall windows and the RNG: let
@@ -913,7 +899,7 @@ impl Cpu {
         }
         if !(p_flush || p_ext || p_rec || self.idq.is_empty())
             && self.rob.len() < self.cfg.rob_size
-            && self.unstarted_count < self.cfg.rs_size
+            && self.rob.unstarted() < self.cfg.rs_size
         {
             return 0; // rename issues this cycle
         }
@@ -983,7 +969,7 @@ impl Cpu {
         if self.mem_max_done > now {
             self.pmu.bump(Event::CycleActivityCyclesMemAny, skip);
         }
-        if self.unstarted_count == 0 {
+        if self.rob.unstarted() == 0 {
             self.pmu.bump(Event::RsEventsEmptyCycles, skip);
         }
         self.pmu.bump(Event::UopsIssuedStallCycles, skip);
@@ -1002,16 +988,15 @@ impl Cpu {
     /// `None` when the scheduler would start some µop at `now`, else
     /// the earliest future cycle at which it could (`u64::MAX` when no
     /// in-flight µop bounds it — retire/fetch/timer bounds then apply).
+    /// Only the pending set is walked: started entries bound nothing,
+    /// and a parked entry is woken by an older producer starting, which
+    /// the walk bounds (or reports as activity) on its own.
     fn sched_quiet_until(&self, now: u64) -> Option<u64> {
         let mut bound = u64::MAX;
-        for (i, e) in self.rob.iter().enumerate() {
-            if e.started {
-                // A not-yet-done fence blocks all younger execution.
-                if e.kind.is_fence() && !e.retire_ready(now) {
-                    return Some(bound.min(e.done_at));
-                }
-                continue;
-            }
+        let mut from = 0;
+        while let Some(i) = self.rob.next_pending(from) {
+            from = i + 1;
+            let e = &self.rob[i];
             if e.kind.is_fence() {
                 if self.exec_max_done <= now {
                     if self.rob.iter().take(i).all(|o| o.retire_ready(now)) {
@@ -1025,9 +1010,7 @@ impl Cpu {
                 return Some(bound);
             }
             if now < e.wake_at {
-                if e.wake_at != u64::MAX {
-                    bound = bound.min(e.wake_at);
-                }
+                bound = bound.min(e.wake_at);
                 continue;
             }
             match self.eval_deps(i, now) {
@@ -1067,7 +1050,7 @@ impl Cpu {
         // squash recomputes the maxima from the survivors.
         let in_flight_exec = self.exec_max_done > now;
         let mem_in_flight = self.mem_max_done > now;
-        let rs_occupied = self.unstarted_count > 0;
+        let rs_occupied = self.rob.unstarted() > 0;
 
         if exec_started == 0 {
             self.pmu.bump(Event::UopsExecutedStallCycles, 1);
@@ -1104,17 +1087,14 @@ impl Cpu {
     // ----- branch resolution ----------------------------------------------
 
     fn resolve_branches(&mut self, now: u64) {
-        // Nothing to do unless some branch has executed and not yet been
-        // resolved — the common straight-line cycle skips the scan.
-        if self.exec_unresolved_branches == 0 {
-            return;
-        }
         // Resolve in age order; stop after the first mispredict (it
         // squashes everything younger).
         let mut mispredict_at: Option<usize> = None;
-        for i in 0..self.rob.len() {
+        let mut from = 0;
+        while let Some(i) = self.rob.next_branch(from) {
+            from = i + 1;
             let e = &self.rob[i];
-            if !e.kind.is_branch() || e.resolved || !e.retire_ready(now) {
+            if !e.retire_ready(now) {
                 continue;
             }
             let actual = e
@@ -1141,9 +1121,7 @@ impl Cpu {
                     mispredicted,
                 },
             );
-            self.exec_unresolved_branches -= 1;
-            let entry = &mut self.rob[i];
-            entry.resolved = true;
+            let entry = self.rob.resolve(i);
             if mispredicted {
                 entry.mispredicted = true;
                 mispredict_at = Some(i);
@@ -1222,17 +1200,16 @@ impl Cpu {
         }
     }
 
-    /// Rebuilds every derived scheduler counter and wake/waiter field
-    /// from the ROB contents. Called after any squash; surviving
-    /// unstarted entries are re-evaluated from scratch next cycle.
+    /// Rebuilds every derived scheduler counter, wake/waiter field and
+    /// the ROB's scheduler index from the ROB contents. Called after any
+    /// squash and at `reset_run`; surviving unstarted entries are
+    /// re-evaluated from scratch next cycle (all pending, none parked).
     fn recompute_sched_state(&mut self) {
-        self.unstarted_count = 0;
         self.unstarted_store_count = 0;
         self.inflight_store_data = 0;
-        self.exec_unresolved_branches = 0;
         self.exec_max_done = 0;
         self.mem_max_done = 0;
-        for e in &mut self.rob {
+        self.rob.rebuild_with(|e| {
             e.waiter_head = None;
             e.next_waiter = None;
             if e.started {
@@ -1241,20 +1218,16 @@ impl Cpu {
                 if e.kind.is_memory() {
                     self.mem_max_done = self.mem_max_done.max(done);
                 }
-                if e.kind.is_branch() && !e.resolved {
-                    self.exec_unresolved_branches += 1;
-                }
                 if e.store.is_some() {
                     self.inflight_store_data += 1;
                 }
             } else {
                 e.wake_at = 0;
-                self.unstarted_count += 1;
                 if e.kind.is_store_kind() {
                     self.unstarted_store_count += 1;
                 }
             }
-        }
+        });
     }
 
     /// Expensive post-squash consistency sweep, run only in check mode:
@@ -1262,7 +1235,7 @@ impl Cpu {
     /// entries behind.
     fn validate_rename_state(&self) {
         let mut prev: Option<u64> = None;
-        for e in &self.rob {
+        for e in self.rob.iter() {
             assert!(
                 prev.is_none_or(|p| e.id > p),
                 "ROB ids must be strictly ascending: {} after {:?}",
@@ -1287,7 +1260,7 @@ impl Cpu {
             );
         }
         let front_id = self.rob.front().map(|e| e.id);
-        for e in &self.rob {
+        for e in self.rob.iter() {
             for d in &e.deps {
                 let Some(p) = d.producer.map(UopId::get) else {
                     continue;
@@ -1303,6 +1276,16 @@ impl Cpu {
                     e.id
                 );
             }
+        }
+    }
+
+    /// Per-cycle sweep in debug builds and check mode: the ROB's
+    /// scheduler index must equal the one its entries define. `step`
+    /// runs it when it carries the oracle; the SMT loop, which steps
+    /// without one, calls it itself in check mode.
+    pub(crate) fn validate_sched_index(&self) {
+        if let Some(diff) = self.rob.index_mismatch() {
+            panic!("cycle {}: scheduler index out of date: {diff}", self.cycle);
         }
     }
 
@@ -1627,21 +1610,21 @@ impl Cpu {
 
     // ----- scheduling / execution -----------------------------------------
 
+    /// Issues ready µops oldest first. Only the pending set is walked:
+    /// started entries have nothing to issue (a started fence is done —
+    /// it starts with `done_at = now` — so it never blocks), and parked
+    /// entries wait for their producer's wake-up, which re-pends them
+    /// before this walk reaches them (waiters are younger).
     fn schedule_cycle(&mut self, now: u64, env: &mut Env<'_>) -> usize {
         if now < self.pipeline_flush_until {
             return 0;
         }
         let mut started = 0usize;
-        let mut i = 0usize;
-        while i < self.rob.len() {
-            if self.rob[i].started {
-                // A not-yet-done fence blocks all younger execution.
-                if self.rob[i].kind.is_fence() && !self.rob[i].retire_ready(now) {
-                    break;
-                }
-                i += 1;
-                continue;
-            }
+        // Each lookup reads the live set, so a waiter woken by an
+        // execute below is reached later in this same walk.
+        let mut from = 0;
+        while let Some(i) = self.rob.next_pending(from) {
+            from = i + 1;
             // Fences wait until all older µops are done, then "execute"
             // instantly; they block everything younger meanwhile. While
             // a fence sits unstarted, nothing younger can have started,
@@ -1651,13 +1634,11 @@ impl Cpu {
                 let older_done = self.exec_max_done <= now
                     && self.rob.iter().take(i).all(|e| e.retire_ready(now));
                 if older_done {
-                    let e = &mut self.rob[i];
+                    let e = self.rob.start(i);
                     debug_assert!(e.waiter_head.is_none(), "fences produce nothing");
-                    e.started = true;
                     e.forward_at = now;
                     e.done_at = now;
                     let id = e.id;
-                    self.unstarted_count -= 1;
                     self.exec_max_done = self.exec_max_done.max(now);
                     self.sink.emit_at(
                         now,
@@ -1667,18 +1648,15 @@ impl Cpu {
                             done_at: now,
                         },
                     );
-                    i += 1;
                     continue;
                 }
                 break;
             }
-            // Entries waiting on a known future time (or parked on a
-            // producer's waiter list, `wake_at == u64::MAX`) are skipped
-            // in O(1); the issue decisions are identical to the old
+            // Entries waiting on a known future time are skipped in
+            // O(1); the issue decisions are identical to the old
             // every-cycle re-poll because `wake_at` is always a lower
             // bound on the entry's first possible issue cycle.
             if now < self.rob[i].wake_at {
-                i += 1;
                 continue;
             }
             match self.eval_deps(i, now) {
@@ -1702,7 +1680,6 @@ impl Cpu {
                     }
                 }
             }
-            i += 1;
         }
         started
     }
@@ -1798,10 +1775,9 @@ impl Cpu {
         debug_assert!(pidx < i, "can only wait on an older µop");
         debug_assert!(!self.rob[pidx].started);
         let head = self.rob[pidx].waiter_head;
-        let e = &mut self.rob[i];
+        let e = self.rob.park(i);
         debug_assert!(e.next_waiter.is_none(), "µop parked twice");
         e.next_waiter = head;
-        e.wake_at = u64::MAX;
         let id = e.id;
         self.rob[pidx].waiter_head = Some(UopId::new(id));
     }
@@ -1957,8 +1933,7 @@ impl Cpu {
 
         let fault_info = fault.as_ref().map(|f| (f.kind, f.vaddr));
         let has_store = store.is_some();
-        let e = &mut self.rob[i];
-        e.started = true;
+        let e = self.rob.start(i);
         let forward_at = now + latency;
         e.forward_at = forward_at;
         let done_at = if fault.is_some() {
@@ -1978,15 +1953,11 @@ impl Cpu {
         let is_mem = kind.is_memory();
 
         // Scheduler bookkeeping for the start of execution.
-        self.unstarted_count -= 1;
         if kind.is_store_kind() {
             self.unstarted_store_count -= 1;
         }
         if has_store {
             self.inflight_store_data += 1;
-        }
-        if kind.is_branch() {
-            self.exec_unresolved_branches += 1;
         }
         self.exec_max_done = self.exec_max_done.max(done_at);
         if is_mem {
@@ -2000,9 +1971,7 @@ impl Cpu {
             let widx = self
                 .rob_index(wid.get())
                 .expect("waiters die with their producer");
-            let w = &mut self.rob[widx];
-            waiter = w.next_waiter.take();
-            w.wake_at = now;
+            waiter = self.rob.wake(widx, now).next_waiter.take();
         }
 
         self.sink.emit_at(
@@ -2031,7 +2000,6 @@ impl Cpu {
     /// store has drained; model as a stalled start.
     fn block_forwarding(&mut self, i: usize, now: u64) -> Option<ExecOut> {
         self.pmu.bump(Event::LdBlocksStoreForward, 1);
-        self.rob[i].started = false;
         self.rob[i].wake_at = now + 1;
         None
     }
@@ -2606,12 +2574,13 @@ impl Cpu {
             return 0;
         }
         let mut issued = 0usize;
+        // Every µop renamed below enters the reservation station.
+        let rs_before = self.rob.unstarted();
         for _ in 0..self.cfg.issue_width {
             if self.idq.is_empty() {
                 break;
             }
-            let rs_occupancy = self.unstarted_count;
-            if self.rob.len() >= self.cfg.rob_size || rs_occupancy >= self.cfg.rs_size {
+            if self.rob.len() >= self.cfg.rob_size || rs_before + issued >= self.cfg.rs_size {
                 self.pmu.bump(Event::ResourceStallsAny, 1);
                 if self.rob.len() >= self.cfg.rob_size {
                     self.pmu
@@ -2694,7 +2663,6 @@ impl Cpu {
             if meta.kind.writes_flags() {
                 self.flags_rat = Some(id);
             }
-            self.unstarted_count += 1;
             if meta.kind.is_store_kind() {
                 self.unstarted_store_count += 1;
             }

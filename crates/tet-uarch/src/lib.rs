@@ -49,6 +49,7 @@ pub mod frontend;
 mod lru;
 pub mod machine;
 mod ring;
+mod rob;
 pub mod smt;
 pub mod template;
 pub mod uop;

@@ -53,9 +53,23 @@ impl<T: Copy> Ring<T> {
         self.len == 0
     }
 
+    /// Slot storage length: 0 or a power of two. Slot-keyed side
+    /// tables (the ROB's scheduler index) must be rebuilt whenever it
+    /// changes, because growing rotates the live entries to slot 0.
+    #[inline]
+    pub(crate) fn capacity(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Slot of the front entry.
+    #[inline]
+    pub(crate) fn head(&self) -> usize {
+        self.head
+    }
+
     /// Slot of logical index `i` (callers guarantee a non-empty buffer).
     #[inline]
-    fn slot(&self, i: usize) -> usize {
+    pub(crate) fn slot(&self, i: usize) -> usize {
         (self.head + i) & (self.buf.len() - 1)
     }
 

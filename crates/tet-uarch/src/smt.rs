@@ -163,6 +163,9 @@ impl SmtMachine {
         let pmu0_before = self.cpu0.pmu.snapshot();
         let pmu1_before = self.cpu1.pmu.snapshot();
         let max_cycles = cfg0.max_cycles.max(cfg1.max_cycles);
+        // `step` validates the scheduler index only in debug builds when
+        // no oracle rides along; check mode extends that to release runs.
+        let check_index = !cfg!(debug_assertions) && tet_check::enabled();
 
         let mut exit0 = RunExit::CycleLimit;
         let mut exit1 = RunExit::CycleLimit;
@@ -185,6 +188,9 @@ impl SmtMachine {
                     check: None,
                 };
                 let ev = self.cpu0.step(&tpl0, &mut env);
+                if check_index {
+                    self.cpu0.validate_sched_index();
+                }
                 if let Some(until) = ev.flush_until {
                     self.cpu1.impose_external_stall(until);
                 }
@@ -200,6 +206,9 @@ impl SmtMachine {
                     check: None,
                 };
                 let ev = self.cpu1.step(&tpl1, &mut env);
+                if check_index {
+                    self.cpu1.validate_sched_index();
+                }
                 if let Some(until) = ev.flush_until {
                     self.cpu0.impose_external_stall(until);
                 }

@@ -288,8 +288,9 @@ fn main() {
     section("simulator kernels (one Machine::run per iteration)");
     {
         // The substrate cost every experiment pays, free of any attack
-        // gadget: straight-line ALU work, a predicted loop, and loads
-        // that each miss the dTLB and walk the page tables.
+        // gadget: straight-line ALU work, a predicted loop, loads that
+        // each miss the dTLB and walk the page tables, and a transient
+        // window's shape — one DRAM miss with 150 µops parked behind it.
         let cfg = CpuConfig::kaby_lake_i7_7700();
         let run = RunConfig::default();
         let (samples, iters) = if smoke { (5, 20) } else { (15, 200) };
@@ -321,7 +322,7 @@ fn main() {
             black_box(m.run(&branchy, &run));
         });
 
-        let mut m = Machine::new(cfg, 1);
+        let mut m = Machine::new(cfg.clone(), 1);
         let mut a = Asm::new();
         for i in 0..16u64 {
             m.map_user_page(0x100_0000 + i * 4096);
@@ -335,10 +336,26 @@ fn main() {
             black_box(m.run(&loads, &run));
         });
 
+        let mut m = Machine::new(cfg, 1);
+        m.map_user_page(0x200_0000);
+        let mut a = Asm::new();
+        a.load_abs(Reg::Rax, 0x200_0000);
+        for _ in 0..75 {
+            a.add(Reg::Rax, 1u64).add(Reg::Rbx, Reg::Rax);
+        }
+        a.halt();
+        let window = a.assemble().expect("program is closed");
+        m.run(&window, &run); // warm
+        let window_ns = median_ns(samples, iters, || {
+            m.clflush_virt(0x200_0000);
+            black_box(m.run(&window, &run));
+        });
+
         for (id, ns) in [
             ("straight_line_1k_insts", straight_ns),
             ("branchy_loop_200_iters", branchy_ns),
             ("tlb_miss_loads_16_pages", loads_ns),
+            ("parked_window", window_ns),
         ] {
             println!("  {id:<24} {ns:>9.0} ns/iter (median of {samples} x {iters})");
             rep.scalar(&format!("kernel.{id}_ns"), ns);

@@ -20,6 +20,7 @@ const FOLDED_KEYS: &[&str] = &[
     "kernel.straight_line_1k_insts_ns",
     "kernel.branchy_loop_200_iters_ns",
     "kernel.tlb_miss_loads_16_pages_ns",
+    "kernel.parked_window_ns",
     "structures.cache_lookup_hit_x1024_ns",
     "structures.cache_fill_evict_x1024_ns",
     "structures.tlb_lookup_hit_x1024_ns",

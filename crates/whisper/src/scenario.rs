@@ -140,8 +140,8 @@ impl Scenario {
             .expect("victim page is mapped");
         // The victim's demand load: route it through the hierarchy so the
         // line (with its data) lands in the LFB.
-        self.machine.clflush_virt(VICTIM_PAGE + offset);
         let (mem, phys) = self.machine.mem_and_phys_mut();
+        mem.clflush(pa);
         mem.data_load(pa, phys);
     }
 
