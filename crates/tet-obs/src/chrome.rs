@@ -6,9 +6,10 @@
 //!
 //! Mapping:
 //!
-//! * each µop becomes one complete (`"ph":"X"`) slice from rename to
-//!   retire/squash, on a per-µop track (`tid` = µop id within its thread's
-//!   process), with execution start/finish and fate in `args`;
+//! * each µop's [`UopSpan`](crate::uop::UopSpan) from the lifecycle fold
+//!   ([`uop_spans`]) becomes one complete (`"ph":"X"`) slice from rename
+//!   to retire/squash, on a per-µop track (`tid` = µop id within its
+//!   thread's process), with execution start/finish and fate in `args`;
 //! * faults, resteers, squash causes, timer interrupts and SMT stalls
 //!   become instant events (`"ph":"i"`);
 //! * frontend delivery and cache/TLB activity become counter events
@@ -18,26 +19,15 @@
 //! µs), which makes Perfetto's zoom/duration labels read directly as
 //! cycle counts.
 
-use std::collections::BTreeMap;
-
 use crate::event::{EventKind, TraceEvent};
 use crate::json::Value;
+use crate::uop::uop_spans;
 
 /// Builds Chrome trace JSON from recorded events.
 #[derive(Debug, Default)]
 pub struct ChromeTrace {
     events: Vec<TraceEvent>,
     process_name: String,
-}
-
-struct UopSlice {
-    pc: u64,
-    op: &'static str,
-    renamed_at: u64,
-    started_at: Option<u64>,
-    done_at: Option<u64>,
-    end: Option<(u64, &'static str)>, // (cycle, "retired" | squash cause)
-    thread: u8,
 }
 
 impl ChromeTrace {
@@ -81,67 +71,27 @@ impl ChromeTrace {
             out.push(meta);
         }
 
-        // Pass 1: fold µop lifecycle events into slices.
-        let mut slices: BTreeMap<(u8, u64), UopSlice> = BTreeMap::new();
-        let mut last_cycle: u64 = 0;
-        for ev in &self.events {
-            last_cycle = last_cycle.max(ev.cycle);
-            match ev.kind {
-                EventKind::UopRenamed { id, pc, op } => {
-                    slices.insert(
-                        (ev.thread, id),
-                        UopSlice {
-                            pc,
-                            op,
-                            renamed_at: ev.cycle,
-                            started_at: None,
-                            done_at: None,
-                            end: None,
-                            thread: ev.thread,
-                        },
-                    );
-                }
-                EventKind::UopExecuted {
-                    id,
-                    started_at,
-                    done_at,
-                } => {
-                    if let Some(s) = slices.get_mut(&(ev.thread, id)) {
-                        s.started_at = Some(started_at);
-                        s.done_at = Some(done_at);
-                    }
-                }
-                EventKind::UopRetired { id } => {
-                    if let Some(s) = slices.get_mut(&(ev.thread, id)) {
-                        s.end = Some((ev.cycle, "retired"));
-                    }
-                }
-                EventKind::UopSquashed { id, cause } => {
-                    if let Some(s) = slices.get_mut(&(ev.thread, id)) {
-                        s.end = Some((ev.cycle, cause.label()));
-                    }
-                }
-                _ => {}
-            }
-        }
-
-        // Emit µop slices: tid = µop id so each µop gets its own lane and
-        // overlap (the transient window) is visible at a glance.
-        for ((_, id), s) in &slices {
-            let (end_cycle, fate) = s.end.unwrap_or((last_cycle, "in_flight"));
+        // µop slices from the lifecycle fold: tid = µop id so each µop
+        // gets its own lane and overlap (the transient window) is visible
+        // at a glance. A µop still in flight ends at the last cycle seen.
+        let last_cycle = self.events.iter().map(|e| e.cycle).max().unwrap_or(0);
+        for s in uop_spans(&self.events) {
+            let (end_cycle, fate) = s
+                .end
+                .map_or((last_cycle, "in_flight"), |(at, end)| (at, end.label()));
             let mut e = Value::obj();
             e.set("name", Value::from(format!("{} @{:#x}", s.op, s.pc)));
             e.set("cat", Value::from("uop"));
             e.set("ph", Value::from("X"));
             e.set("pid", Value::from(u64::from(s.thread)));
-            e.set("tid", Value::from(*id));
+            e.set("tid", Value::from(s.id));
             e.set("ts", Value::from(s.renamed_at));
             e.set(
                 "dur",
                 Value::from(end_cycle.saturating_sub(s.renamed_at).max(1)),
             );
             let mut args = Value::obj();
-            args.set("uop", Value::from(*id));
+            args.set("uop", Value::from(s.id));
             args.set("pc", Value::from(format!("{:#x}", s.pc)));
             args.set("fate", Value::from(fate));
             if let Some(at) = s.started_at {
@@ -154,7 +104,7 @@ impl ChromeTrace {
             out.push(e);
         }
 
-        // Pass 2: instants and counters on dedicated tracks.
+        // Instants and counters on dedicated tracks.
         for ev in &self.events {
             match ev.kind {
                 EventKind::FrontendCycle {

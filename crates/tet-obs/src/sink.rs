@@ -6,11 +6,9 @@
 //! allocation, no virtual call, no formatting.
 //!
 //! When enabled, events flow through the object-safe [`TraceSink`] trait.
-//! Two implementations cover the shapes in use:
-//!
-//! * [`MemorySink`] — unbounded mutex-guarded vector (the per-run recorder
-//!   `Machine` installs when full traces are requested);
-//! * [`FanoutSink`] — tees one stream into several sinks.
+//! [`MemorySink`], an unbounded mutex-guarded vector, is the recorder
+//! callers attach to a run; [`crate::uop::uop_spans`] and the exporters
+//! read what it drained.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -29,8 +27,8 @@ pub trait TraceSink {
 // MemorySink
 // ---------------------------------------------------------------------------
 
-/// An unbounded in-memory sink. This is the per-run recorder used when a
-/// caller asks for full traces; it trades a mutex per event for losslessness.
+/// An unbounded in-memory sink: the recorder a caller attaches to a run
+/// for full traces. It trades a mutex per event for losslessness.
 #[derive(Debug, Default)]
 pub struct MemorySink {
     events: Mutex<Vec<TraceEvent>>,
@@ -45,11 +43,6 @@ impl MemorySink {
     /// Takes all recorded events, leaving the sink empty.
     pub fn drain(&self) -> Vec<TraceEvent> {
         std::mem::take(&mut *self.events.lock().expect("trace sink poisoned"))
-    }
-
-    /// Copies all recorded events without clearing.
-    pub fn snapshot(&self) -> Vec<TraceEvent> {
-        self.events.lock().expect("trace sink poisoned").clone()
     }
 
     /// Number of events currently held.
@@ -67,31 +60,6 @@ impl TraceSink for MemorySink {
     #[inline]
     fn emit(&self, ev: TraceEvent) {
         self.events.lock().expect("trace sink poisoned").push(ev);
-    }
-}
-
-// ---------------------------------------------------------------------------
-// FanoutSink
-// ---------------------------------------------------------------------------
-
-/// Tees one event stream into several sinks.
-pub struct FanoutSink {
-    sinks: Vec<Arc<dyn TraceSink + Send + Sync>>,
-}
-
-impl FanoutSink {
-    /// Builds a fanout over the given sinks.
-    pub fn new(sinks: Vec<Arc<dyn TraceSink + Send + Sync>>) -> FanoutSink {
-        FanoutSink { sinks }
-    }
-}
-
-impl TraceSink for FanoutSink {
-    #[inline]
-    fn emit(&self, ev: TraceEvent) {
-        for s in &self.sinks {
-            s.emit(ev);
-        }
     }
 }
 
@@ -166,8 +134,8 @@ impl SinkHandle {
         self.core.is_some()
     }
 
-    /// The underlying sink, if attached — used to compose a user-supplied
-    /// sink with an internal recorder via [`FanoutSink`].
+    /// The underlying sink, if attached — a run re-wraps it with
+    /// [`SinkHandle::attached`] so every run starts from a fresh clock.
     pub fn sink_arc(&self) -> Option<Arc<dyn TraceSink + Send + Sync>> {
         self.core.as_ref().map(|c| c.sink.clone())
     }
@@ -260,16 +228,5 @@ mod tests {
         let evs = sink.drain();
         assert_eq!(evs[0].cycle, 42, "clock is shared");
         assert_eq!(evs[0].thread, 1, "thread tag differs");
-    }
-
-    #[test]
-    fn fanout_tees_to_all_sinks() {
-        let a = Arc::new(MemorySink::new());
-        let b = Arc::new(MemorySink::new());
-        let fan = FanoutSink::new(vec![a.clone(), b.clone()]);
-        let h = SinkHandle::attached(Arc::new(fan));
-        h.emit(ev(9));
-        assert_eq!(a.len(), 1);
-        assert_eq!(b.len(), 1);
     }
 }

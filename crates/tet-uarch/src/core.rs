@@ -19,7 +19,7 @@
 use tet_isa::reg::RegFile;
 use tet_isa::{Flags, Inst, Opcode, Program, Reg};
 use tet_mem::{AddressSpace, HitLevel, MemorySystem, PageWalker, PhysMem, Pte, Tlb, WalkOutcome};
-use tet_obs::{EventKind, SinkHandle, TlbKind};
+use tet_obs::{EventKind, SinkHandle, SquashCause, TlbKind};
 use tet_pmu::{Event, Pmu};
 
 use crate::config::{CpuConfig, ForwardPolicy};
@@ -29,8 +29,7 @@ use crate::rob::Rob;
 use crate::template::ProgramTemplate;
 use crate::uop::FaultRoute;
 use crate::uop::{
-    Dep, DepKind, DepList, Fault, FaultKind, ResultList, RobEntry, SquashReason, StoreInfo, UopId,
-    NOT_EXECUTED,
+    Dep, DepKind, DepList, Fault, FaultKind, ResultList, RobEntry, StoreInfo, UopId, NOT_EXECUTED,
 };
 use crate::Bpu;
 
@@ -698,11 +697,10 @@ impl Cpu {
     /// Emits a squash event for every ROB entry at index `from` onward.
     /// The disabled path is a single branch — no id collection, no
     /// allocation.
-    fn emit_squash_from(&self, from: usize, at: u64, reason: SquashReason) {
+    fn emit_squash_from(&self, from: usize, at: u64, cause: SquashCause) {
         if !self.sink.enabled() {
             return;
         }
-        let cause = reason.to_obs();
         for e in self.rob.iter().skip(from) {
             self.sink
                 .emit_at(at, EventKind::UopSquashed { id: e.id, cause });
@@ -1139,7 +1137,7 @@ impl Cpu {
             self.pmu.bump(Event::BpL1BtbCorrect, 1);
 
             let flushed = self.rob.len() - (i + 1);
-            self.squash_younger_than(i, now, SquashReason::BranchMispredict);
+            self.squash_younger_than(i, now, SquashCause::BranchMispredict);
             self.sink.emit_at(
                 now,
                 EventKind::Resteer {
@@ -1169,8 +1167,8 @@ impl Cpu {
 
     /// Removes all ROB entries younger than index `keep` (emitting their
     /// squash events) and rebuilds the rename state from the survivors.
-    fn squash_younger_than(&mut self, keep: usize, now: u64, reason: SquashReason) {
-        self.emit_squash_from(keep + 1, now, reason);
+    fn squash_younger_than(&mut self, keep: usize, now: u64, cause: SquashCause) {
+        self.emit_squash_from(keep + 1, now, cause);
         self.rob.truncate(keep + 1);
         self.rebuild_rename_state();
     }
@@ -1582,11 +1580,11 @@ impl Cpu {
 
         // Full pipeline flush; architectural state stays at the last
         // commit (the faulting µop and everything younger vanish).
-        let squash_reason = match route {
-            FaultRoute::TxnAbort => SquashReason::TxnAbort,
-            _ => SquashReason::Fault,
+        let squash_cause = match route {
+            FaultRoute::TxnAbort => SquashCause::TxnAbort,
+            _ => SquashCause::Fault,
         };
-        self.emit_squash_from(0, now, squash_reason);
+        self.emit_squash_from(0, now, squash_cause);
         self.sink.emit_at(
             now,
             EventKind::FaultDelivered {

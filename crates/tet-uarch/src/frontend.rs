@@ -83,20 +83,6 @@ pub struct FetchedUop {
     pub from_dsb: bool,
 }
 
-/// One cycle of frontend delivery, recorded when tracing is enabled —
-/// the raw data behind Figure 3's DSB/MITE switch around a resteer.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FrontendTraceEntry {
-    /// Cycle number.
-    pub cycle: u64,
-    /// µops delivered from the DSB this cycle.
-    pub dsb_uops: usize,
-    /// µops delivered from MITE this cycle.
-    pub mite_uops: usize,
-    /// Whether the frontend was stalled (resteer/ICache/ITLB) this cycle.
-    pub stalled: bool,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -57,13 +57,12 @@ pub mod uop;
 pub use crate::core::{Cpu, ExceptionRecord, RunExit};
 pub use bpu::{Bpu, BpuConfig, Prediction};
 pub use config::{CpuConfig, ForwardPolicy, TimingConfig, VulnProfile};
-pub use frontend::FrontendTraceEntry;
 pub use machine::{
     DeltaMarker, Machine, MachineSnapshot, MachineStats, RunConfig, RunDelta, RunResult,
 };
 pub use smt::{SmtMachine, SmtRunResult};
 pub use template::{ProgramTemplate, UopMeta};
-pub use uop::{Fault, FaultKind, SquashReason, UopFate, UopTrace};
+pub use uop::{Fault, FaultKind};
 
 /// Virtual base address where program code is mapped.
 pub const CODE_BASE: u64 = 0x0040_0000;

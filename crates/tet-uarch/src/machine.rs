@@ -1,18 +1,15 @@
 //! [`Machine`]: a core plus its memory environment, with a simple run API.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use tet_isa::reg::RegFile;
 use tet_isa::{Flags, Program, Reg};
 use tet_mem::{AddressSpace, FrameAlloc, MemorySystem, PhysMem, Pte, PAGE_SIZE};
-use tet_obs::{EventKind, FanoutSink, MemorySink, RunReport, SinkHandle, TraceEvent, TraceSink};
+use tet_obs::{RunReport, SinkHandle};
 use tet_pmu::PmuSnapshot;
 
 use crate::core::{Cpu, Env, ExceptionRecord, RunExit};
-use crate::frontend::FrontendTraceEntry;
 use crate::template::ProgramTemplate;
-use crate::uop::{SquashReason, UopFate, UopTrace};
 use crate::{code_vaddr, CpuConfig, ForwardPolicy};
 
 /// Per-run options.
@@ -26,14 +23,11 @@ pub struct RunConfig {
     pub max_cycles: u64,
     /// Initial register values.
     pub init_regs: Vec<(Reg, u64)>,
-    /// Record the per-cycle frontend delivery trace (Figure 3).
-    pub trace_frontend: bool,
-    /// Record per-µop lifecycle traces (fetch → retire/squash) — the
-    /// data for visualising transient execution.
-    pub trace_uops: bool,
-    /// Structured-event sink the run emits into (Chrome-trace export,
-    /// flight recorders). Disabled by default; costs one branch per
-    /// event site when disabled.
+    /// Structured-event sink the run emits into: the per-cycle frontend
+    /// delivery behind Figure 3, the µop lifecycle ([`tet_obs::uop_spans`])
+    /// and everything the Chrome exporter draws. Each run timestamps from
+    /// a fresh clock. Disabled by default; costs one branch per event
+    /// site when disabled.
     pub sink: SinkHandle,
 }
 
@@ -43,10 +37,19 @@ impl Default for RunConfig {
             handler_pc: None,
             max_cycles: 1_000_000,
             init_regs: Vec::new(),
-            trace_frontend: false,
-            trace_uops: false,
             sink: SinkHandle::disabled(),
         }
+    }
+}
+
+impl RunConfig {
+    /// A fresh handle over [`RunConfig::sink`]: the same sink with a trace
+    /// clock of its own, so every run (and each SMT thread) timestamps
+    /// from its own cycle 0.
+    pub(crate) fn run_sink(&self) -> SinkHandle {
+        self.sink
+            .sink_arc()
+            .map_or_else(SinkHandle::disabled, SinkHandle::attached)
     }
 }
 
@@ -67,10 +70,6 @@ pub struct RunResult {
     pub pmu: PmuSnapshot,
     /// Faults delivered during the run.
     pub exceptions: Vec<ExceptionRecord>,
-    /// Frontend delivery trace, when requested.
-    pub frontend_trace: Option<Vec<FrontendTraceEntry>>,
-    /// Per-µop lifecycle trace, when requested.
-    pub uop_trace: Option<Vec<UopTrace>>,
 }
 
 impl RunResult {
@@ -90,117 +89,6 @@ impl RunResult {
         }
         rep
     }
-}
-
-/// Builds the sink a run actually emits into: the caller's sink (if any)
-/// fanned out with an internal recorder when legacy vector traces were
-/// requested. Returns the handle plus the recorder to drain afterwards.
-/// `reuse` supplies a previously drained recorder so repeated traced
-/// runs recycle one event buffer instead of allocating per run.
-pub(crate) fn compose_run_sink(
-    cfg: &RunConfig,
-    reuse: Option<&Arc<MemorySink>>,
-) -> (SinkHandle, Option<Arc<MemorySink>>) {
-    let recorder = (cfg.trace_frontend || cfg.trace_uops).then(|| {
-        reuse
-            .cloned()
-            .unwrap_or_else(|| Arc::new(MemorySink::new()))
-    });
-    let handle = match (cfg.sink.sink_arc(), recorder.clone()) {
-        (None, None) => SinkHandle::disabled(),
-        (Some(user), None) => SinkHandle::attached(user),
-        (None, Some(rec)) => SinkHandle::attached(rec),
-        (Some(user), Some(rec)) => SinkHandle::attached(Arc::new(FanoutSink::new(vec![
-            user,
-            rec as Arc<dyn TraceSink + Send + Sync>,
-        ]))),
-    };
-    (handle, recorder)
-}
-
-/// Rebuilds the legacy `Vec`-based traces from the structured event stream
-/// of one thread — the adapter that keeps [`RunResult::frontend_trace`] and
-/// [`RunResult::uop_trace`] stable while the emission side streams events.
-pub(crate) fn rebuild_traces(
-    program: &Program,
-    events: &[TraceEvent],
-    thread: u8,
-    want_frontend: bool,
-    want_uops: bool,
-) -> (Option<Vec<FrontendTraceEntry>>, Option<Vec<UopTrace>>) {
-    let mut frontend = want_frontend.then(Vec::new);
-    let mut uops: Option<Vec<UopTrace>> = want_uops.then(Vec::new);
-    let mut index: HashMap<u64, usize> = HashMap::new();
-    for ev in events.iter().filter(|e| e.thread == thread) {
-        match ev.kind {
-            EventKind::FrontendCycle {
-                dsb_uops,
-                mite_uops,
-                stalled,
-            } => {
-                if let Some(f) = &mut frontend {
-                    f.push(FrontendTraceEntry {
-                        cycle: ev.cycle,
-                        dsb_uops: dsb_uops as usize,
-                        mite_uops: mite_uops as usize,
-                        stalled,
-                    });
-                }
-            }
-            EventKind::UopRenamed { id, pc, .. } => {
-                if let Some(u) = &mut uops {
-                    let Some(inst) = program.fetch(pc as usize) else {
-                        continue;
-                    };
-                    index.insert(id, u.len());
-                    u.push(UopTrace {
-                        id,
-                        pc: pc as usize,
-                        inst,
-                        renamed_at: ev.cycle,
-                        started_at: None,
-                        done_at: None,
-                        fate: UopFate::InFlight,
-                    });
-                }
-            }
-            EventKind::UopExecuted {
-                id,
-                started_at,
-                done_at,
-            } => {
-                if let Some(u) = &mut uops {
-                    if let Some(&i) = index.get(&id) {
-                        u[i].started_at = Some(started_at);
-                        u[i].done_at = Some(done_at);
-                    }
-                }
-            }
-            EventKind::UopRetired { id } => {
-                if let Some(u) = &mut uops {
-                    if let Some(&i) = index.get(&id) {
-                        if matches!(u[i].fate, UopFate::InFlight) {
-                            u[i].fate = UopFate::Retired { at: ev.cycle };
-                        }
-                    }
-                }
-            }
-            EventKind::UopSquashed { id, cause } => {
-                if let Some(u) = &mut uops {
-                    if let Some(&i) = index.get(&id) {
-                        if matches!(u[i].fate, UopFate::InFlight) {
-                            u[i].fate = UopFate::Squashed {
-                                at: ev.cycle,
-                                reason: SquashReason::from_obs(cause),
-                            };
-                        }
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    (frontend, uops)
 }
 
 /// A complete single-thread simulated machine: one core, its caches and
@@ -354,9 +242,8 @@ pub struct RunDelta {
 /// Reusable per-run scratch state: everything [`Machine::run`] would
 /// otherwise allocate afresh on every call. Attack loops call `run`
 /// hundreds of thousands of times on the same machine, so the
-/// check-mode program, the µop template and the trace recorder are all
-/// kept and recycled here.
-#[derive(Debug)]
+/// check-mode program and the µop template are kept and recycled here.
+#[derive(Debug, Clone)]
 struct RunCtx {
     /// Check-mode program shared with the oracle, content-compared per
     /// run so only a *different* program pays a clone.
@@ -365,21 +252,6 @@ struct RunCtx {
     /// *different* program pays a re-crack (see
     /// [`ProgramTemplate`]).
     template: Option<Arc<ProgramTemplate>>,
-    /// Drained trace recorder recycled across trace-enabled runs.
-    recorder: Option<Arc<MemorySink>>,
-}
-
-impl Clone for RunCtx {
-    /// Cloned machines (e.g. one per worker thread) must not share the
-    /// trace recorder buffer, so the clone starts with a fresh cache;
-    /// the immutable program cache is shared safely.
-    fn clone(&self) -> Self {
-        RunCtx {
-            check_program: self.check_program.clone(),
-            template: self.template.clone(),
-            recorder: None,
-        }
-    }
 }
 
 impl RunCtx {
@@ -387,7 +259,6 @@ impl RunCtx {
         RunCtx {
             check_program: None,
             template: None,
-            recorder: None,
         }
     }
 
@@ -826,7 +697,7 @@ impl Machine {
     /// DSB, TLBs, caches, fill buffers and the PMU persist.
     pub fn run(&mut self, program: &Program, cfg: &RunConfig) -> RunResult {
         self.map_code(program.len());
-        let (handle, recorder) = compose_run_sink(cfg, self.ctx.recorder.as_ref());
+        let handle = cfg.run_sink();
         self.mem.set_sink(handle.clone());
         self.cpu.reset_run(&cfg.init_regs, cfg.handler_pc, handle);
         let pmu_before = self.cpu.pmu.snapshot();
@@ -898,17 +769,6 @@ impl Machine {
             oracle.on_run_end(class, self.cpu.regs(), self.cpu.flags());
         }
 
-        let (frontend_trace, uop_trace) = match recorder {
-            Some(rec) => {
-                let traces =
-                    rebuild_traces(program, &rec.drain(), 0, cfg.trace_frontend, cfg.trace_uops);
-                // Drained above: keep the (empty) buffer for the next
-                // traced run.
-                self.ctx.recorder = Some(rec);
-                traces
-            }
-            None => (None, None),
-        };
         self.runs += 1;
         self.cycles_total += self.cpu.cycle();
         let pmu_delta = self.cpu.pmu.snapshot().delta(&pmu_before);
@@ -921,8 +781,6 @@ impl Machine {
             retired: self.cpu.retired_insts(),
             pmu: pmu_delta,
             exceptions: self.cpu.take_exceptions(),
-            frontend_trace,
-            uop_trace,
         }
     }
 }

@@ -11,7 +11,7 @@ use tet_isa::Program;
 use tet_mem::{AddressSpace, FrameAlloc, MemorySystem, PhysMem, Pte, PAGE_SIZE};
 
 use crate::core::{Cpu, Env, RunExit};
-use crate::machine::{compose_run_sink, rebuild_traces, RunConfig, RunResult};
+use crate::machine::{RunConfig, RunResult};
 use crate::{code_vaddr, CpuConfig};
 
 /// The outcome of an SMT co-run.
@@ -151,9 +151,8 @@ impl SmtMachine {
         // Each thread gets its own handle (tagged 0 / 1); the shared
         // memory hierarchy is re-pointed at the stepping thread's handle
         // so cache events carry the right thread id.
-        let (h0, rec0) = compose_run_sink(cfg0, None);
-        let (h1, rec1) = compose_run_sink(cfg1, None);
-        let h1 = h1.for_thread(1);
+        let h0 = cfg0.run_sink();
+        let h1 = cfg1.run_sink().for_thread(1);
         let trace_mem = h0.enabled() || h1.enabled();
         self.mem.set_sink(h0.clone());
         self.cpu0
@@ -233,18 +232,6 @@ impl SmtMachine {
             exit1 = RunExit::RanOffEnd;
         }
 
-        let (frontend0, uops0) = match rec0 {
-            Some(rec) => {
-                rebuild_traces(prog0, &rec.drain(), 0, cfg0.trace_frontend, cfg0.trace_uops)
-            }
-            None => (None, None),
-        };
-        let (frontend1, uops1) = match rec1 {
-            Some(rec) => {
-                rebuild_traces(prog1, &rec.drain(), 1, cfg1.trace_frontend, cfg1.trace_uops)
-            }
-            None => (None, None),
-        };
         let t0 = RunResult {
             exit: exit0,
             cycles: self.cpu0.cycle(),
@@ -253,8 +240,6 @@ impl SmtMachine {
             retired: self.cpu0.retired_insts(),
             pmu: self.cpu0.pmu.snapshot().delta(&pmu0_before),
             exceptions: self.cpu0.take_exceptions(),
-            frontend_trace: frontend0,
-            uop_trace: uops0,
         };
         let t1 = RunResult {
             exit: exit1,
@@ -264,8 +249,6 @@ impl SmtMachine {
             retired: self.cpu1.retired_insts(),
             pmu: self.cpu1.pmu.snapshot().delta(&pmu1_before),
             exceptions: self.cpu1.take_exceptions(),
-            frontend_trace: frontend1,
-            uop_trace: uops1,
         };
         SmtRunResult { t0, t1 }
     }

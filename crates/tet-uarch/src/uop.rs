@@ -184,86 +184,6 @@ impl FaultRoute {
     }
 }
 
-/// Why a µop was squashed instead of retiring.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SquashReason {
-    /// An older branch resolved against the prediction.
-    BranchMispredict,
-    /// An older µop's fault flushed the pipeline.
-    Fault,
-    /// The enclosing transaction aborted.
-    TxnAbort,
-}
-
-impl SquashReason {
-    /// The observability-crate spelling of this squash cause.
-    pub fn to_obs(self) -> tet_obs::SquashCause {
-        match self {
-            SquashReason::BranchMispredict => tet_obs::SquashCause::BranchMispredict,
-            SquashReason::Fault => tet_obs::SquashCause::Fault,
-            SquashReason::TxnAbort => tet_obs::SquashCause::TxnAbort,
-        }
-    }
-
-    /// The inverse of [`SquashReason::to_obs`] (used when rebuilding
-    /// [`UopTrace`] records from a recorded event stream).
-    pub fn from_obs(cause: tet_obs::SquashCause) -> SquashReason {
-        match cause {
-            tet_obs::SquashCause::BranchMispredict => SquashReason::BranchMispredict,
-            tet_obs::SquashCause::Fault => SquashReason::Fault,
-            tet_obs::SquashCause::TxnAbort => SquashReason::TxnAbort,
-        }
-    }
-}
-
-/// How a traced µop left the machine.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum UopFate {
-    /// Still in flight when the run ended.
-    InFlight,
-    /// Retired architecturally.
-    Retired {
-        /// Retirement cycle.
-        at: u64,
-    },
-    /// Squashed — executed transiently, results discarded.
-    Squashed {
-        /// Squash cycle.
-        at: u64,
-        /// What caused the squash.
-        reason: SquashReason,
-    },
-}
-
-/// One µop's lifecycle record, produced when
-/// [`RunConfig::trace_uops`](crate::RunConfig) is set — the raw data for
-/// visualising transient execution.
-#[derive(Debug, Clone)]
-pub struct UopTrace {
-    /// Monotonic µop id.
-    pub id: u64,
-    /// Instruction index.
-    pub pc: usize,
-    /// The instruction.
-    pub inst: Inst,
-    /// Cycle the µop was renamed into the ROB.
-    pub renamed_at: u64,
-    /// Cycle execution started, if it did.
-    pub started_at: Option<u64>,
-    /// Cycle the result was ready, if execution finished.
-    pub done_at: Option<u64>,
-    /// How the µop ended.
-    pub fate: UopFate,
-}
-
-impl UopTrace {
-    /// Whether this µop executed but never retired — i.e. it was part of
-    /// a transient execution.
-    pub fn transient(&self) -> bool {
-        matches!(self.fate, UopFate::Squashed { .. }) && self.started_at.is_some()
-    }
-}
-
 /// One source operand dependency, resolved at rename time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DepKind {

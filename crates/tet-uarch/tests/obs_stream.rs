@@ -1,12 +1,13 @@
 //! End-to-end tests of the structured trace stream: a Machine run with a
-//! sink attached emits a consistent µop lifecycle, the stream agrees with
-//! the legacy `uop_trace` adapter, attaching a sink does not perturb the
-//! simulation, and the Chrome exporter over real events stays schema-valid.
+//! sink attached emits a consistent µop lifecycle, the µop-lifecycle fold
+//! agrees with the stream's rename events, attaching a sink does not
+//! perturb the simulation, and the Chrome exporter over real events stays
+//! schema-valid.
 
 use std::sync::Arc;
 
 use tet_isa::{Asm, Reg};
-use tet_obs::{ChromeTrace, EventKind, MemorySink, SinkHandle, TraceEvent};
+use tet_obs::{uop_spans, ChromeTrace, EventKind, MemorySink, SinkHandle, TraceEvent};
 use tet_uarch::{CpuConfig, Machine, RunConfig, RunExit};
 
 fn meltdown_asm() -> (Asm, usize) {
@@ -29,7 +30,6 @@ fn recorded_run(
         &a.assemble().expect("assembles"),
         &RunConfig {
             handler_pc: Some(handler),
-            trace_uops: true,
             sink: SinkHandle::attached(rec.clone()),
             ..RunConfig::default()
         },
@@ -88,25 +88,31 @@ fn sink_stream_is_lifecycle_consistent() {
 }
 
 #[test]
-fn sink_stream_agrees_with_legacy_uop_trace() {
+fn sink_stream_agrees_with_the_uop_fold() {
     let mut m = Machine::new(CpuConfig::kaby_lake_i7_7700(), 3);
     m.map_kernel_page(0xffff_ffff_8000_0000);
     let (a, handler) = meltdown_asm();
-    let (r, events) = recorded_run(&mut m, &a, handler);
-    let trace = r.uop_trace.expect("requested");
+    let (_, events) = recorded_run(&mut m, &a, handler);
+    let spans = uop_spans(&events);
 
-    let renames = events
+    // One span per rename event, in rename order, carrying its cycle,
+    // pc and opcode.
+    let renames: Vec<_> = events
         .iter()
-        .filter(|e| matches!(e.kind, EventKind::UopRenamed { .. }))
-        .count();
-    assert_eq!(trace.len(), renames, "one trace row per renamed µop");
-    for t in &trace {
-        let rename = events
-            .iter()
-            .find(|e| matches!(e.kind, EventKind::UopRenamed { id, .. } if id == t.id))
-            .expect("rename event exists");
-        assert_eq!(rename.cycle, t.renamed_at);
-    }
+        .filter_map(|e| match e.kind {
+            EventKind::UopRenamed { id, pc, op } => Some((e.thread, id, pc, op, e.cycle)),
+            _ => None,
+        })
+        .collect();
+    let folded: Vec<_> = spans
+        .iter()
+        .map(|s| (s.thread, s.id, s.pc, s.op, s.renamed_at))
+        .collect();
+    assert_eq!(folded, renames, "one span per renamed µop");
+    assert!(
+        spans.iter().any(|s| s.transient()),
+        "the Meltdown shadow shows as transient spans"
+    );
 }
 
 #[test]

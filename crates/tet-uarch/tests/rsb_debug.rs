@@ -1,7 +1,15 @@
-//! Temporary diagnostic for the RSB timing components.
+//! DESIGN §1's Spectre-RSB polarity on `raptor_lake_i9_13900k`: when the
+//! transient Jcc in the RSB-predicted return path matches the secret
+//! ("hit"), its mispredict flushes the younger transient µops early, the
+//! terminal squash when the `ret` resolves is cheaper, and the ToTE comes
+//! out *shorter* than on a miss (mechanism 2).
+
+use std::sync::Arc;
+
 use tet_isa::{Asm, Cond, Program, Reg};
+use tet_obs::{EventKind, MemorySink, SinkHandle};
 use tet_pmu::Event;
-use tet_uarch::{CpuConfig, Machine, RunConfig, RunExit};
+use tet_uarch::{CpuConfig, Machine, RunConfig, RunExit, RunResult};
 
 fn rsb_gadget(secret_addr: u64, sea: usize) -> Program {
     let build = |done_pc: u64| -> (Asm, usize) {
@@ -28,45 +36,48 @@ fn rsb_gadget(secret_addr: u64, sea: usize) -> Program {
     a.assemble().unwrap()
 }
 
-#[test]
-fn dump_components() {
+const MISS: u64 = 1;
+const HIT: u64 = b'R' as u64;
+
+/// A Raptor Lake machine holding the secret `'R'`, a stack page, and
+/// the gadget with `sea` nops of padding, warmed with four miss runs.
+fn warmed(sea: usize) -> (Machine, Program) {
     let mut m = Machine::new(CpuConfig::raptor_lake_i9_13900k(), 23);
     let pa = m.map_user_page(0x50_0000);
     m.phys_mut().write_u8(pa, b'R');
     m.map_user_page(0x60_0000);
-    let prog = rsb_gadget(0x50_0000, 48);
-    let run = |m: &mut Machine, test: u64| {
-        let before = m.cpu().pmu.snapshot();
-        let r = m.run(
-            &prog,
-            &RunConfig {
-                init_regs: vec![(Reg::Rbx, test), (Reg::Rsp, 0x60_0800)],
-                ..RunConfig::default()
-            },
-        );
-        assert_eq!(r.exit, RunExit::Halted);
-        let d = m.cpu().pmu.snapshot().delta(&before);
-        (
-            r.regs.get(Reg::Rax),
-            d.count(Event::BrMispExecAllBranches),
-            d.count(Event::IntMiscClearResteerCycles),
-            d.count(Event::UopsIssuedAny),
-            d.count(Event::BrMispExecIndirect),
-        )
-    };
+    let prog = rsb_gadget(0x50_0000, sea);
     for _ in 0..4 {
-        run(&mut m, 1);
+        run(&mut m, &prog, MISS, SinkHandle::disabled());
     }
-    for i in 0..2 {
-        let miss = run(&mut m, 1);
-        let hit = run(&mut m, b'R' as u64);
-        println!(
-            "round {i}: miss tote={} misp={} resteer={} issued={} ind={}",
-            miss.0, miss.1, miss.2, miss.3, miss.4
-        );
-        println!(
-            "         hit  tote={} misp={} resteer={} issued={} ind={}",
-            hit.0, hit.1, hit.2, hit.3, hit.4
+    (m, prog)
+}
+
+fn run(m: &mut Machine, prog: &Program, test: u64, sink: SinkHandle) -> RunResult {
+    let r = m.run(
+        prog,
+        &RunConfig {
+            init_regs: vec![(Reg::Rbx, test), (Reg::Rsp, 0x60_0800)],
+            sink,
+            ..RunConfig::default()
+        },
+    );
+    assert_eq!(r.exit, RunExit::Halted);
+    r
+}
+
+#[test]
+fn dump_components() {
+    let (mut m, prog) = warmed(48);
+    for round in 0..2 {
+        let miss = run(&mut m, &prog, MISS, SinkHandle::disabled());
+        let hit = run(&mut m, &prog, HIT, SinkHandle::disabled());
+        let misp = |r: &RunResult| r.pmu.count(Event::BrMispExecAllBranches);
+        assert!(
+            misp(&hit) > misp(&miss),
+            "round {round}: the matching Jcc adds a mispredict (hit {}, miss {})",
+            misp(&hit),
+            misp(&miss)
         );
     }
 }
@@ -74,70 +85,34 @@ fn dump_components() {
 #[test]
 fn sweep_sea() {
     for sea in [0usize, 8, 16, 32, 48, 96] {
-        let mut m = Machine::new(CpuConfig::raptor_lake_i9_13900k(), 23);
-        let pa = m.map_user_page(0x50_0000);
-        m.phys_mut().write_u8(pa, b'R');
-        m.map_user_page(0x60_0000);
-        let prog = rsb_gadget(0x50_0000, sea);
-        let run = |m: &mut Machine, test: u64| {
-            let r = m.run(
-                &prog,
-                &RunConfig {
-                    init_regs: vec![(Reg::Rbx, test), (Reg::Rsp, 0x60_0800)],
-                    ..RunConfig::default()
-                },
-            );
-            r.regs.get(Reg::Rax)
-        };
-        for _ in 0..4 {
-            run(&mut m, 1);
-        }
-        let miss = run(&mut m, 1);
-        let hit = run(&mut m, b'R' as u64);
-        println!(
-            "sea={sea:3}: miss={miss} hit={hit} delta={}",
-            miss as i64 - hit as i64
+        let (mut m, prog) = warmed(sea);
+        let miss = run(&mut m, &prog, MISS, SinkHandle::disabled())
+            .regs
+            .get(Reg::Rax);
+        let hit = run(&mut m, &prog, HIT, SinkHandle::disabled())
+            .regs
+            .get(Reg::Rax);
+        assert!(
+            hit < miss,
+            "sea={sea}: hit ToTE {hit} must be below miss {miss}"
         );
     }
 }
 
 #[test]
 fn trace_windows() {
-    let mut m = Machine::new(CpuConfig::raptor_lake_i9_13900k(), 23);
-    let pa = m.map_user_page(0x50_0000);
-    m.phys_mut().write_u8(pa, b'R');
-    m.map_user_page(0x60_0000);
-    let prog = rsb_gadget(0x50_0000, 48);
-    let run = |m: &mut Machine, test: u64| {
-        let r = m.run(
-            &prog,
-            &RunConfig {
-                init_regs: vec![(Reg::Rbx, test), (Reg::Rsp, 0x60_0800)],
-                trace_frontend: true,
-                ..RunConfig::default()
-            },
-        );
-        (r.regs.get(Reg::Rax), r.frontend_trace.unwrap())
-    };
-    for _ in 0..4 {
-        run(&mut m, 1);
-    }
-    for (label, test) in [("miss", 1u64), ("hit", b'R' as u64)] {
-        let (tote, tr) = run(&mut m, test);
-        let line: String = tr
+    let (mut m, prog) = warmed(48);
+    for test in [MISS, HIT] {
+        let recorder = Arc::new(MemorySink::new());
+        let r = run(&mut m, &prog, test, SinkHandle::attached(recorder.clone()));
+        let frontend_cycles = recorder
+            .drain()
             .iter()
-            .map(|e| {
-                if e.mite_uops > 0 {
-                    'M'
-                } else if e.dsb_uops > 0 {
-                    'D'
-                } else if e.stalled {
-                    '.'
-                } else {
-                    '_'
-                }
-            })
-            .collect();
-        println!("{label} tote={tote}\n{line}");
+            .filter(|e| matches!(e.kind, EventKind::FrontendCycle { .. }))
+            .count() as u64;
+        assert_eq!(
+            frontend_cycles, r.cycles,
+            "one FrontendCycle per cycle (test={test})"
+        );
     }
 }

@@ -1,18 +1,30 @@
-//! Tests of the per-µop lifecycle trace: retired vs squashed fates, and
-//! the visibility of transient execution.
+//! Tests of the per-µop lifecycle fold over a run's event stream:
+//! retired vs squashed ends, and the visibility of transient execution.
 
-use tet_isa::{Asm, Cond, Reg};
-use tet_uarch::{CpuConfig, Machine, RunConfig, RunExit, SquashReason, UopFate};
+use std::sync::Arc;
 
-fn traced_run(m: &mut Machine, a: &Asm, handler: Option<usize>) -> tet_uarch::RunResult {
-    m.run(
-        &a.assemble().expect("assembles"),
+use tet_isa::{Asm, Cond, Inst, Reg};
+use tet_obs::{uop_spans, MemorySink, SinkHandle, SquashCause, UopEnd, UopSpan};
+use tet_uarch::{CpuConfig, Machine, RunConfig, RunExit};
+
+/// Runs `a` with a recorder attached; returns the exit and each µop's
+/// span paired with its instruction.
+fn traced_run(m: &mut Machine, a: &Asm, handler: Option<usize>) -> (RunExit, Vec<(UopSpan, Inst)>) {
+    let program = a.assemble().expect("assembles");
+    let recorder = Arc::new(MemorySink::new());
+    let r = m.run(
+        &program,
         &RunConfig {
             handler_pc: handler,
-            trace_uops: true,
+            sink: SinkHandle::attached(recorder.clone()),
             ..RunConfig::default()
         },
-    )
+    );
+    let spans = uop_spans(&recorder.drain())
+        .into_iter()
+        .filter_map(|s| Some((s, program.fetch(s.pc as usize)?)))
+        .collect();
+    (r.exit, spans)
 }
 
 #[test]
@@ -20,18 +32,17 @@ fn straight_line_uops_all_retire_in_order() {
     let mut m = Machine::new(CpuConfig::kaby_lake_i7_7700(), 3);
     let mut a = Asm::new();
     a.mov_imm(Reg::Rax, 1).add(Reg::Rax, 2u64).nop().halt();
-    let r = traced_run(&mut m, &a, None);
-    assert_eq!(r.exit, RunExit::Halted);
-    let trace = r.uop_trace.expect("requested");
+    let (exit, trace) = traced_run(&mut m, &a, None);
+    assert_eq!(exit, RunExit::Halted);
     assert_eq!(trace.len(), 4);
     let mut last_retire = 0;
-    for t in &trace {
-        match t.fate {
-            UopFate::Retired { at } => {
+    for (t, inst) in &trace {
+        match t.end {
+            Some((at, UopEnd::Retired)) => {
                 assert!(at >= last_retire, "in-order retirement");
                 last_retire = at;
             }
-            other => panic!("{:?} did not retire: {other:?}", t.inst),
+            other => panic!("{inst:?} did not retire: {other:?}"),
         }
         assert!(t.started_at.is_some());
         assert!(t.done_at.unwrap() >= t.started_at.unwrap());
@@ -52,32 +63,24 @@ fn transient_uops_are_visible_in_the_trace() {
     a.halt();
     // Warm the code path so the shadow µops get fetched in the window.
     traced_run(&mut m, &a, Some(handler));
-    let r = traced_run(&mut m, &a, Some(handler));
-    assert_eq!(r.exit, RunExit::Halted);
-    let trace = r.uop_trace.expect("requested");
+    let (exit, trace) = traced_run(&mut m, &a, Some(handler));
+    assert_eq!(exit, RunExit::Halted);
 
-    let transient: Vec<_> = trace.iter().filter(|t| t.transient()).collect();
+    let transient: Vec<_> = trace.iter().filter(|(t, _)| t.transient()).collect();
     assert!(
         transient.len() >= 2,
         "the dependent adds must show as transient: {trace:#?}"
     );
-    for t in &transient {
-        assert_eq!(
-            t.fate,
-            match t.fate {
-                UopFate::Squashed { at, .. } => UopFate::Squashed {
-                    at,
-                    reason: SquashReason::Fault
-                },
-                other => other,
-            },
-            "fault squash reason"
+    for (t, _) in &transient {
+        assert!(
+            matches!(t.end, Some((_, UopEnd::Squashed(SquashCause::Fault)))),
+            "fault squash cause: {t:?}"
         );
     }
     // The halt retired architecturally.
-    assert!(trace.iter().any(
-        |t| matches!(t.fate, UopFate::Retired { .. }) && matches!(t.inst, tet_isa::Inst::Halt)
-    ));
+    assert!(trace
+        .iter()
+        .any(|(t, inst)| matches!(t.end, Some((_, UopEnd::Retired))) && *inst == Inst::Halt));
 }
 
 #[test]
@@ -95,18 +98,14 @@ fn mispredict_squashes_carry_the_branch_reason() {
         .mov_imm(Reg::Rcx, 0xbad)
         .bind(skip)
         .halt();
-    let r = traced_run(&mut m, &a, None);
-    assert_eq!(r.exit, RunExit::Halted);
-    let trace = r.uop_trace.expect("requested");
+    let (exit, trace) = traced_run(&mut m, &a, None);
+    assert_eq!(exit, RunExit::Halted);
     let squashed: Vec<_> = trace
         .iter()
-        .filter(|t| {
+        .filter(|(t, _)| {
             matches!(
-                t.fate,
-                UopFate::Squashed {
-                    reason: SquashReason::BranchMispredict,
-                    ..
-                }
+                t.end,
+                Some((_, UopEnd::Squashed(SquashCause::BranchMispredict)))
             )
         })
         .collect();
@@ -114,10 +113,9 @@ fn mispredict_squashes_carry_the_branch_reason() {
         !squashed.is_empty(),
         "the wrong path must be traced as mispredict-squashed"
     );
-    assert!(squashed.iter().all(|t| matches!(
-        t.inst,
-        tet_isa::Inst::MovImm { imm: 0xbad, .. } | tet_isa::Inst::Halt
-    )));
+    assert!(squashed
+        .iter()
+        .all(|(_, inst)| matches!(inst, Inst::MovImm { imm: 0xbad, .. } | Inst::Halt)));
 }
 
 #[test]
@@ -133,14 +131,9 @@ fn tsx_abort_reason_is_recorded() {
         .halt();
     // Warm then trace.
     traced_run(&mut m, &a, None);
-    let r = traced_run(&mut m, &a, None);
-    assert_eq!(r.exit, RunExit::Halted);
-    let trace = r.uop_trace.expect("requested");
-    assert!(trace.iter().any(|t| matches!(
-        t.fate,
-        UopFate::Squashed {
-            reason: SquashReason::TxnAbort,
-            ..
-        }
-    )));
+    let (exit, trace) = traced_run(&mut m, &a, None);
+    assert_eq!(exit, RunExit::Halted);
+    assert!(trace
+        .iter()
+        .any(|(t, _)| matches!(t.end, Some((_, UopEnd::Squashed(SquashCause::TxnAbort))))));
 }

@@ -7,36 +7,55 @@
 //!
 //! Run: `cargo run -p whisper-bench --bin fig3_resteer`
 
+use std::sync::Arc;
+
 use tet_isa::Reg;
+use tet_obs::{EventKind, MemorySink, SinkHandle};
 use tet_uarch::{CpuConfig, RunConfig};
 use whisper::gadget::{TetGadget, TetGadgetSpec, TransientBegin};
 use whisper::scenario::{Scenario, ScenarioOptions};
 use whisper_bench::{section, write_report, RunReport};
 
-fn trace(sc: &mut Scenario, gadget: &TetGadget, test: u64) -> Vec<tet_uarch::FrontendTraceEntry> {
-    let r = sc.machine.run(
+/// One cycle of frontend delivery: `(dsb_uops, mite_uops, stalled)`.
+type Delivery = (u32, u32, bool);
+
+/// The run's `FrontendCycle` events, one per simulated cycle.
+fn trace(sc: &mut Scenario, gadget: &TetGadget, test: u64) -> Vec<Delivery> {
+    let recorder = Arc::new(MemorySink::new());
+    sc.machine.run(
         &gadget.program,
         &RunConfig {
             handler_pc: Some(gadget.handler_pc),
             init_regs: vec![(Reg::Rbx, test)],
-            trace_frontend: true,
+            sink: SinkHandle::attached(recorder.clone()),
             ..RunConfig::default()
         },
     );
-    r.frontend_trace.expect("tracing was requested")
+    recorder
+        .drain()
+        .into_iter()
+        .filter_map(|e| match e.kind {
+            EventKind::FrontendCycle {
+                dsb_uops,
+                mite_uops,
+                stalled,
+            } => Some((dsb_uops, mite_uops, stalled)),
+            _ => None,
+        })
+        .collect()
 }
 
-fn render(trace: &[tet_uarch::FrontendTraceEntry]) -> String {
+fn render(trace: &[Delivery]) -> String {
     // One character per cycle: D = DSB delivery, M = MITE delivery,
-    // . = stalled, space = idle.
+    // . = stalled, _ = idle.
     trace
         .iter()
-        .map(|e| {
-            if e.mite_uops > 0 {
+        .map(|&(dsb, mite, stalled)| {
+            if mite > 0 {
                 'M'
-            } else if e.dsb_uops > 0 {
+            } else if dsb > 0 {
                 'D'
-            } else if e.stalled {
+            } else if stalled {
                 '.'
             } else {
                 '_'
@@ -45,7 +64,17 @@ fn render(trace: &[tet_uarch::FrontendTraceEntry]) -> String {
         .collect()
 }
 
-fn main() {
+fn stall(t: &[Delivery]) -> usize {
+    t.iter().filter(|e| e.2).count()
+}
+
+fn dsb(t: &[Delivery]) -> usize {
+    t.iter().map(|e| e.0 as usize).sum()
+}
+
+/// Frontend delivery of a not-triggered and a triggered run of the
+/// signal-handler Meltdown gadget on Kaby Lake, from steady state.
+fn figure3() -> (Vec<Delivery>, Vec<Delivery>) {
     let cfg = CpuConfig::kaby_lake_i7_7700();
     let mut sc = Scenario::new(
         cfg.clone(),
@@ -63,17 +92,19 @@ fn main() {
         gadget.measure(&mut sc.machine, 0);
         gadget.measure(&mut sc.machine, b'S' as u64);
     }
-
-    section("Figure 3: frontend delivery per cycle (D=DSB, M=MITE, .=stall, _=idle)");
     let quiet = trace(&mut sc, &gadget, 0);
     let triggered = trace(&mut sc, &gadget, b'S' as u64);
+    (quiet, triggered)
+}
+
+fn main() {
+    let (quiet, triggered) = figure3();
+    section("Figure 3: frontend delivery per cycle (D=DSB, M=MITE, .=stall, _=idle)");
     println!("Jcc not triggered ({} cycles):", quiet.len());
     println!("  {}", render(&quiet));
     println!("Jcc triggered    ({} cycles):", triggered.len());
     println!("  {}", render(&triggered));
 
-    let stall = |t: &[tet_uarch::FrontendTraceEntry]| t.iter().filter(|e| e.stalled).count();
-    let dsb = |t: &[tet_uarch::FrontendTraceEntry]| t.iter().map(|e| e.dsb_uops).sum::<usize>();
     println!(
         "\nstall cycles: not-triggered {}, triggered {}",
         stall(&quiet),
@@ -104,4 +135,20 @@ fn main() {
     rep.counter("dsb_uops_not_triggered", dsb(&quiet) as u64);
     rep.counter("dsb_uops_triggered", dsb(&triggered) as u64);
     write_report(&rep);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The report's counts, pinned: `(cycles, stall cycles, DSB µops)`
+    /// of each run, and the resteer's extra stall cycles.
+    #[test]
+    fn resteer_stalls_the_frontend_with_the_reported_counts() {
+        let (quiet, triggered) = figure3();
+        let counts = |t: &[Delivery]| (t.len(), stall(t), dsb(t));
+        assert_eq!(counts(&quiet), (132, 128, 16), "not triggered");
+        assert_eq!(counts(&triggered), (142, 136, 21), "triggered");
+        assert!(stall(&triggered) > stall(&quiet));
+    }
 }

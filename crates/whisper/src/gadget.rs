@@ -216,19 +216,27 @@ impl TetGadget {
             // observe.
             TransientBegin::Tsx => None,
         };
-        let r = machine.run(
-            &self.program,
-            &RunConfig {
-                handler_pc: handler,
-                init_regs: vec![(Reg::Rbx, test)],
-                ..RunConfig::default()
-            },
-        );
-        match r.exit {
-            RunExit::Halted => Some((r.regs.get(Reg::Rax), r.cycles)),
-            _ => None,
-        }
+        run_halted(machine, &self.program, handler, vec![(Reg::Rbx, test)])
     }
+}
+
+/// Runs `program` once and, if it halted, returns `rax` (the measured
+/// elapsed time, by the gadget convention) and the run's total cycles.
+fn run_halted(
+    machine: &mut Machine,
+    program: &Program,
+    handler_pc: Option<usize>,
+    init_regs: Vec<(Reg, u64)>,
+) -> Option<(u64, u64)> {
+    let r = machine.run(
+        program,
+        &RunConfig {
+            handler_pc,
+            init_regs,
+            ..RunConfig::default()
+        },
+    );
+    (r.exit == RunExit::Halted).then(|| (r.regs.get(Reg::Rax), r.cycles))
 }
 
 /// The Listing 1 Spectre-RSB gadget: the architectural return address is
@@ -303,17 +311,12 @@ impl RsbGadget {
 
     /// Like [`RsbGadget::measure`], also returning total run cycles.
     pub fn measure_detailed(&self, machine: &mut Machine, test: u64) -> Option<(u64, u64)> {
-        let r = machine.run(
+        run_halted(
+            machine,
             &self.program,
-            &RunConfig {
-                init_regs: vec![(Reg::Rbx, test), (Reg::Rsp, self.stack_top)],
-                ..RunConfig::default()
-            },
-        );
-        match r.exit {
-            RunExit::Halted => Some((r.regs.get(Reg::Rax), r.cycles)),
-            _ => None,
-        }
+            None,
+            vec![(Reg::Rbx, test), (Reg::Rsp, self.stack_top)],
+        )
     }
 }
 
@@ -346,18 +349,7 @@ pub fn measure_custom(
     handler_pc: Option<usize>,
     test: u64,
 ) -> Option<(u64, u64)> {
-    let r = machine.run(
-        program,
-        &RunConfig {
-            handler_pc,
-            init_regs: vec![(Reg::Rbx, test)],
-            ..RunConfig::default()
-        },
-    );
-    match r.exit {
-        RunExit::Halted => Some((r.regs.get(Reg::Rax), r.cycles)),
-        _ => None,
-    }
+    run_halted(machine, program, handler_pc, vec![(Reg::Rbx, test)])
 }
 
 /// A timed software-prefetch probe (the EntryBleed / prefetch-KASLR
@@ -394,11 +386,7 @@ impl PrefetchProbe {
 
     /// Measures the prefetch latency.
     pub fn measure(&self, machine: &mut Machine) -> Option<u64> {
-        let r = machine.run(&self.program, &RunConfig::default());
-        match r.exit {
-            RunExit::Halted => Some(r.regs.get(Reg::Rax)),
-            _ => None,
-        }
+        run_halted(machine, &self.program, None, Vec::new()).map(|(latency, _)| latency)
     }
 }
 

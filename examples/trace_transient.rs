@@ -1,50 +1,54 @@
 //! Watch the transient execution happen, µop by µop.
 //!
-//! Runs the TET-Meltdown gadget with per-µop lifecycle tracing and
-//! renders a pipeline chart: which µops retired (architectural), which
+//! Runs the TET-Meltdown gadget with a structured trace sink attached and
+//! renders a pipeline chart from the µop lifecycle fold
+//! ([`tet_obs::uop_spans`]): which µops retired (architectural), which
 //! executed transiently and were squashed — and how the triggered Jcc's
 //! misprediction reshapes the window.
 //!
-//! It also attaches a structured trace sink and exports the full event
-//! stream (µop slices, faults, resteers, cache/TLB activity) as Chrome
-//! trace JSON — load `target/reports/trace_transient.chrome.json` in
-//! <https://ui.perfetto.dev> to scrub through the transient window.
+//! It also exports the full event stream (µop slices, faults, resteers,
+//! cache/TLB activity) as Chrome trace JSON — load
+//! `target/reports/trace_transient.{not_triggered,triggered}.chrome.json`
+//! in <https://ui.perfetto.dev> to scrub through the transient window.
 //!
 //! Run: `cargo run -p whisper --example trace_transient`
 
 use std::sync::Arc;
 
-use tet_isa::Reg;
-use tet_obs::{ChromeTrace, MemorySink, SinkHandle};
-use tet_uarch::{CpuConfig, RunConfig, SquashReason, UopFate};
+use tet_isa::{Program, Reg};
+use tet_obs::{uop_spans, ChromeTrace, MemorySink, SinkHandle, SquashCause, TraceEvent, UopEnd};
+use tet_uarch::{CpuConfig, RunConfig};
 use whisper::gadget::{TetGadget, TetGadgetSpec, TransientBegin};
 use whisper::scenario::{Scenario, ScenarioOptions};
 
-fn render(trace: &[tet_uarch::UopTrace], total_cycles: u64) {
+fn render(program: &Program, events: &[TraceEvent], total_cycles: u64) {
     let width = 100usize;
     let scale = |c: u64| -> usize { (c as usize * (width - 1)) / total_cycles.max(1) as usize };
     println!(
         "{:<4} {:<26} {:<10} timeline (. renamed, = executing, R retired, x squashed)",
         "id", "inst", "fate"
     );
-    for t in trace {
+    for t in uop_spans(events) {
+        // µops fetched past the program's end have no instruction to show.
+        let Some(inst) = program.fetch(t.pc as usize) else {
+            continue;
+        };
         let mut line = vec![b' '; width];
         let start = scale(t.renamed_at);
         let exec = t.started_at.map(scale);
         let done = t.done_at.map(scale);
-        let (end, endch, fate) = match t.fate {
-            UopFate::Retired { at } => (scale(at), b'R', "retired".to_string()),
-            UopFate::Squashed { at, reason } => (
+        let (end, endch, fate) = match t.end {
+            Some((at, UopEnd::Retired)) => (scale(at), b'R', "retired"),
+            Some((at, UopEnd::Squashed(cause))) => (
                 scale(at),
                 b'x',
-                match reason {
-                    SquashReason::BranchMispredict => "SQ:branch",
-                    SquashReason::Fault => "SQ:fault",
-                    SquashReason::TxnAbort => "SQ:abort",
-                }
-                .to_string(),
+                match cause {
+                    SquashCause::BranchMispredict => "SQ:branch",
+                    SquashCause::Fault => "SQ:fault",
+                    SquashCause::TxnAbort => "SQ:abort",
+                },
             ),
-            UopFate::InFlight => (width - 1, b'?', "in-flight".to_string()),
+            None => (width - 1, b'?', "in-flight"),
         };
         for c in line.iter_mut().take(end + 1).skip(start) {
             *c = b'.';
@@ -58,7 +62,7 @@ fn render(trace: &[tet_uarch::UopTrace], total_cycles: u64) {
         println!(
             "{:<4} {:<26} {:<10} {}",
             t.id,
-            format!("{}", t.inst),
+            format!("{inst}"),
             fate,
             String::from_utf8_lossy(&line)
         );
@@ -92,15 +96,14 @@ fn main() {
             &RunConfig {
                 handler_pc: Some(gadget.handler_pc),
                 init_regs: vec![(Reg::Rbx, test)],
-                trace_uops: true,
                 sink: SinkHandle::attached(recorder.clone()),
                 ..RunConfig::default()
             },
         );
-        println!("\n=== {label}: ToTE = {} cycles ===", r.regs.get(Reg::Rax));
-        render(&r.uop_trace.expect("requested"), r.cycles);
-
         let events = recorder.drain();
+        println!("\n=== {label}: ToTE = {} cycles ===", r.regs.get(Reg::Rax));
+        render(&gadget.program, &events, r.cycles);
+
         let name = format!("trace_transient ({slug})");
         let json = ChromeTrace::new(&name, events).to_json();
         let dir = std::env::var("TET_REPORT_DIR")
