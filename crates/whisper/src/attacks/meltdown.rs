@@ -10,7 +10,7 @@ use tet_uarch::Machine;
 
 use crate::analysis::{ArgmaxDecoder, Polarity};
 use crate::attacks::{LeakReport, LeakedByte};
-use crate::batch::ProbeMemo;
+use crate::batch::{decode_byte, ProbeMemo};
 use crate::gadget::{TetGadget, TetGadgetSpec};
 
 /// The TET-Meltdown attack.
@@ -43,78 +43,20 @@ impl TetMeltdown {
         // The hint must be read *after* warm-up: forwarding predicts
         // the secret byte only once its line is cache resident.
         let mut memo = ProbeMemo::new(machine, gadget.match_hint(machine));
-        let mut cycles = 0u64;
         let decoder = ArgmaxDecoder::new(self.batches, Polarity::MaxWins);
-        let out = decoder.decode(|test, _| {
-            let (tote, c) = memo.probe(machine, test as u64, |m| {
-                gadget.measure_detailed(m, test as u64)
-            })?;
-            cycles += c;
-            Some(tote)
-        });
-        LeakedByte {
-            value: out.value,
-            votes: out.votes,
-            cycles,
-        }
-    }
-
-    /// Leaks one byte with early termination: after each batch, if one
-    /// candidate already won `confidence` batches, decoding stops.
-    /// Matches how tuned PoCs trade batches for throughput without
-    /// giving up the majority guarantee.
-    pub fn leak_byte_adaptive(
-        &self,
-        machine: &mut Machine,
-        addr: u64,
-        confidence: u32,
-    ) -> LeakedByte {
-        let cfg = machine.config().clone();
-        let gadget = TetGadget::build(TetGadgetSpec::meltdown(addr, &cfg));
-        for _ in 0..self.warmup {
-            gadget.measure(machine, 0);
-        }
-        let mut memo = ProbeMemo::new(machine, gadget.match_hint(machine));
-        let mut cycles = 0u64;
-        let mut votes = vec![0u32; 256];
-        for _batch in 0..self.batches.max(confidence) {
-            let decoder = ArgmaxDecoder::new(1, Polarity::MaxWins);
-            let out = decoder.decode(|test, _| {
-                let (tote, c) = memo.probe(machine, test as u64, |m| {
-                    gadget.measure_detailed(m, test as u64)
-                })?;
-                cycles += c;
-                Some(tote)
-            });
-            votes[out.value as usize] += 1;
-            if votes[out.value as usize] >= confidence {
-                break;
-            }
-        }
-        let value = votes
-            .iter()
-            .enumerate()
-            .max_by_key(|&(_, v)| *v)
-            .map(|(i, _)| i as u8)
-            .unwrap_or(0);
-        LeakedByte {
-            value,
-            votes,
-            cycles,
-        }
+        LeakedByte::decoded(decode_byte(
+            machine,
+            &mut memo,
+            decoder,
+            |_| {},
+            |m, test| gadget.measure_detailed(m, test),
+        ))
     }
 
     /// Leaks `len` consecutive kernel bytes starting at `addr`.
     pub fn leak(&self, machine: &mut Machine, addr: u64, len: usize) -> LeakReport {
         let freq = machine.config().freq_ghz;
-        let mut recovered = Vec::with_capacity(len);
-        let mut cycles = 0u64;
-        for i in 0..len {
-            let b = self.leak_byte(machine, addr + i as u64);
-            recovered.push(b.value);
-            cycles += b.cycles;
-        }
-        LeakReport::new(recovered, cycles, freq)
+        LeakReport::from_fn(len, freq, |i| self.leak_byte(machine, addr + i))
     }
 }
 
@@ -152,21 +94,6 @@ mod tests {
         let mut sc = Scenario::new(CpuConfig::zen3_ryzen5_5600g(), &ScenarioOptions::default());
         let report = TetMeltdown::default().leak(&mut sc.machine, sc.kernel_secret_va, 4);
         assert!(!report.succeeded(b"WHIS"));
-    }
-
-    #[test]
-    fn adaptive_leak_matches_and_is_cheaper_when_clean() {
-        let mut sc = Scenario::new(CpuConfig::kaby_lake_i7_7700(), &ScenarioOptions::default());
-        let full = TetMeltdown::default().leak_byte(&mut sc.machine, sc.kernel_secret_va);
-        let adaptive =
-            TetMeltdown::default().leak_byte_adaptive(&mut sc.machine, sc.kernel_secret_va, 2);
-        assert_eq!(adaptive.value, full.value);
-        assert!(
-            adaptive.cycles < full.cycles,
-            "early termination must save probes ({} vs {})",
-            adaptive.cycles,
-            full.cycles
-        );
     }
 
     #[test]

@@ -10,10 +10,10 @@ mod zombieload_smt;
 pub use kaslr::{KaslrBreak, TetKaslr};
 pub use meltdown::TetMeltdown;
 pub use rsb::TetSpectreRsb;
-pub use zombieload::TetZombieload;
+pub use zombieload::{TetZombieload, ZBL_PROBE_BASE};
 pub use zombieload_smt::SmtZombieload;
 
-use crate::analysis::{bytes_per_second, error_rate};
+use crate::analysis::{bytes_per_second, error_rate, DecodeOutcome};
 
 /// The outcome of leaking a byte string through a TET attack.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,7 +29,20 @@ pub struct LeakReport {
 }
 
 impl LeakReport {
-    pub(crate) fn new(recovered: Vec<u8>, cycles: u64, freq_ghz: f64) -> LeakReport {
+    /// Leaks `len` bytes with one `leak_byte(i)` call per index
+    /// `0..len` and totals their cycles.
+    pub(crate) fn from_fn(
+        len: usize,
+        freq_ghz: f64,
+        mut leak_byte: impl FnMut(u64) -> LeakedByte,
+    ) -> LeakReport {
+        let mut recovered = Vec::with_capacity(len);
+        let mut cycles = 0u64;
+        for i in 0..len as u64 {
+            let b = leak_byte(i);
+            recovered.push(b.value);
+            cycles += b.cycles;
+        }
         LeakReport {
             seconds: cycles as f64 / (freq_ghz * 1e9),
             bytes_per_sec: bytes_per_second(recovered.len(), cycles, freq_ghz),
@@ -59,4 +72,16 @@ pub struct LeakedByte {
     pub votes: Vec<u32>,
     /// Simulated cycles spent on this byte.
     pub cycles: u64,
+}
+
+impl LeakedByte {
+    /// The byte a [`crate::batch::decode_byte`] sweep decoded, with the
+    /// cycles its probes spent.
+    pub(crate) fn decoded((out, cycles): (DecodeOutcome, u64)) -> LeakedByte {
+        LeakedByte {
+            value: out.value,
+            votes: out.votes,
+            cycles,
+        }
+    }
 }

@@ -12,7 +12,7 @@ use tet_uarch::Machine;
 
 use crate::analysis::{ArgmaxDecoder, Polarity};
 use crate::attacks::{LeakReport, LeakedByte};
-use crate::batch::ProbeMemo;
+use crate::batch::{decode_byte, ProbeMemo};
 use crate::gadget::RsbGadget;
 use crate::scenario::STACK_TOP;
 
@@ -48,33 +48,20 @@ impl TetSpectreRsb {
             gadget.measure(machine, 0);
         }
         let mut memo = ProbeMemo::new(machine, gadget.match_hint(machine));
-        let mut cycles = 0u64;
         let decoder = ArgmaxDecoder::new(self.batches, Polarity::MinWins);
-        let out = decoder.decode(|test, _| {
-            let (tote, c) = memo.probe(machine, test as u64, |m| {
-                gadget.measure_detailed(m, test as u64)
-            })?;
-            cycles += c;
-            Some(tote)
-        });
-        LeakedByte {
-            value: out.value,
-            votes: out.votes,
-            cycles,
-        }
+        LeakedByte::decoded(decode_byte(
+            machine,
+            &mut memo,
+            decoder,
+            |_| {},
+            |m, test| gadget.measure_detailed(m, test),
+        ))
     }
 
     /// Leaks `len` consecutive in-process bytes.
     pub fn leak(&self, machine: &mut Machine, addr: u64, len: usize) -> LeakReport {
         let freq = machine.config().freq_ghz;
-        let mut recovered = Vec::with_capacity(len);
-        let mut cycles = 0u64;
-        for i in 0..len {
-            let b = self.leak_byte(machine, addr + i as u64);
-            recovered.push(b.value);
-            cycles += b.cycles;
-        }
-        LeakReport::new(recovered, cycles, freq)
+        LeakReport::from_fn(len, freq, |i| self.leak_byte(machine, addr + i))
     }
 }
 

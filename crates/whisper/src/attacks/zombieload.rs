@@ -9,13 +9,13 @@
 
 use crate::analysis::{ArgmaxDecoder, Polarity};
 use crate::attacks::{LeakReport, LeakedByte};
-use crate::batch::ProbeMemo;
+use crate::batch::{decode_byte, ProbeMemo};
 use crate::gadget::{TetGadget, TetGadgetSpec};
-use crate::scenario::{Scenario, VICTIM_PAGE};
+use crate::scenario::{victim_touch, Scenario, VICTIM_PAGE};
 
 /// An unmapped attacker address whose faulting loads trigger the assist.
 /// The line offset of the probe selects which stale byte is sampled.
-const ZBL_PROBE_BASE: u64 = 0x7f00_dead_0000;
+pub const ZBL_PROBE_BASE: u64 = 0x7f00_dead_0000;
 
 /// The TET-Zombieload attack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,34 +56,20 @@ impl TetZombieload {
             0
         };
         let mut memo = ProbeMemo::new(&sc.machine, Some(hint));
-        let mut cycles = 0u64;
         let decoder = ArgmaxDecoder::new(self.batches, Polarity::MinWins);
-        let out = decoder.decode(|test, _| {
-            sc.victim_touch(offset);
-            let (tote, c) = memo.probe(&mut sc.machine, test as u64, |m| {
-                gadget.measure_detailed(m, test as u64)
-            })?;
-            cycles += c;
-            Some(tote)
-        });
-        LeakedByte {
-            value: out.value,
-            votes: out.votes,
-            cycles,
-        }
+        LeakedByte::decoded(decode_byte(
+            &mut sc.machine,
+            &mut memo,
+            decoder,
+            |m| victim_touch(m, offset),
+            |m, test| gadget.measure_detailed(m, test),
+        ))
     }
 
     /// Samples `len` victim bytes starting at line offset 0.
     pub fn sample(&self, sc: &mut Scenario, len: usize) -> LeakReport {
         let freq = sc.machine.config().freq_ghz;
-        let mut recovered = Vec::with_capacity(len);
-        let mut cycles = 0u64;
-        for i in 0..len {
-            let b = self.sample_byte(sc, i as u64);
-            recovered.push(b.value);
-            cycles += b.cycles;
-        }
-        LeakReport::new(recovered, cycles, freq)
+        LeakReport::from_fn(len, freq, |i| self.sample_byte(sc, i))
     }
 }
 

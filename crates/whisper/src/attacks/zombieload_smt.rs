@@ -13,7 +13,6 @@
 use tet_isa::{Addr, Asm, Cond, Inst, Program, Reg};
 use tet_uarch::{CpuConfig, RunConfig, SmtMachine};
 
-use crate::analysis::Polarity;
 use crate::attacks::LeakedByte;
 
 /// Unmapped attacker address whose faulting load triggers the assist.
@@ -115,7 +114,7 @@ impl SmtZombieload {
 
         let mut votes = vec![0u32; 256];
         let mut cycles = 0u64;
-        for sweep in 0..self.sweeps {
+        for _ in 0..self.sweeps {
             let r = smt.run(
                 &victim,
                 &attacker,
@@ -127,21 +126,14 @@ impl SmtZombieload {
                 },
             );
             cycles += r.t1.cycles;
-            let _ = sweep;
-            // Decode this sweep's results array (MinWins: the triggered
-            // Jcc shortens ToTE). The array is contiguous in one page.
+            // Decode this sweep's results array: the triggered Jcc
+            // shortens ToTE, so the first minimum wins. The array is
+            // contiguous in one page.
             let results_pa = pa_of(&smt, RESULTS_BASE);
             let mut best: Option<(u64, usize)> = None;
             for test in 0..256u64 {
                 let t = smt.phys_mut().read_u64(results_pa + test * 8);
-                if t == 0 {
-                    continue;
-                }
-                let better = match (best, Polarity::MinWins) {
-                    (None, _) => true,
-                    (Some((b, _)), _) => t < b,
-                };
-                if better {
+                if t != 0 && best.is_none_or(|(b, _)| t < b) {
                     best = Some((t, test as usize));
                 }
             }
@@ -149,6 +141,8 @@ impl SmtZombieload {
                 votes[winner] += 1;
             }
         }
+        // The most-voted value; a tie goes to the last maximum (the
+        // highest such value), as `max_by_key` resolves it.
         let value = votes
             .iter()
             .enumerate()

@@ -131,14 +131,7 @@ impl FlushReloadMeltdown {
     /// Leaks `len` consecutive kernel bytes.
     pub fn leak(&self, machine: &mut Machine, addr: u64, len: usize) -> LeakReport {
         let freq = machine.config().freq_ghz;
-        let mut recovered = Vec::with_capacity(len);
-        let mut cycles = 0u64;
-        for i in 0..len {
-            let b = self.leak_byte(machine, addr + i as u64);
-            recovered.push(b.value);
-            cycles += b.cycles;
-        }
-        LeakReport::new(recovered, cycles, freq)
+        LeakReport::from_fn(len, freq, |i| self.leak_byte(machine, addr + i))
     }
 }
 

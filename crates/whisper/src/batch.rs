@@ -57,8 +57,44 @@
 //! machine lifetime counter exactly as the live run would have, so
 //! batched and unbatched sweeps are byte-identical — in decoded
 //! output, cycle totals, run counts and PMU lifetime counters.
+//!
+//! [`decode_byte`] is the one decode sweep every byte-leaking attack
+//! (TET-CC, TET-MD, TET-ZBL, TET-RSB) runs through a memo.
 
 use tet_uarch::{DeltaMarker, Machine, RunDelta};
+
+use crate::analysis::{ArgmaxDecoder, DecodeOutcome};
+
+/// What one decode-sweep probe reports: `Some((ToTE, cycles))`, or
+/// `None` when the run did not complete.
+pub type ProbeResult = Option<(u64, u64)>;
+
+/// Decodes one byte (§4.1, §4.3): sweeps the test value 0..=255
+/// `decoder.batches` times, runs each `probe(machine, test)` through
+/// `memo`, and returns the decoder's outcome plus the cycles the probes
+/// spent (replayed probes count their recorded cycles).
+///
+/// `before` runs live ahead of every probe, outside the memo, whether
+/// or not the probe itself replays: TET-ZBL's victim touch, which must
+/// move the cache hierarchy and its DRAM-jitter stream exactly as in
+/// an unbatched loop.
+pub fn decode_byte(
+    machine: &mut Machine,
+    memo: &mut ProbeMemo<ProbeResult>,
+    decoder: ArgmaxDecoder,
+    mut before: impl FnMut(&mut Machine),
+    mut probe: impl FnMut(&mut Machine, u64) -> ProbeResult,
+) -> (DecodeOutcome, u64) {
+    let mut cycles = 0u64;
+    let out = decoder.decode(|test, _| {
+        before(machine);
+        let test = u64::from(test);
+        let (tote, c) = memo.probe(machine, test, |m| probe(m, test))?;
+        cycles += c;
+        Some(tote)
+    });
+    (out, cycles)
+}
 
 /// Whether trial batching may be used on `machine` right now: the
 /// machine is not under the retirement oracle. Timer-interrupt noise

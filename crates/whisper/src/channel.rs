@@ -8,15 +8,10 @@
 use std::sync::{Arc, OnceLock};
 
 use crate::analysis::{bytes_per_second, error_rate, ArgmaxDecoder, Polarity};
-use crate::batch::{FixedRec, ProbeMemo};
+use crate::batch::{decode_byte, FixedRec, ProbeMemo, ProbeResult};
 use crate::gadget::{TetGadget, TetGadgetSpec};
 use crate::scenario::{Scenario, SHARED_PAGE};
 use tet_uarch::{Machine, MachineSnapshot};
-
-/// The fixed record a decode sweep's probes establish: the probe
-/// closure returns `Option<(ToTE, cycles)>`, so that is the result
-/// type the memo memoizes.
-type SweepFixedRec = FixedRec<Option<(u64, u64)>>;
 
 /// Quality/throughput report of a covert-channel transmission.
 #[derive(Debug, Clone, PartialEq)]
@@ -103,14 +98,14 @@ impl TetCovertChannel {
         // non-matching probes replay instead of simulating.
         let mut memo = ProbeMemo::new(&sc.machine, gadget.match_hint(&sc.machine));
         let decoder = ArgmaxDecoder::new(self.batches, Polarity::MaxWins);
-        let out = decoder.decode(|test, _| {
-            let (tote, c) = memo.probe(&mut sc.machine, test as u64, |m| {
-                gadget.measure_detailed(m, test as u64)
-            })?;
-            cycles += c;
-            Some(tote)
-        });
-        (out.value, cycles)
+        let (out, c) = decode_byte(
+            &mut sc.machine,
+            &mut memo,
+            decoder,
+            |_| {},
+            |m, test| gadget.measure_detailed(m, test),
+        );
+        (out.value, cycles + c)
     }
 
     /// Transmits `payload` through the channel and reports quality.
@@ -156,7 +151,7 @@ impl TetCovertChannel {
         // from it after a one-probe confirmation. The record is a pure
         // function of the snapshot (racing writers store identical
         // values), so decoding stays identical at any thread count.
-        let fixed: Arc<OnceLock<SweepFixedRec>> = Arc::new(OnceLock::new());
+        let fixed: Arc<OnceLock<FixedRec<ProbeResult>>> = Arc::new(OnceLock::new());
         let per_byte: Vec<(u8, u64)> = tet_par::run_indexed_with(
             threads,
             payload.len(),
@@ -172,17 +167,17 @@ impl TetCovertChannel {
                 // The hint is this trial's own payload byte (read back
                 // through the forwarding oracle, after the write above).
                 let mut memo = ProbeMemo::seeded(m, gadget.match_hint(m), fixed.get().cloned());
-                let mut cyc = 0u64;
-                let out = decoder.decode(|test, _| {
-                    let (tote, c) =
-                        memo.probe(m, test as u64, |m| gadget.measure_detailed(m, test as u64))?;
-                    cyc += c;
-                    Some(tote)
-                });
+                let (out, c) = decode_byte(
+                    m,
+                    &mut memo,
+                    decoder,
+                    |_| {},
+                    |m, test| gadget.measure_detailed(m, test),
+                );
                 if let Some(rec) = memo.fixed() {
                     let _ = fixed.set(rec.clone());
                 }
-                (out.value, cyc)
+                (out.value, c)
             },
         );
         let mut received = Vec::with_capacity(payload.len());
@@ -191,43 +186,6 @@ impl TetCovertChannel {
             cycles += c;
         }
         ChannelReport::new(payload, received, cycles, cfg.freq_ghz)
-    }
-
-    /// Transmits with `repeats`-fold repetition coding: each byte is sent
-    /// multiple times and decoded by majority — the accuracy/throughput
-    /// trade the paper's §4.4 leaves to future work ("speed up with high
-    /// accuracy"), applied to TET-CC.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `repeats` is zero.
-    pub fn transmit_with_redundancy(
-        &self,
-        sc: &mut Scenario,
-        payload: &[u8],
-        repeats: u32,
-    ) -> ChannelReport {
-        assert!(repeats > 0, "need at least one repeat");
-        let freq = sc.machine.config().freq_ghz;
-        let mut received = Vec::with_capacity(payload.len());
-        let mut cycles = 0u64;
-        for &b in payload {
-            sc.sender_write(b);
-            let mut counts = [0u32; 256];
-            for _ in 0..repeats {
-                let (got, c) = self.receive_byte(sc);
-                counts[got as usize] += 1;
-                cycles += c;
-            }
-            let winner = counts
-                .iter()
-                .enumerate()
-                .max_by_key(|&(_, c)| *c)
-                .map(|(v, _)| v as u8)
-                .unwrap_or(0);
-            received.push(winner);
-        }
-        ChannelReport::new(payload, received, cycles, freq)
     }
 }
 
@@ -289,8 +247,7 @@ mod tests {
         let ch = TetCovertChannel::new(1);
         let direct = ch.transmit(&mut sc, b"");
         let chunked = ch.transmit_chunked(&sc, b"", 4);
-        let coded = ch.transmit_with_redundancy(&mut sc, b"", 2);
-        for report in [&direct, &chunked, &coded] {
+        for report in [&direct, &chunked] {
             assert!(report.received.is_empty());
             assert_eq!(report.cycles, 0);
             // All rates must be exact zeros — NaN/inf here would
@@ -299,29 +256,6 @@ mod tests {
             assert_eq!(report.seconds, 0.0);
             assert_eq!(report.bytes_per_sec, 0.0);
         }
-    }
-
-    #[test]
-    fn redundancy_beats_single_shot_under_heavy_noise() {
-        let mk = || {
-            Scenario::new(
-                CpuConfig::kaby_lake_i7_7700(),
-                &ScenarioOptions {
-                    interrupt_period: 601, // heavy: most probes disturbed
-                    ..ScenarioOptions::default()
-                },
-            )
-        };
-        let payload: Vec<u8> = (0..12).map(|i| i * 19 + 3).collect();
-        let single = TetCovertChannel::new(1).transmit(&mut mk(), &payload);
-        let coded = TetCovertChannel::new(1).transmit_with_redundancy(&mut mk(), &payload, 5);
-        assert!(
-            coded.error_rate <= single.error_rate,
-            "repetition coding must not hurt ({} vs {})",
-            coded.error_rate,
-            single.error_rate
-        );
-        assert!(coded.cycles > single.cycles, "redundancy costs time");
     }
 
     #[test]

@@ -133,16 +133,7 @@ impl Scenario {
     /// victim page so its data transits the shared line fill buffer
     /// (the TET-ZBL priming step).
     pub fn victim_touch(&mut self, offset: u64) {
-        let pa = self
-            .machine
-            .aspace()
-            .translate(VICTIM_PAGE + offset)
-            .expect("victim page is mapped");
-        // The victim's demand load: route it through the hierarchy so the
-        // line (with its data) lands in the LFB.
-        let (mem, phys) = self.machine.mem_and_phys_mut();
-        mem.clflush(pa);
-        mem.data_load(pa, phys);
+        victim_touch(&mut self.machine, offset);
     }
 
     /// Plants a byte in the victim page.
@@ -164,6 +155,20 @@ impl Scenario {
             .expect("shared page is mapped");
         self.machine.phys_mut().write_u8(pa, value);
     }
+}
+
+/// [`Scenario::victim_touch`] on a bare machine, for sweeps that hold
+/// only the `&mut Machine`.
+pub(crate) fn victim_touch(machine: &mut Machine, offset: u64) {
+    let pa = machine
+        .aspace()
+        .translate(VICTIM_PAGE + offset)
+        .expect("victim page is mapped");
+    // The victim's demand load: route it through the hierarchy so the
+    // line (with its data) lands in the LFB.
+    let (mem, phys) = machine.mem_and_phys_mut();
+    mem.clflush(pa);
+    mem.data_load(pa, phys);
 }
 
 fn machine_aspace(machine: &mut Machine) -> &mut tet_mem::AddressSpace {

@@ -18,13 +18,9 @@
 use std::sync::{Arc, OnceLock};
 
 use tet_uarch::{CpuConfig, Machine, MachineSnapshot, RunDelta};
-use whisper::batch::{batch_enabled, FixedRec, ProbeMemo, VERIFY_EVERY};
+use whisper::batch::{batch_enabled, FixedRec, ProbeMemo, ProbeResult, VERIFY_EVERY};
 use whisper::gadget::{RsbGadget, TetGadget, TetGadgetSpec};
 use whisper::scenario::{Scenario, ScenarioOptions, SHARED_PAGE, STACK_TOP};
-
-/// What one probe reports: `Some((ToTE, cycles))`, `None` on a run
-/// that did not complete.
-type ProbeResult = Option<(u64, u64)>;
 
 /// One trial's observable surface: every probe result plus the
 /// machine's counter movement over the whole sweep.
@@ -69,7 +65,7 @@ fn assert_batched_equals_unbatched<F>(
     hint: Option<u64>,
     f: F,
 ) where
-    F: Fn(&mut Machine, u64) -> Option<(u64, u64)>,
+    F: Fn(&mut Machine, u64) -> ProbeResult,
 {
     assert!(hint.is_some(), "{label}: gadget must predict a match hint");
     let total = 2 * 256u32;
@@ -230,9 +226,8 @@ fn seeded_sibling_fanout_equals_unbatched_at_threads_1_and_8() {
     assert!(hint.is_some(), "warmed gadget must predict a hint");
     let snap = warm.snapshot();
 
-    type SweepFixedRec = FixedRec<Option<(u64, u64)>>;
     let run_seeded = |threads: usize| -> Vec<TrialOutcome> {
-        let fixed: Arc<OnceLock<SweepFixedRec>> = Arc::new(OnceLock::new());
+        let fixed: Arc<OnceLock<FixedRec<ProbeResult>>> = Arc::new(OnceLock::new());
         tet_par::run_indexed_with(
             threads,
             TRIALS,
@@ -315,9 +310,8 @@ fn seeded_sibling_fanout_is_delta_restore_invariant() {
     assert!(hint.is_some(), "warmed gadget must predict a hint");
     let snap = warm.snapshot();
 
-    type SweepFixedRec = FixedRec<Option<(u64, u64)>>;
     let run_seeded = |threads: usize, rebuild: bool| -> Vec<TrialOutcome> {
-        let fixed: Arc<OnceLock<SweepFixedRec>> = Arc::new(OnceLock::new());
+        let fixed: Arc<OnceLock<FixedRec<ProbeResult>>> = Arc::new(OnceLock::new());
         tet_par::run_indexed_with(
             threads,
             TRIALS,
@@ -373,53 +367,35 @@ const NOISY_TRIALS: usize = 3;
 /// 0..=255 sweeps per noisy trial.
 const NOISY_BATCHES: u32 = 2;
 
-/// A gadget the noisy arm can sweep.
-trait Sweep: Sync {
-    fn hint(&self, m: &Machine) -> Option<u64>;
-    fn probe(&self, m: &mut Machine, test: u64) -> ProbeResult;
-}
-
-impl Sweep for TetGadget {
-    fn hint(&self, m: &Machine) -> Option<u64> {
-        self.match_hint(m)
-    }
-    fn probe(&self, m: &mut Machine, test: u64) -> ProbeResult {
-        self.measure_detailed(m, test)
-    }
-}
-
-impl Sweep for RsbGadget {
-    fn hint(&self, m: &Machine) -> Option<u64> {
-        self.match_hint(m)
-    }
-    fn probe(&self, m: &mut Machine, test: u64) -> ProbeResult {
-        self.measure_detailed(m, test)
-    }
-}
-
 /// One noisy trial's outcome plus how many of its probes ran live and
 /// how many of those took a timer interrupt.
 type NoisyTrial = (TrialOutcome, u32, u32);
 
-/// Runs noisy trial `i` on `m`: batched trials seed their memo from
-/// (and publish to) `fixed`; all-live trials use a hintless memo.
-/// `payload`, when given, supplies the byte written into the shared
-/// page before the hint is read (the TET-CC sender).
-fn noisy_trial(
+/// Runs noisy trial `i` on `m`, sweeping `probe` through a memo whose
+/// hint `hint` reads from the restored machine: batched trials seed
+/// their memo from (and publish to) `fixed`; all-live trials use a
+/// hintless memo. `payload`, when given, supplies the byte written into
+/// the shared page before the hint is read (the TET-CC sender).
+fn noisy_trial<H, P>(
     m: &mut Machine,
     snap: &MachineSnapshot,
     i: usize,
-    gadget: &dyn Sweep,
+    hint: &H,
+    probe: &P,
     payload: Option<&[u8]>,
-    fixed: Option<&OnceLock<SweepFixedRec>>,
-) -> NoisyTrial {
+    fixed: Option<&OnceLock<FixedRec<ProbeResult>>>,
+) -> NoisyTrial
+where
+    H: Fn(&Machine) -> Option<u64>,
+    P: Fn(&mut Machine, u64) -> ProbeResult,
+{
     m.restore(snap);
     m.cpu_mut().reseed_interrupt_phase(i as u64);
     if let Some(payload) = payload {
         let pa = m.aspace().translate(SHARED_PAGE).expect("shared page");
         m.phys_mut().write_u8(pa, payload[i]);
     }
-    let hint = fixed.and_then(|_| gadget.hint(m));
+    let hint = fixed.and_then(|_| hint(m));
     let seed = fixed.and_then(|f| f.get().cloned());
     let marker = m.delta_marker();
     let mut memo = ProbeMemo::seeded(m, hint, seed);
@@ -430,7 +406,7 @@ fn noisy_trial(
             out.push(memo.probe(m, test, |m| {
                 live += 1;
                 let before = m.delta_marker();
-                let r = gadget.probe(m, test);
+                let r = probe(m, test);
                 if m.delta_since(&before).interrupts > 0 {
                     disturbed += 1;
                 }
@@ -445,21 +421,27 @@ fn noisy_trial(
     ((out, delta), live, disturbed)
 }
 
-/// The noisy comparison for one warmed snapshot: batched trials —
-/// serial on one machine with and without a shared seed, and on the
-/// pool at 1 and 8 workers — against serial hintless all-live trials. Returns the batched arms' summed
-/// (live, disturbed) probe counts.
-fn assert_noisy_batched_equals_unbatched(
+/// The noisy comparison for one warmed snapshot and one gadget's
+/// `(hint, probe)` pair: batched trials — serial on one machine with
+/// and without a shared seed, and on the pool at 1 and 8 workers —
+/// against serial hintless all-live trials. Returns the batched arms'
+/// summed (live, disturbed) probe counts.
+fn assert_noisy_batched_equals_unbatched<H, P>(
     label: &str,
     snap: &MachineSnapshot,
-    gadget: &dyn Sweep,
+    hint: H,
+    probe: P,
     payload: Option<&[u8]>,
-) -> (u32, u32) {
+) -> (u32, u32)
+where
+    H: Fn(&Machine) -> Option<u64> + Sync,
+    P: Fn(&mut Machine, u64) -> ProbeResult + Sync,
+{
     let total = 256 * NOISY_BATCHES;
     let mut m = Machine::from_snapshot(snap);
     let reference: Vec<TrialOutcome> = (0..NOISY_TRIALS)
         .map(|i| {
-            let (outcome, live, _) = noisy_trial(&mut m, snap, i, gadget, payload, None);
+            let (outcome, live, _) = noisy_trial(&mut m, snap, i, &hint, &probe, payload, None);
             assert_eq!(live, total, "{label}: hintless trial must run fully live");
             outcome
         })
@@ -483,13 +465,23 @@ fn assert_noisy_batched_equals_unbatched(
     let mut m = Machine::from_snapshot(snap);
     // Every trial establishes its own fixed point from an empty memo...
     let unseeded = (0..NOISY_TRIALS)
-        .map(|i| noisy_trial(&mut m, snap, i, gadget, payload, Some(&OnceLock::new())))
+        .map(|i| {
+            noisy_trial(
+                &mut m,
+                snap,
+                i,
+                &hint,
+                &probe,
+                payload,
+                Some(&OnceLock::new()),
+            )
+        })
         .collect();
     check("serial unseeded", unseeded);
     // ...or seeds from the first trial's, serially and on the pool.
     let fixed = OnceLock::new();
     let seeded = (0..NOISY_TRIALS)
-        .map(|i| noisy_trial(&mut m, snap, i, gadget, payload, Some(&fixed)))
+        .map(|i| noisy_trial(&mut m, snap, i, &hint, &probe, payload, Some(&fixed)))
         .collect();
     check("serial seeded", seeded);
     for threads in [1, 8] {
@@ -498,7 +490,7 @@ fn assert_noisy_batched_equals_unbatched(
             threads,
             NOISY_TRIALS,
             || Machine::from_snapshot(snap),
-            |m, i| noisy_trial(m, snap, i, gadget, payload, Some(&fixed)),
+            |m, i| noisy_trial(m, snap, i, &hint, &probe, payload, Some(&fixed)),
         );
         check(&format!("threads={threads}"), pooled);
     }
@@ -540,8 +532,6 @@ fn assert_noisy_coverage(
     }
 }
 
-type SweepFixedRec = FixedRec<ProbeResult>;
-
 /// TET-CC under noise: the §4.1 covert channel, one payload byte per
 /// trial written by the sender after the fork.
 #[test]
@@ -555,7 +545,13 @@ fn noisy_cc_sweep_batched_equals_unbatched() {
         let mut warm = sc.machine.clone();
         gadget.measure_detailed(&mut warm, 0);
         let snap = warm.snapshot();
-        let counts = assert_noisy_batched_equals_unbatched(&label, &snap, &gadget, Some(&payload));
+        let counts = assert_noisy_batched_equals_unbatched(
+            &label,
+            &snap,
+            |m| gadget.match_hint(m),
+            |m, t| gadget.measure_detailed(m, t),
+            Some(&payload),
+        );
         assert_noisy_coverage(&label, period, &warm, counts, true);
     }
 }
@@ -574,7 +570,13 @@ fn noisy_meltdown_sweep_batched_equals_unbatched() {
             gadget.measure(&mut warm, 0);
         }
         let snap = warm.snapshot();
-        let counts = assert_noisy_batched_equals_unbatched(&label, &snap, &gadget, None);
+        let counts = assert_noisy_batched_equals_unbatched(
+            &label,
+            &snap,
+            |m| gadget.match_hint(m),
+            |m, t| gadget.measure_detailed(m, t),
+            None,
+        );
         assert_noisy_coverage(&label, period, &warm, counts, true);
     }
 }
@@ -593,7 +595,13 @@ fn noisy_rsb_sweep_batched_equals_unbatched() {
             gadget.measure(&mut warm, 0);
         }
         let snap = warm.snapshot();
-        let counts = assert_noisy_batched_equals_unbatched(&label, &snap, &gadget, None);
+        let counts = assert_noisy_batched_equals_unbatched(
+            &label,
+            &snap,
+            |m| gadget.match_hint(m),
+            |m, t| gadget.measure_detailed(m, t),
+            None,
+        );
         assert_noisy_coverage(&label, period, &warm, counts, false);
     }
 }
