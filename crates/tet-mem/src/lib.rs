@@ -73,6 +73,6 @@ pub fn line_addr(addr: u64) -> u64 {
 /// A structure trusts its touched-set journal only across a shared
 /// seal; unsealed sides share nothing.
 #[inline]
-pub fn same_seal<T>(a: &Option<std::sync::Arc<T>>, b: &Option<std::sync::Arc<T>>) -> bool {
+pub(crate) fn same_seal<T>(a: &Option<std::sync::Arc<T>>, b: &Option<std::sync::Arc<T>>) -> bool {
     matches!((a, b), (Some(a), Some(b)) if std::sync::Arc::ptr_eq(a, b))
 }

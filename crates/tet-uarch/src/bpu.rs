@@ -10,6 +10,11 @@
 //! * `ret` is predicted from the RSB. When the architectural return
 //!   address has been redirected (Listing 1), the stale RSB entry
 //!   transiently "returns" into attacker-chosen code — Spectre-RSB.
+//!
+//! The whole unit is small (4096 2-bit PHT counters packed into 1 KiB,
+//! a BTB holding only the pcs a program branched from, ≤16 RSB entries),
+//! so a snapshot restore copies it into the existing allocations
+//! (DESIGN.md §16).
 
 use crate::lru::LruIndex;
 
@@ -70,7 +75,8 @@ pub struct Prediction {
 #[derive(Debug, Clone)]
 pub struct Bpu {
     cfg: BpuConfig,
-    /// 2-bit saturating counters (0..=3; >=2 predicts taken).
+    /// 2-bit saturating counters (0..=3; >=2 predicts taken), four to
+    /// a byte: every restore copies the table, and packed it is 1 KiB.
     pht: Vec<u8>,
     ghr: u64,
     /// MRU-first BTB (`pc -> target`), indexed for O(1) fetch-time
@@ -78,28 +84,16 @@ pub struct Bpu {
     /// original `VecDeque` list (see the equivalence property test).
     btb: LruIndex<usize>,
     rsb: Vec<usize>,
-    /// PHT indices written since the last seal/restore, duplicate-capped:
-    /// once the journal outgrows the PHT itself, `pht_full_dirty` flips
-    /// and the restore falls back to one 4 KiB memcpy (DESIGN.md §16).
-    /// Duplicates are harmless — repairing an index twice is idempotent —
-    /// so no per-index dedup stamp is needed for a table this small.
-    pht_journal: Vec<u32>,
-    /// Whether PHT journaling is live (set by the first seal).
-    pht_sealed: bool,
-    pht_full_dirty: bool,
 }
 
 impl Bpu {
     /// Creates a predictor initialised to strongly-not-taken.
     pub fn new(cfg: BpuConfig) -> Self {
         Bpu {
-            pht: vec![0; 1 << cfg.pht_bits],
+            pht: vec![0; (1usize << cfg.pht_bits).div_ceil(4)],
             ghr: 0,
             btb: LruIndex::new(cfg.btb_entries),
             rsb: Vec::with_capacity(cfg.rsb_entries),
-            pht_journal: Vec::new(),
-            pht_sealed: false,
-            pht_full_dirty: false,
             cfg,
         }
     }
@@ -113,6 +107,12 @@ impl Bpu {
     fn pht_index(&self, pc: usize) -> usize {
         let mask = (1usize << self.cfg.pht_bits) - 1;
         (pc ^ (self.ghr as usize & ((1 << self.cfg.ghr_bits) - 1))) & mask
+    }
+
+    /// The 2-bit counter at PHT index `idx`.
+    #[inline]
+    fn counter(&self, idx: usize) -> u8 {
+        (self.pht[idx / 4] >> (idx % 4 * 2)) & 3
     }
 
     fn btb_lookup(&mut self, pc: usize) -> Option<usize> {
@@ -146,7 +146,7 @@ impl Bpu {
     /// and taken targets.
     pub fn predict_cond(&mut self, pc: usize, fallthrough: usize, target: usize) -> Prediction {
         let from_btb = self.btb_lookup(pc).is_some();
-        let counter = self.pht[self.pht_index(pc)];
+        let counter = self.counter(self.pht_index(pc));
         let taken = from_btb && counter >= 2;
         Prediction {
             next_pc: if taken { target } else { fallthrough },
@@ -222,36 +222,22 @@ impl Bpu {
     // the structures too — matching real cores, and required for the BTB
     // to ever learn the in-window Jcc of the TET gadget.
 
-    /// Records a PHT write in the duplicate-capped journal.
-    #[inline]
-    fn pht_touch(&mut self, idx: usize) {
-        if self.pht_sealed && !self.pht_full_dirty {
-            if self.pht_journal.len() >= self.pht.len() {
-                self.pht_full_dirty = true;
-                self.pht_journal.clear();
-            } else {
-                self.pht_journal.push(idx as u32);
-            }
-        }
-    }
-
     /// Updates predictor state after a conditional branch resolves.
     /// Returns whether a pattern counter or a BTB target changed (the
     /// global history always shifts; see [`Bpu::history`]).
     pub fn resolve_cond(&mut self, pc: usize, taken: bool, target: usize) -> bool {
         let idx = self.pht_index(pc);
-        self.pht_touch(idx);
-        let c = &mut self.pht[idx];
-        let old = *c;
-        let mut moved = false;
-        if taken {
-            *c = (*c + 1).min(3);
-            moved = self.btb_insert(pc, target);
+        let old = self.counter(idx);
+        let new = if taken {
+            (old + 1).min(3)
         } else {
-            *c = c.saturating_sub(1);
-        }
+            old.saturating_sub(1)
+        };
+        let shift = idx % 4 * 2;
+        self.pht[idx / 4] = (self.pht[idx / 4] & !(3 << shift)) | (new << shift);
+        let moved = taken && self.btb_insert(pc, target);
         self.ghr = (self.ghr << 1) | u64::from(taken);
-        moved || self.pht[idx] != old
+        moved || new != old
     }
 
     /// Updates the BTB after an indirect branch or `ret` resolves.
@@ -261,28 +247,8 @@ impl Bpu {
         self.btb_insert(pc, target)
     }
 
-    /// Seals the current state for delta restore (DESIGN.md §16).
-    pub fn seal(&mut self) {
-        self.btb.seal();
-        self.pht_journal.clear();
-        self.pht_sealed = true;
-        self.pht_full_dirty = false;
-    }
-
-    /// Whether this predictor and `src` share a snapshot seal, i.e.
-    /// whether [`Bpu::restore`] will replay the journals.
-    pub(crate) fn shares_seal(&self, src: &Bpu) -> bool {
-        self.pht_sealed && self.btb.shares_seal(&src.btb)
-    }
-
-    /// Rolls this predictor back to the state of `src`, a sealed
-    /// snapshot, reusing the PHT/BTB/RSB allocations. Across a shared
-    /// seal (the BTB's, which the PHT journal is sealed together with)
-    /// journaled PHT counters are repaired individually, or the whole
-    /// 4 KiB table on journal overflow, and the BTB replays its own
-    /// journal. Otherwise the PHT and BTB are copied and the source's
-    /// seal is adopted. The GHR and RSB (a scalar and ≤16 entries) are
-    /// always copied.
+    /// Rolls this predictor back to the state of `src` by copying the
+    /// PHT, BTB, GHR and RSB into this predictor's allocations.
     pub fn restore(&mut self, src: &Bpu) {
         let Bpu {
             cfg,
@@ -290,25 +256,12 @@ impl Bpu {
             ghr,
             btb,
             rsb,
-            pht_journal: _,
-            pht_sealed,
-            pht_full_dirty: _,
         } = src;
-        if self.shares_seal(src) && !self.pht_full_dirty {
-            for i in 0..self.pht_journal.len() {
-                let idx = self.pht_journal[i] as usize;
-                self.pht[idx] = pht[idx];
-            }
-        } else {
-            self.cfg = *cfg;
-            self.pht.clear();
-            self.pht.extend_from_slice(pht);
-            self.pht_sealed = *pht_sealed;
-        }
-        self.btb.restore(btb);
-        self.pht_journal.clear();
-        self.pht_full_dirty = false;
+        self.cfg = *cfg;
+        self.pht.clear();
+        self.pht.extend_from_slice(pht);
         self.ghr = *ghr;
+        self.btb.restore(btb);
         self.rsb.clear();
         self.rsb.extend_from_slice(rsb);
     }
@@ -552,10 +505,42 @@ mod tests {
         }
     }
 
-    /// A journal-replay restore must reproduce the predictor state (PHT
-    /// counters, BTB order, GHR, RSB) of a clone of the snapshot exactly.
+    /// The packed PHT holds every 2-bit counter where a byte-per-counter
+    /// gshare does, under random resolutions across every history.
     #[test]
-    fn delta_restore_matches_exhaustive_restore() {
+    fn packed_pht_matches_byte_per_counter_reference() {
+        let mut state = 0x8cb92ba72f3d8dd7u64;
+        let mut rng = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let cfg = BpuConfig {
+            pht_bits: 6,
+            ghr_bits: 6,
+            ..BpuConfig::default()
+        };
+        let (mut b, mut pht, mut ghr) = (Bpu::new(cfg), [0u8; 64], 0usize);
+        for step in 0..20_000 {
+            let r = rng();
+            let (pc, taken) = ((r >> 8) as usize % 96, r & 8 == 0);
+            let c = &mut pht[(pc ^ ghr) & 63];
+            *c = if taken {
+                (*c + 1).min(3)
+            } else {
+                c.saturating_sub(1)
+            };
+            ghr = ((ghr << 1) | usize::from(taken)) & 63;
+            b.resolve_cond(pc, taken, pc + 2);
+            assert!((0..64).all(|i| b.counter(i) == pht[i]), "step {step}");
+        }
+    }
+
+    /// A restore must reproduce the predictor state (PHT counters, BTB
+    /// order, GHR, RSB) of a clone of the snapshot exactly.
+    #[test]
+    fn restore_reproduces_snapshot_state_and_behavior() {
         let mut state = 0xaf63bd4c8601b7efu64;
         let mut rng = move || {
             state ^= state << 13;
@@ -573,7 +558,6 @@ mod tests {
             let r = rng();
             bpu.resolve_cond((r >> 8) as usize % 64, r & 1 == 0, (r >> 16) as usize % 64);
         }
-        bpu.seal();
         let snap = bpu.clone();
         let churn = |b: &mut Bpu, r: u64| match r % 6 {
             0 => {
@@ -595,16 +579,13 @@ mod tests {
                 b.predict_ret(7);
             }
         };
-        // Short churn replays the PHT journal; long churn (at 64 PHT
-        // entries) overflows it into the full-dirty fallback.
+        // Short churn moves a few PHT counters; long churn (at 64 PHT
+        // entries) rewrites most of the table and turns the BTB over.
         for rounds in [20, 2_000] {
             for _ in 0..rounds {
                 churn(&mut bpu, rng());
             }
-            assert_eq!(bpu.pht_full_dirty, rounds > 100, "{rounds} rounds");
-            assert!(bpu.shares_seal(&snap));
             bpu.restore(&snap);
-            assert!(bpu.pht_journal.is_empty() && !bpu.pht_full_dirty);
             let mut reference = snap.clone();
             assert_eq!(bpu.pht, reference.pht);
             assert_eq!(bpu.ghr, reference.ghr);
@@ -627,27 +608,24 @@ mod tests {
         }
     }
 
+    /// Restoring from a predictor with an unrelated history copies it,
+    /// and a second restore after more training copies it again.
     #[test]
-    fn delta_restore_refuses_foreign_seals() {
+    fn restore_from_unrelated_predictor_copies_it() {
         let mut a = Bpu::new(BpuConfig::default());
         a.resolve_cond(1, true, 2);
-        a.seal();
         let mut b = Bpu::new(BpuConfig::default());
         b.resolve_cond(3, true, 4);
-        b.seal();
         a.resolve_cond(7, true, 8);
-        // A foreign seal cannot be trusted: copy, and adopt the seal.
-        assert!(!a.shares_seal(&b));
+        a.predict_call(9, 10);
         a.restore(&b);
-        assert!(a.shares_seal(&b), "copy adopts the seal");
         assert_eq!(a.btb_fingerprint(), b.btb_fingerprint());
         assert_eq!(a.pht, b.pht);
-        // The next restore replays the journals.
+        assert_eq!(a.history(), b.history());
         a.resolve_cond(5, true, 6);
-        assert!(!a.pht_journal.is_empty());
         a.restore(&b);
-        assert!(a.pht_journal.is_empty());
         assert_eq!(a.btb_fingerprint(), b.btb_fingerprint());
         assert_eq!(a.pht, b.pht);
+        assert_eq!(a.history(), b.history());
     }
 }

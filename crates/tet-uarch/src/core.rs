@@ -425,12 +425,10 @@ impl Cpu {
         self.sink = sink;
     }
 
-    /// Seals the journaled core structures (branch predictor, µop cache,
-    /// both TLBs) so later [`Cpu::restore`] calls against clones of this
-    /// state repair only journaled slots (DESIGN.md §16).
+    /// Seals the core's journaled structures, the two TLBs, so later
+    /// [`Cpu::restore`] calls against clones of this state repair only
+    /// journaled chunks (DESIGN.md §16).
     pub fn seal(&mut self) {
-        self.bpu.seal();
-        self.dsb.seal();
         self.itlb.seal();
         self.dtlb.seal();
     }
@@ -440,12 +438,10 @@ impl Cpu {
     /// tables, PMU bank, port table) — the restore half of the machine
     /// snapshot layer. Both cores must share a port count.
     ///
-    /// The journaled structures (predictor, µop cache, TLBs) replay
-    /// their touched-set journals when they share a seal with `src` and
-    /// otherwise copy exhaustively, adopting the seal. All scalar and
-    /// queue state is copied either way. The configuration is copied
-    /// whenever the structures do not replay: only a clone of the same
-    /// sealed state shares its seal, and that clone shares its config.
+    /// The TLBs replay their touched-chunk journals when they share a
+    /// seal with `src` and otherwise copy exhaustively, adopting the
+    /// seal. Everything else — configuration, predictor, µop cache,
+    /// queues and scalars — is copied.
     ///
     /// The exhaustive destructuring below is deliberate: adding a field
     /// to `Cpu` without deciding how it restores becomes a compile
@@ -511,9 +507,7 @@ impl Cpu {
             self.cfg.ports, cfg.ports,
             "snapshot restore across core configurations"
         );
-        if !self.bpu.shares_seal(bpu) {
-            self.cfg = cfg.clone();
-        }
+        self.cfg = cfg.clone();
         self.pmu.clone_from(pmu);
         self.bpu.restore(bpu);
         self.dsb.restore(dsb);

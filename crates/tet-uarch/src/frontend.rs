@@ -1,5 +1,6 @@
-//! Frontend data structures: the decoded stream buffer (µop cache), the
-//! fetched-µop record, and the per-cycle delivery trace behind Figure 3.
+//! Frontend data structures: the decoded stream buffer (µop cache) and
+//! the fetched-µop record. The DSB holds only the pcs a program fetched,
+//! so a snapshot restore copies it (DESIGN.md §16).
 
 use tet_isa::Inst;
 
@@ -55,16 +56,11 @@ impl Dsb {
         self.lru.len() == 0
     }
 
-    /// Seals the current state for delta restore (DESIGN.md §16).
-    pub fn seal(&mut self) {
-        self.lru.seal();
-    }
-
-    /// Rolls this DSB back to the state of `src`, a sealed snapshot:
-    /// journal replay across a shared seal, otherwise a full copy that
-    /// adopts the source's seal.
+    /// Rolls this DSB back to the state of `src` by copying it into
+    /// this DSB's allocations.
     pub fn restore(&mut self, src: &Dsb) {
-        self.lru.restore(&src.lru);
+        let Dsb { lru } = src;
+        self.lru.restore(lru);
     }
 }
 

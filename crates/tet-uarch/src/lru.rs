@@ -19,14 +19,11 @@
 //! configured capacities (1536 DSB entries, 512 BTB entries) exceed the
 //! attack programs' sizes, so the scan is off the hot path.
 //!
-//! For snapshot forks the index carries the same journal/epoch layer as
-//! the caches (DESIGN.md §16): every slot or direct-map write journals
-//! its position once per epoch, so [`LruIndex::restore`] repairs
-//! O(entries touched) instead of re-cloning the arena.
+//! A snapshot restore copies the arena and the direct map into this
+//! index's own allocations (DESIGN.md §16): both hold only the keys a
+//! program has used, so a copy costs less than tracking each write.
 
-use std::sync::Arc;
-
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct LruSlot<V> {
     key: usize,
     val: V,
@@ -47,18 +44,6 @@ pub(crate) struct LruIndex<V> {
     /// The next stamp to hand out.
     clock: u64,
     capacity: usize,
-    /// Seal identity shared with clones (delta restore trust anchor).
-    seal: Option<Arc<()>>,
-    /// Journal epoch: 0 = journaling off (never sealed).
-    epoch: u32,
-    /// Per-arena-slot journal stamps, parallel to `slots`.
-    jslot: Vec<u32>,
-    /// Per-key journal stamps, parallel to `index`.
-    jkey: Vec<u32>,
-    /// Arena slots written since the last seal/restore.
-    journal_slots: Vec<u32>,
-    /// Direct-map keys written since the last seal/restore.
-    journal_keys: Vec<u32>,
 }
 
 impl<V: Copy> LruIndex<V> {
@@ -69,40 +54,6 @@ impl<V: Copy> LruIndex<V> {
             index: Vec::new(),
             clock: 0,
             capacity,
-            seal: None,
-            epoch: 0,
-            jslot: Vec::with_capacity(capacity),
-            jkey: Vec::new(),
-            journal_slots: Vec::new(),
-            journal_keys: Vec::new(),
-        }
-    }
-
-    /// Records arena slot `s` in the journal (once per epoch).
-    #[inline]
-    fn touch_slot(&mut self, s: usize) {
-        if self.epoch != 0 && self.jslot[s] != self.epoch {
-            self.jslot[s] = self.epoch;
-            self.journal_slots.push(s as u32);
-        }
-    }
-
-    /// Records direct-map key `k` in the journal (once per epoch).
-    #[inline]
-    fn touch_key(&mut self, k: usize) {
-        if self.epoch != 0 && self.jkey[k] != self.epoch {
-            self.jkey[k] = self.epoch;
-            self.journal_keys.push(k as u32);
-        }
-    }
-
-    /// Starts a new journal epoch (wrap-safe).
-    fn bump_epoch(&mut self) {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.jslot.fill(0);
-            self.jkey.fill(0);
-            self.epoch = 1;
         }
     }
 
@@ -122,7 +73,6 @@ impl<V: Copy> LruIndex<V> {
     /// Marks slot `s` most recently used.
     #[inline]
     fn stamp(&mut self, s: usize) {
-        self.touch_slot(s);
         self.slots[s].stamp = self.clock;
         self.clock += 1;
     }
@@ -165,23 +115,17 @@ impl<V: Copy> LruIndex<V> {
                 .min_by_key(|(_, slot)| slot.stamp)
                 .map(|(s, slot)| (s, slot.key))
                 .expect("non-zero capacity");
-            self.touch_key(old_key);
             self.index[old_key] = 0;
-            self.touch_slot(victim);
             self.slots[victim] = slot;
             victim
         } else {
             let s = self.slots.len();
             self.slots.push(slot);
-            self.jslot.push(0);
-            self.touch_slot(s);
             s
         };
         if key >= self.index.len() {
             self.index.resize(key + 1, 0);
-            self.jkey.resize(key + 1, 0);
         }
-        self.touch_key(key);
         self.index[key] = s as u32 + 1;
         None
     }
@@ -195,78 +139,23 @@ impl<V: Copy> LruIndex<V> {
         by_recency.into_iter().map(|slot| (slot.key, slot.val))
     }
 
-    /// Marks the current state as a snapshot point: clones share this
-    /// seal and later writes journal themselves (DESIGN.md §16).
-    pub(crate) fn seal(&mut self) {
-        self.seal = Some(Arc::new(()));
-        self.journal_slots.clear();
-        self.journal_keys.clear();
-        self.bump_epoch();
-    }
-
-    /// Whether this index and `src` share a snapshot seal, i.e. whether
-    /// [`LruIndex::restore`] will replay the journal.
-    pub(crate) fn shares_seal(&self, src: &LruIndex<V>) -> bool {
-        tet_mem::same_seal(&self.seal, &src.seal)
-    }
-
-    /// Rolls this index back to the state of `src`, a sealed snapshot,
-    /// reusing the arena and direct-map allocations. Across a shared
-    /// seal the arena and direct map (which only grow within an epoch)
-    /// truncate back to the source's lengths and only journaled
-    /// positions below that boundary are repaired. Otherwise everything
-    /// is copied and the source's seal is adopted, so the next restore
-    /// replays the journal. The clock is copied either way, so restored
-    /// stamps and future stamps order exactly as in `src`.
+    /// Rolls this index back to the state of `src` by copying its
+    /// arena, direct map and clock into this index's allocations. The
+    /// clock travels with the stamps, so restored and future stamps
+    /// order exactly as in `src`.
     pub(crate) fn restore(&mut self, src: &LruIndex<V>) {
         let LruIndex {
             slots,
             index,
             clock,
             capacity,
-            seal,
-            // Journal bookkeeping is this index's own; it restarts below.
-            epoch: _,
-            jslot: _,
-            jkey: _,
-            journal_slots,
-            journal_keys,
         } = src;
-        if self.shares_seal(src) {
-            debug_assert!(
-                journal_slots.is_empty() && journal_keys.is_empty(),
-                "restore source must be a sealed, unmutated snapshot"
-            );
-            debug_assert!(self.slots.len() >= slots.len(), "arena never shrinks");
-            self.slots.truncate(slots.len());
-            self.jslot.truncate(slots.len());
-            for i in 0..self.journal_slots.len() {
-                let s = self.journal_slots[i] as usize;
-                if s < slots.len() {
-                    self.slots[s] = slots[s].clone();
-                }
-            }
-            self.index.truncate(index.len());
-            self.jkey.truncate(index.len());
-            for i in 0..self.journal_keys.len() {
-                let k = self.journal_keys[i] as usize;
-                if k < index.len() {
-                    self.index[k] = index[k];
-                }
-            }
-        } else {
-            self.slots.clone_from(slots);
-            self.index.clear();
-            self.index.extend_from_slice(index);
-            self.seal.clone_from(seal);
-            self.jslot.resize(slots.len(), 0);
-            self.jkey.resize(index.len(), 0);
-        }
+        self.slots.clear();
+        self.slots.extend_from_slice(slots);
+        self.index.clear();
+        self.index.extend_from_slice(index);
         self.clock = *clock;
         self.capacity = *capacity;
-        self.journal_slots.clear();
-        self.journal_keys.clear();
-        self.bump_epoch();
     }
 }
 
@@ -355,11 +244,11 @@ mod tests {
             }
         }
 
-        /// seal → churn with evictions → journal-replay restore leaves
-        /// the recency order *and* the stamp clock of a clone of the
-        /// snapshot, and both then behave identically.
+        /// snapshot → churn with evictions → restore leaves the recency
+        /// order *and* the stamp clock of a clone of the snapshot, and
+        /// both then behave identically.
         #[test]
-        fn seal_churn_restore_matches_snapshot_clone(
+        fn restore_after_churn_reproduces_snapshot(
             capacity in 1usize..9,
             warm in ops(),
             churn in ops(),
@@ -370,22 +259,19 @@ mod tests {
             for op in &warm {
                 step(&mut lru, &mut reference, op);
             }
-            lru.seal();
             let snap = lru.clone();
             let snap_list = reference.list.clone();
             for op in &churn {
                 step(&mut lru, &mut reference, op);
             }
             // However the churn went, end it with a full turnover: keys
-            // outside the op key space evict every sealed entry.
+            // outside the op key space evict every snapshot entry.
             for k in 1000..=1000 + capacity {
                 lru.insert(k, 0);
                 reference.insert(k, 0);
             }
             prop_assert!(lru.iter().eq(reference.list.iter().copied()));
-            prop_assert!(lru.shares_seal(&snap));
             lru.restore(&snap);
-            prop_assert!(lru.journal_slots.is_empty() && lru.journal_keys.is_empty());
             prop_assert_eq!(lru.clock, snap.clock);
             prop_assert!(lru.iter().eq(snap.iter()));
             prop_assert!(lru.iter().eq(snap_list.iter().copied()));
@@ -449,10 +335,10 @@ mod tests {
         }
     }
 
-    /// A journal-replay restore must reproduce the exact recency order
-    /// and future behavior of a clone of the snapshot.
+    /// A restore must reproduce the exact recency order and future
+    /// behavior of a clone of the snapshot.
     #[test]
-    fn delta_restore_matches_exhaustive_restore() {
+    fn restore_reproduces_snapshot_order_and_behavior() {
         let mut state = 0xc3a5c85c97cb3127u64;
         let mut rng = move || {
             state ^= state << 13;
@@ -466,7 +352,6 @@ mod tests {
                 let r = rng();
                 lru.insert((r >> 8) as usize % 48, r >> 32);
             }
-            lru.seal();
             let snap = lru.clone();
             for _ in 0..3_000 {
                 let r = rng();
@@ -483,9 +368,7 @@ mod tests {
                     }
                 }
             }
-            assert!(lru.shares_seal(&snap));
             lru.restore(&snap);
-            assert!(lru.journal_slots.is_empty() && lru.journal_keys.is_empty());
             let mut reference = snap.clone();
             let d: Vec<(usize, u64)> = lru.iter().collect();
             let s: Vec<(usize, u64)> = reference.iter().collect();
@@ -512,28 +395,25 @@ mod tests {
         }
     }
 
+    /// Restoring from an index with an unrelated history copies it,
+    /// and a second restore after more churn copies it again.
     #[test]
-    fn delta_restore_refuses_foreign_seals() {
+    fn restore_from_unrelated_index_copies_it() {
         let mut a = LruIndex::new(4);
         a.insert(1, 10u64);
-        a.seal();
         let mut b = LruIndex::new(4);
         b.insert(2, 20u64);
-        b.seal();
         a.insert(4, 40);
-        // A foreign seal cannot be trusted: copy, and adopt the seal.
-        assert!(!a.shares_seal(&b));
         a.restore(&b);
-        assert!(a.shares_seal(&b), "copy adopts the seal");
         let got: Vec<(usize, u64)> = a.iter().collect();
         assert_eq!(got, vec![(2, 20)]);
-        // The next restore replays the journal.
         a.insert(3, 30);
-        assert!(!a.journal_slots.is_empty());
+        a.insert(7, 70);
         a.restore(&b);
-        assert!(a.journal_slots.is_empty() && a.journal_keys.is_empty());
         let got: Vec<(usize, u64)> = a.iter().collect();
         assert_eq!(got, vec![(2, 20)]);
+        assert_eq!(a.clock, b.clock);
+        assert!(!a.probe(1) && !a.probe(3) && !a.probe(7));
     }
 
     #[test]

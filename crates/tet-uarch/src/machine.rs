@@ -321,9 +321,9 @@ impl Machine {
         self.ff_enabled
     }
 
-    /// Seals every journaled structure (predictor tables, µop cache,
-    /// TLBs, the four cache levels, physical memory) so clones of this
-    /// state restore by journal replay (DESIGN.md §16).
+    /// Seals every journaled structure (TLBs, the four cache levels,
+    /// physical memory) so clones of this state restore by journal
+    /// replay (DESIGN.md §16).
     fn seal(&mut self) {
         self.cpu.seal();
         self.mem.seal();
@@ -368,10 +368,11 @@ impl Machine {
             pmu_lifetime: _,
             ctx: _,
         } = &snap.state;
-        // Each structure repairs only the slots it journaled since the
-        // shared seal, or copies exhaustively when no seal is shared
-        // (e.g. the first restore from a foreign snapshot, which then
-        // adopts its seal).
+        // The journaled arrays (TLBs, caches, physical memory) repair
+        // only what they journaled since the shared seal, or copy
+        // exhaustively when no seal is shared (e.g. the first restore
+        // from a foreign snapshot, which then adopts its seal); every
+        // other structure is copied.
         self.cpu.restore(cpu);
         self.mem.restore(mem);
         self.phys.restore(phys);

@@ -119,9 +119,11 @@ fn snapshot_restore_run_matches_live_run() {
 /// long-lived machine must rebuild the same state as a fresh
 /// [`Machine::from_snapshot`], pinned by bit-identical re-runs of the
 /// snapshotted program. The long-lived machine restores *twice* per
-/// case: the first restore comes from a foreign snapshot, so every
-/// structure copies exhaustively and adopts the seal; the second
-/// replays the touched-set journals (DESIGN.md §16).
+/// case: the first restore comes from a foreign snapshot, so the
+/// journaled arrays (TLBs, caches, physical memory) copy exhaustively
+/// and adopt the seal; the second replays their touched-set journals
+/// (DESIGN.md §16). The predictor, µop cache and every other core
+/// structure are copied on both restores.
 #[test]
 fn delta_full_and_fresh_restores_are_equivalent() {
     let gen_cfg = GenConfig::default();
@@ -141,7 +143,7 @@ fn delta_full_and_fresh_restores_are_equivalent() {
             let snap = live.snapshot();
             let want = fingerprint(&Machine::from_snapshot(&snap).run(&program, &run_cfg()));
 
-            // A foreign seal: every structure copies and adopts it.
+            // A foreign seal: the journaled arrays copy and adopt it.
             m.restore(&snap);
             // Dirty-set spot checks: a restore leaves physical memory
             // clean relative to the seal, and the run's dirtying is
@@ -156,10 +158,11 @@ fn delta_full_and_fresh_restores_are_equivalent() {
             assert_eq!(
                 got,
                 want,
-                "copying restore diverged (preset {pi} case {case}):\n{}",
+                "first restore (journaled arrays copy) diverged (preset {pi} case {case}):\n{}",
                 gen::render(&insts)
             );
-            // Now the seal is shared: every structure replays its journal.
+            // Now the seal is shared: the journaled arrays replay their
+            // journals.
             m.restore(&snap);
             assert_eq!(m.phys().dirty_pages(), 0);
             assert_eq!(
@@ -172,7 +175,7 @@ fn delta_full_and_fresh_restores_are_equivalent() {
             assert_eq!(
                 got,
                 want,
-                "journal-replay restore diverged (preset {pi} case {case}):\n{}",
+                "second restore (journaled arrays replay) diverged (preset {pi} case {case}):\n{}",
                 gen::render(&insts)
             );
         }
@@ -347,8 +350,8 @@ fn restore_of_a_wrapped_ring_matches_from_snapshot() {
         };
         let want = fingerprint(&Machine::from_snapshot(&snap).run(&next, &run));
 
-        // A polluted machine restores twice: once by full copy (foreign
-        // seal), once by journal replay.
+        // A polluted machine restores twice: once with the journaled
+        // arrays copying (foreign seal), once with them replaying.
         let mut polluted = machine_for(cfg, 99);
         polluted.run(&counted_loop(333), &run);
         for pass in 0..2 {

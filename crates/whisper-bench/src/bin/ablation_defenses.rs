@@ -11,8 +11,11 @@
 use tet_isa::{Asm, Reg};
 use tet_os::fgkaslr::{FunctionLayout, WELL_KNOWN_FUNCTIONS};
 use tet_uarch::{CpuConfig, Machine, RunConfig, RunExit};
-use whisper::attacks::{TetKaslr, TetZombieload};
-use whisper::scenario::{Scenario, ScenarioOptions};
+use whisper::analysis::{ArgmaxDecoder, Polarity};
+use whisper::attacks::{TetKaslr, TetZombieload, ZBL_PROBE_BASE};
+use whisper::batch::{decode_byte, ProbeMemo};
+use whisper::gadget::{TetGadget, TetGadgetSpec};
+use whisper::scenario::{victim_touch, Scenario, ScenarioOptions};
 use whisper_bench::{section, tick, write_report, RunReport, Table};
 
 /// Builds a synthetic kernel hot path: a dispatcher calling every
@@ -168,15 +171,20 @@ fn main() {
         sc.set_victim_byte(0, b'Z');
         sc.victim_touch(0);
         sc.machine.mem_mut().lfb_mut().clear(); // verw on the boundary
-        use whisper::gadget::{TetGadget, TetGadgetSpec};
         let cfg = sc.machine.config().clone();
-        let g = TetGadget::build(TetGadgetSpec::zombieload(0x7f00_dead_0000, &cfg));
-        use whisper::analysis::{ArgmaxDecoder, Polarity};
-        let out = ArgmaxDecoder::new(3, Polarity::MinWins).decode(|test, _| {
-            sc.victim_touch(0);
-            sc.machine.mem_mut().lfb_mut().clear(); // scrub per transition
-            g.measure(&mut sc.machine, test as u64)
-        });
+        let g = TetGadget::build(TetGadgetSpec::zombieload(ZBL_PROBE_BASE, &cfg));
+        // A hintless memo is disabled: every probe runs live.
+        let mut memo = ProbeMemo::new(&sc.machine, None);
+        let (out, _) = decode_byte(
+            &mut sc.machine,
+            &mut memo,
+            ArgmaxDecoder::new(3, Polarity::MinWins),
+            |m| {
+                victim_touch(m, 0);
+                m.mem_mut().lfb_mut().clear(); // scrub per transition
+            },
+            |m, test| g.measure_detailed(m, test),
+        );
         println!(
             "  with buffer clearing: sampled {:#04x} (garbage)",
             out.value

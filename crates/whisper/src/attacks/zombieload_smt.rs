@@ -13,10 +13,7 @@
 use tet_isa::{Addr, Asm, Cond, Inst, Program, Reg};
 use tet_uarch::{CpuConfig, RunConfig, SmtMachine};
 
-use crate::attacks::LeakedByte;
-
-/// Unmapped attacker address whose faulting load triggers the assist.
-const PROBE_BASE: u64 = 0x7f00_dead_0000;
+use crate::attacks::{LeakedByte, ZBL_PROBE_BASE};
 
 /// Attacker-local results array (256 × 8 bytes).
 const RESULTS_BASE: u64 = 0x48_0000;
@@ -54,7 +51,7 @@ impl SmtZombieload {
             .rdtsc()
             .mov_reg(Reg::R8, Reg::Rax)
             .lfence()
-            .load_byte_abs(Reg::Rax, PROBE_BASE + (offset % 64)) // assist
+            .load_byte_abs(Reg::Rax, ZBL_PROBE_BASE + (offset % 64)) // assist
             .cmp(Reg::Rax, Reg::Rbx)
             .jcc(Cond::E, matched)
             .nops(self.sea_nops)

@@ -159,7 +159,7 @@ impl Scenario {
 
 /// [`Scenario::victim_touch`] on a bare machine, for sweeps that hold
 /// only the `&mut Machine`.
-pub(crate) fn victim_touch(machine: &mut Machine, offset: u64) {
+pub fn victim_touch(machine: &mut Machine, offset: u64) {
     let pa = machine
         .aspace()
         .translate(VICTIM_PAGE + offset)

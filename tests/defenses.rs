@@ -3,8 +3,11 @@
 
 use tet_os::fgkaslr::{FunctionLayout, WELL_KNOWN_FUNCTIONS};
 use tet_uarch::CpuConfig;
-use whisper::attacks::{TetKaslr, TetMeltdown, TetZombieload};
-use whisper::scenario::{Scenario, ScenarioOptions};
+use whisper::analysis::{ArgmaxDecoder, Polarity};
+use whisper::attacks::{TetKaslr, TetMeltdown, TetZombieload, ZBL_PROBE_BASE};
+use whisper::batch::{decode_byte, ProbeMemo};
+use whisper::gadget::{TetGadget, TetGadgetSpec};
+use whisper::scenario::{victim_touch, Scenario, ScenarioOptions};
 
 #[test]
 fn fgkaslr_breaks_offset_tables_without_hiding_the_base() {
@@ -74,15 +77,20 @@ fn buffer_scrubbing_kills_zombieload_per_transition() {
     // probe, as the deployed microcode does on privilege transitions.
     let mut sc = Scenario::new(CpuConfig::skylake_i7_6700(), &ScenarioOptions::default());
     sc.set_victim_byte(0, 0x77);
-    use whisper::analysis::{ArgmaxDecoder, Polarity};
-    use whisper::gadget::{TetGadget, TetGadgetSpec};
     let cfg = sc.machine.config().clone();
-    let gadget = TetGadget::build(TetGadgetSpec::zombieload(0x7f00_dead_0000, &cfg));
-    let out = ArgmaxDecoder::new(3, Polarity::MinWins).decode(|test, _| {
-        sc.victim_touch(0);
-        sc.machine.mem_mut().lfb_mut().clear(); // verw on the boundary
-        gadget.measure(&mut sc.machine, test as u64)
-    });
+    let gadget = TetGadget::build(TetGadgetSpec::zombieload(ZBL_PROBE_BASE, &cfg));
+    // A hintless memo is disabled: every probe runs live.
+    let mut memo = ProbeMemo::new(&sc.machine, None);
+    let (out, _) = decode_byte(
+        &mut sc.machine,
+        &mut memo,
+        ArgmaxDecoder::new(3, Polarity::MinWins),
+        |m| {
+            victim_touch(m, 0);
+            m.mem_mut().lfb_mut().clear(); // verw on the boundary
+        },
+        |m, test| gadget.measure_detailed(m, test),
+    );
     assert_ne!(out.value, 0x77, "scrubbed fill buffers must not leak");
 }
 
