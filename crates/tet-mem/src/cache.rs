@@ -21,32 +21,27 @@
 //! filter key holds its set's maximum stamp, so re-touching it skips
 //! even the stamp update without reordering any set.
 //!
-//! # Copy-on-write chunks (DESIGN.md §19)
+//! # Copy-on-write chunks and delta restore (DESIGN.md §16, §19)
 //!
-//! The slots live in a table of chunks of `CHUNK_SETS` whole sets each,
-//! `Option<Arc<[Slot<P>]>>` per chunk. A chunk that was never written is
-//! absent and reads as empty (stamp 0 already means empty), so a new
-//! 8 MiB LLC costs a table of null pointers, not megabytes of zeroes.
-//! Cloning an array bumps one reference count per present chunk; every
-//! write goes through `SetAssoc::chunk_mut`, which allocates an absent
-//! chunk and forks a shared one with `Arc::make_mut`. Cloning,
-//! snapshotting and forking a machine therefore cost O(chunks present),
-//! and the clone's writes never reach the snapshot.
+//! The slots live in the crate's journaled copy-on-write table
+//! (`cow.rs`), in chunks of `CHUNK_SETS` whole sets each, indexed
+//! densely by set (no hash per access). A chunk that was never written is absent and reads as empty
+//! (stamp 0 already means empty), so a new 8 MiB LLC costs a table of
+//! null pointers, not megabytes of zeroes. Cloning, snapshotting and
+//! forking a machine cost one reference-count bump per present chunk,
+//! and the clone's writes never reach the snapshot. [`Cache::seal`]
+//! seals the table, and [`Cache::restore`] repairs only the chunks
+//! written since, copying the snapshot's slots into them in place.
 //!
-//! # Delta restore and O(1) flush (DESIGN.md §16)
+//! # O(1) flush
 //!
-//! [`Cache::seal`] starts a journal epoch: the first write to a chunk in
-//! an epoch records its index (deduplicated by a per-chunk journal
-//! stamp), so [`Cache::restore`] re-points only the chunks touched since
-//! the seal at the snapshot's shared copies. A slot is *valid* iff its
-//! LRU stamp is non-zero **and** its validity epoch matches the
-//! array-wide flush epoch, which turns [`Cache::flush_all`] into a single
-//! counter bump with lazy revalidation on next access instead of an
-//! O(slots) walk.
+//! A slot is *valid* iff its LRU stamp is non-zero **and** its validity
+//! epoch matches the array-wide flush epoch, which turns
+//! [`Cache::flush_all`] into a single counter bump with lazy
+//! revalidation on next access instead of an O(slots) walk.
 
-use std::sync::Arc;
-
-use crate::{same_seal, LINE_SIZE};
+use crate::cow::CowTable;
+use crate::LINE_SIZE;
 
 /// Sets per chunk — the unit of lazy allocation, copy-on-write sharing
 /// and restore journaling. Arrays with fewer sets use one chunk.
@@ -124,9 +119,8 @@ pub(crate) struct SetAssoc<P> {
     /// smaller array.
     chunk_shift: u32,
     /// `ways` consecutive slots per set, `1 << chunk_shift` sets per
-    /// chunk; `None` = never written, every slot empty. Shared with
-    /// clones until written.
-    chunks: Vec<Option<Arc<[Slot<P>]>>>,
+    /// chunk; an absent chunk has every slot empty.
+    table: CowTable<Slot<P>>,
     /// Monotone recency clock (starts at 1 so 0 stays the empty marker).
     tick: u64,
     /// One-entry MRU filter: the last key that hit or filled, and its
@@ -135,19 +129,6 @@ pub(crate) struct SetAssoc<P> {
     hits: u64,
     misses: u64,
     flush_epoch: u32,
-    /// Identity of the seal this array (and any clone of it) derives
-    /// from; `restore` only trusts journals across a shared seal.
-    seal: Option<Arc<()>>,
-    /// Journal epoch: 0 = journaling off (never sealed). A chunk is
-    /// already journaled this epoch iff `jepoch[ci] == epoch`.
-    epoch: u32,
-    /// Per-chunk journal stamps, deduplicating `journal`.
-    jepoch: Vec<u32>,
-    /// Chunks written since the last seal/restore.
-    journal: Vec<u32>,
-    /// Set when a rare event (flush-epoch wrap) mutated chunks without
-    /// journaling; forces the next restore down the exhaustive path.
-    full_dirty: bool,
 }
 
 impl<P: Copy + Default> SetAssoc<P> {
@@ -155,22 +136,16 @@ impl<P: Copy + Default> SetAssoc<P> {
     /// storage is allocated until a key is installed.
     pub(crate) fn new(sets: usize, ways: usize) -> Self {
         let chunk_sets = CHUNK_SETS.min(sets);
-        let n = sets / chunk_sets;
         SetAssoc {
             sets,
             ways,
             chunk_shift: chunk_sets.trailing_zeros(),
-            chunks: vec![None; n],
+            table: CowTable::new(sets / chunk_sets, chunk_sets * ways),
             tick: 0,
             mru: None,
             hits: 0,
             misses: 0,
             flush_epoch: 0,
-            seal: None,
-            epoch: 0,
-            jepoch: vec![0; n],
-            journal: Vec::new(),
-            full_dirty: false,
         }
     }
 
@@ -201,44 +176,19 @@ impl<P: Copy + Default> SetAssoc<P> {
     /// chunk `ci`, if resident.
     #[inline]
     fn find(&self, ci: usize, off: usize, key: u64) -> Option<usize> {
-        let chunk = self.chunks[ci].as_ref()?;
+        let chunk = self.table.get(ci)?;
         chunk[off..off + self.ways]
             .iter()
             .position(|s| self.live(s) && s.key == key)
             .map(|i| off + i)
     }
 
-    /// The one write path: journals chunk `ci` (once per epoch), then
-    /// allocates it if absent or forks it if shared with a clone.
-    #[inline]
-    fn chunk_mut(&mut self, ci: usize) -> &mut [Slot<P>] {
-        if self.epoch != 0 && self.jepoch[ci] != self.epoch {
-            self.jepoch[ci] = self.epoch;
-            self.journal.push(ci as u32);
-        }
-        let len = self.ways << self.chunk_shift;
-        let chunk = self.chunks[ci]
-            .get_or_insert_with(|| std::iter::repeat_n(Slot::default(), len).collect());
-        Arc::make_mut(chunk)
-    }
-
     /// Every live slot of every present chunk.
     fn live_slots(&self) -> impl Iterator<Item = &Slot<P>> {
-        self.chunks
-            .iter()
+        (0..self.table.len())
+            .filter_map(|ci| self.table.get(ci))
             .flatten()
-            .flat_map(|c| c.iter())
             .filter(|s| self.live(s))
-    }
-
-    /// Starts a new journal epoch; wraps reset the per-chunk stamps so a
-    /// recycled epoch value can never alias a stale journal mark.
-    fn bump_epoch(&mut self) {
-        self.epoch = self.epoch.wrapping_add(1);
-        if self.epoch == 0 {
-            self.jepoch.fill(0);
-            self.epoch = 1;
-        }
     }
 
     /// Looks up `key`, updating LRU and hit/miss statistics. Returns its
@@ -258,7 +208,7 @@ impl<P: Copy + Default> SetAssoc<P> {
             return None;
         };
         let stamp = self.next_stamp();
-        let slot = &mut self.chunk_mut(ci)[w];
+        let slot = &mut self.table.get_mut(ci)[w];
         slot.stamp = stamp;
         let payload = slot.payload;
         self.mru = Some((key, payload));
@@ -280,13 +230,13 @@ impl<P: Copy + Default> SetAssoc<P> {
         let stamp = self.next_stamp();
         self.mru = Some((key, payload));
         if let Some(w) = self.find(ci, off, key) {
-            let slot = &mut self.chunk_mut(ci)[w];
+            let slot = &mut self.table.get_mut(ci)[w];
             slot.stamp = stamp;
             slot.payload = payload;
             return None;
         }
         let (ways, flush_epoch) = (self.ways, self.flush_epoch);
-        let set = &mut self.chunk_mut(ci)[off..off + ways];
+        let set = &mut self.table.get_mut(ci)[off..off + ways];
         // Reuse an empty way, else evict the minimum-stamp (LRU) way.
         let mut victim = 0;
         let mut victim_stamp = u64::MAX;
@@ -320,7 +270,7 @@ impl<P: Copy + Default> SetAssoc<P> {
         let (ci, off) = self.locate(key);
         match self.find(ci, off, key) {
             Some(w) => {
-                self.chunk_mut(ci)[w].stamp = 0;
+                self.table.get_mut(ci)[w].stamp = 0;
                 true
             }
             None => false,
@@ -337,8 +287,7 @@ impl<P: Copy + Default> SetAssoc<P> {
             // Counter wrap (once per 2^32 flushes): drop every chunk so
             // no stale slot can alias the recycled epoch; the unjournaled
             // bulk write forces a full restore.
-            self.chunks.fill(None);
-            self.full_dirty = true;
+            self.table.clear();
         }
     }
 
@@ -348,12 +297,9 @@ impl<P: Copy + Default> SetAssoc<P> {
         self.mru = None;
         let epoch = self.flush_epoch;
         let victim = move |s: &Slot<P>| s.stamp != 0 && s.vepoch == epoch && !keep(&s.payload);
-        for ci in 0..self.chunks.len() {
-            if self.chunks[ci]
-                .as_ref()
-                .is_some_and(|c| c.iter().any(&victim))
-            {
-                for s in self.chunk_mut(ci) {
+        for ci in 0..self.table.len() {
+            if self.table.get(ci).is_some_and(|c| c.iter().any(&victim)) {
+                for s in self.table.get_mut(ci) {
                     if victim(s) {
                         s.stamp = 0;
                     }
@@ -382,21 +328,18 @@ impl<P: Copy + Default> SetAssoc<P> {
 
     /// Number of chunks journaled since the last seal/restore.
     pub(crate) fn journal_len(&self) -> usize {
-        self.journal.len()
+        self.table.journal_len()
     }
 
     /// Whether this array and `other` derive from the same seal.
     #[cfg(test)]
     pub(crate) fn shares_seal(&self, other: &Self) -> bool {
-        same_seal(&self.seal, &other.seal)
+        self.table.shares_seal(&other.table)
     }
 
     /// Marks the current state as a snapshot point (see [`Cache::seal`]).
     pub(crate) fn seal(&mut self) {
-        self.seal = Some(Arc::new(()));
-        self.journal.clear();
-        self.full_dirty = false;
-        self.bump_epoch();
+        self.table.seal();
     }
 
     /// Rolls this array back to `src`, a sealed snapshot (see
@@ -406,43 +349,22 @@ impl<P: Copy + Default> SetAssoc<P> {
             sets,
             ways,
             chunk_shift,
-            chunks,
+            table,
             tick,
             mru,
             hits,
             misses,
             flush_epoch,
-            seal,
-            // Journal bookkeeping is this array's own; it restarts below.
-            epoch: _,
-            jepoch: _,
-            journal,
-            full_dirty,
         } = src;
-        if same_seal(&self.seal, seal) && !self.full_dirty {
-            debug_assert!(
-                journal.is_empty() && !full_dirty,
-                "restore source must be a sealed, unmutated snapshot"
-            );
-            for &ci in &self.journal {
-                self.chunks[ci as usize].clone_from(&chunks[ci as usize]);
-            }
-        } else {
-            debug_assert_eq!(
-                (self.sets, self.ways),
-                (*sets, *ways),
-                "restore across geometries"
-            );
-            self.sets = *sets;
-            self.ways = *ways;
-            self.chunk_shift = *chunk_shift;
-            self.chunks.clone_from(chunks);
-            self.jepoch.resize(chunks.len(), 0);
-            self.seal.clone_from(seal);
-            self.full_dirty = false;
-        }
-        self.journal.clear();
-        self.bump_epoch();
+        debug_assert_eq!(
+            (self.sets, self.ways),
+            (*sets, *ways),
+            "restore across geometries"
+        );
+        self.sets = *sets;
+        self.ways = *ways;
+        self.chunk_shift = *chunk_shift;
+        self.table.restore(table);
         self.tick = *tick;
         self.mru = *mru;
         self.hits = *hits;
@@ -556,11 +478,13 @@ impl Cache {
     }
 
     /// Rolls this cache back to the state of `src`, a sealed snapshot.
-    /// Across a shared seal only the journaled chunks are re-pointed at
-    /// the snapshot's copies, in O(chunks touched). Otherwise (a foreign
-    /// or unsealed source, or an epoch wrap that left this cache
-    /// full-dirty) the whole chunk table is cloned and the source's seal
-    /// is adopted, so the next restore replays the journal.
+    /// Across a shared seal only the journaled chunks are repaired, in
+    /// O(chunks touched): a chunk this cache holds alone gets the
+    /// snapshot's slots copied into it, any other re-points at the
+    /// snapshot's. Otherwise (a foreign or unsealed source, or an epoch
+    /// wrap that left this cache full-dirty) the whole chunk table is
+    /// cloned and the source's seal is adopted, so the next restore
+    /// replays the journal.
     pub fn restore(&mut self, src: &Cache) {
         self.cfg = src.cfg;
         self.array.restore(&src.array);

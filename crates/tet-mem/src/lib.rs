@@ -3,12 +3,16 @@
 //! The TET-KASLR attack and the Zombieload variant live or die on memory
 //! subsystem details, so this crate models them explicitly:
 //!
-//! * [`phys`] — sparse simulated physical memory.
+//! * [`phys`] — sparse simulated physical memory, one copy-on-write
+//!   chunk per resident page.
 //! * [`cache`] — set-associative, LRU caches (L1D/L1I/L2/LLC) with
 //!   `clflush` support, and the one set-associative array behind both
 //!   caches and TLBs: stamp LRU, MRU filter, lazily allocated
-//!   copy-on-write chunks, O(1) flush and a chunk journal for delta
-//!   restore.
+//!   copy-on-write chunks and O(1) flush.
+//! * `cow` (crate-private) — the one journaled copy-on-write table
+//!   behind caches, TLBs and physical memory: `Arc`-shared chunks, a
+//!   seal, a chunk journal, and a delta restore that copies the
+//!   snapshot's contents into uniquely held chunks in place.
 //! * [`lfb`] — line fill buffers that retain *stale data* from recent
 //!   fills, the substrate Zombieload samples.
 //! * [`paging`] — 4-level page tables, PTE permission bits (present /
@@ -34,6 +38,7 @@
 #![warn(missing_docs)]
 
 pub mod cache;
+mod cow;
 pub mod hierarchy;
 pub mod intmap;
 pub mod lfb;
@@ -67,12 +72,4 @@ pub fn vpn(vaddr: u64) -> u64 {
 #[inline]
 pub fn line_addr(addr: u64) -> u64 {
     addr & !(LINE_SIZE - 1)
-}
-
-/// Whether two seal tokens name the same snapshot seal (DESIGN.md §16).
-/// A structure trusts its touched-set journal only across a shared
-/// seal; unsealed sides share nothing.
-#[inline]
-pub(crate) fn same_seal<T>(a: &Option<std::sync::Arc<T>>, b: &Option<std::sync::Arc<T>>) -> bool {
-    matches!((a, b), (Some(a), Some(b)) if std::sync::Arc::ptr_eq(a, b))
 }

@@ -1,41 +1,19 @@
 //! Sparse simulated physical memory with copy-on-write snapshot forks.
 
-use std::sync::Arc;
-
-use crate::{same_seal, IntMap, PAGE_SIZE};
-
-/// One 4 KiB physical page.
-pub type Page = [u8; PAGE_SIZE as usize];
-
-/// A resident page: either shared with the sealed snapshot image
-/// (clean) or privately owned (dirtied since the seal).
-#[derive(Debug, Clone)]
-enum PageSlot {
-    /// Clean — still the snapshot's copy. Any write COW-forks it.
-    Shared(Arc<Page>),
-    /// Dirtied (or allocated) since the last seal.
-    Owned(Box<Page>),
-}
-
-impl PageSlot {
-    fn bytes(&self) -> &Page {
-        match self {
-            PageSlot::Shared(p) => p,
-            PageSlot::Owned(p) => p,
-        }
-    }
-}
+use crate::cow::CowTable;
+use crate::{IntMap, PAGE_SIZE};
 
 /// Sparse physical memory, allocated page-by-page on first write.
 ///
 /// Reads of never-written memory return zero, like freshly-zeroed DRAM.
 ///
-/// Snapshot forks are O(touched): [`PhysMem::seal`] freezes the current
-/// contents into an `Arc`-shared base image, after which every resident
-/// page is [`PageSlot::Shared`] and writes COW-fork individual pages
-/// into the `dirty` journal. [`PhysMem::restore`] walks only that
-/// journal, re-pointing dirtied pages at the base image and dropping
-/// pages allocated since the seal.
+/// Each resident page is one 4 KiB chunk of the crate's journaled
+/// copy-on-write table, found through a page-number → chunk map.
+/// Clones share every page until one side writes it, and
+/// [`PhysMem::seal`] is O(1). [`PhysMem::restore`] against a clone of
+/// the same seal walks only the pages written since: it copies the
+/// snapshot's bytes into each page in place and drops pages allocated
+/// since the seal, so a steady trial loop does not allocate.
 ///
 /// # Examples
 ///
@@ -47,80 +25,41 @@ impl PageSlot {
 /// assert_eq!(m.read_u64(0x1000), 0xdead_beef);
 /// assert_eq!(m.read_u8(0x9_0000), 0);
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug, Clone)]
 pub struct PhysMem {
-    pages: IntMap<u64, PageSlot>,
-    /// The sealed snapshot image this memory forked from, if any.
-    base: Option<Arc<IntMap<u64, Arc<Page>>>>,
-    /// Page numbers touched since the last seal/restore. Deduplicated by
-    /// construction: a page COW-forks (or is inserted) at most once per
-    /// epoch, exactly when it journals itself.
-    dirty: Vec<u64>,
-    /// Recycled page boxes, so the restore → re-dirty cycle of a trial
-    /// loop does not hit the allocator. Not cloned.
-    spare: Vec<Box<Page>>,
+    /// Page number → chunk of `frames`, in first-write order.
+    slots: IntMap<u64, u32>,
+    /// One `PAGE_SIZE`-byte chunk per resident page.
+    frames: CowTable<u8>,
 }
 
-impl Clone for PhysMem {
-    fn clone(&self) -> Self {
-        PhysMem {
-            pages: self.pages.clone(),
-            base: self.base.clone(),
-            dirty: self.dirty.clone(),
-            spare: Vec::new(),
-        }
+impl Default for PhysMem {
+    fn default() -> Self {
+        Self::new()
     }
 }
-
-/// Cap on recycled page boxes kept across restores.
-const SPARE_PAGES: usize = 64;
 
 impl PhysMem {
     /// Creates empty (all-zero) physical memory.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    fn page(&self, pa: u64) -> Option<&Page> {
-        self.pages.get(&(pa / PAGE_SIZE)).map(PageSlot::bytes)
-    }
-
-    fn blank_page(&mut self) -> Box<Page> {
-        match self.spare.pop() {
-            Some(mut p) => {
-                p.fill(0);
-                p
-            }
-            None => Box::new([0; PAGE_SIZE as usize]),
+        PhysMem {
+            slots: IntMap::default(),
+            frames: CowTable::new(0, PAGE_SIZE as usize),
         }
     }
 
-    fn page_mut(&mut self, pa: u64) -> &mut Page {
-        let vpn = pa / PAGE_SIZE;
-        if !matches!(self.pages.get(&vpn), Some(PageSlot::Owned(_))) {
-            let slot = match self.pages.remove(&vpn) {
-                // COW fork: first write to a clean page this epoch.
-                Some(PageSlot::Shared(arc)) => {
-                    let mut owned = match self.spare.pop() {
-                        Some(p) => p,
-                        None => Box::new([0; PAGE_SIZE as usize]),
-                    };
-                    owned.copy_from_slice(&arc[..]);
-                    PageSlot::Owned(owned)
-                }
-                Some(owned @ PageSlot::Owned(_)) => owned,
-                // Fresh allocation.
-                None => PageSlot::Owned(self.blank_page()),
-            };
-            if self.base.is_some() {
-                self.dirty.push(vpn);
-            }
-            self.pages.insert(vpn, slot);
-        }
-        match self.pages.get_mut(&vpn) {
-            Some(PageSlot::Owned(p)) => p,
-            _ => unreachable!("page was just made Owned"),
-        }
+    fn page(&self, pa: u64) -> Option<&[u8]> {
+        let &ci = self.slots.get(&(pa / PAGE_SIZE))?;
+        self.frames.get(ci as usize)
+    }
+
+    fn page_mut(&mut self, pa: u64) -> &mut [u8] {
+        let frames = &mut self.frames;
+        let ci = *self
+            .slots
+            .entry(pa / PAGE_SIZE)
+            .or_insert_with(|| frames.push() as u32);
+        frames.get_mut(ci as usize)
     }
 
     /// Reads one byte.
@@ -190,73 +129,34 @@ impl PhysMem {
 
     /// Number of physical pages that have been touched by a write.
     pub fn resident_pages(&self) -> usize {
-        self.pages.len()
+        self.slots.len()
     }
 
     /// Number of pages dirtied (written or allocated) since the last
     /// seal or delta restore. Zero for never-sealed memory.
     pub fn dirty_pages(&self) -> usize {
-        self.dirty.len()
+        self.frames.journal_len()
     }
 
-    /// Freezes the current contents into an `Arc`-shared base image.
-    /// Clones of a sealed `PhysMem` share every page; their writes
-    /// COW-fork pages individually, and [`PhysMem::restore`]
-    /// against a clone of the same seal is O(pages dirtied).
+    /// Marks the current contents as a snapshot point, in O(1): clones
+    /// taken now share this seal and every page, and
+    /// [`PhysMem::restore`] against one of them is O(pages dirtied).
     pub fn seal(&mut self) {
-        let pages = std::mem::take(&mut self.pages);
-        let mut base = IntMap::with_capacity_and_hasher(pages.len(), Default::default());
-        self.pages.reserve(pages.len());
-        for (vpn, slot) in pages {
-            let arc = match slot {
-                PageSlot::Shared(arc) => arc,
-                PageSlot::Owned(owned) => Arc::from(owned),
-            };
-            base.insert(vpn, Arc::clone(&arc));
-            self.pages.insert(vpn, PageSlot::Shared(arc));
-        }
-        self.base = Some(Arc::new(base));
-        self.dirty.clear();
+        self.frames.seal();
     }
 
     /// Rolls this memory back to the contents of `src`, a sealed
-    /// snapshot. Across a shared base image only the pages dirtied since
-    /// the seal are touched: they re-point at the base image, and pages
-    /// allocated since the seal are dropped. Otherwise every page is
-    /// copied (an `Arc` bump per page where the source is sealed, a deep
-    /// copy otherwise) and the source's base image is adopted, so the
-    /// next restore replays the dirty set.
+    /// snapshot. Across a shared seal only the pages dirtied since the
+    /// seal are touched: the snapshot's bytes are copied into each in
+    /// place, and pages allocated since the seal are dropped. Otherwise
+    /// every page is shared with `src` (an `Arc` bump each) and its seal
+    /// is adopted, so the next restore replays the dirty set.
     pub fn restore(&mut self, src: &PhysMem) {
-        let PhysMem {
-            pages,
-            base,
-            dirty,
-            // The recycled page boxes are this memory's own.
-            spare: _,
-        } = src;
-        if same_seal(&self.base, base) {
-            debug_assert!(
-                dirty.is_empty(),
-                "restore source must be a sealed, unmutated snapshot"
-            );
-            let base = self.base.clone().expect("sealed");
-            for i in 0..self.dirty.len() {
-                let vpn = self.dirty[i];
-                let old = match base.get(&vpn) {
-                    Some(arc) => self.pages.insert(vpn, PageSlot::Shared(Arc::clone(arc))),
-                    None => self.pages.remove(&vpn),
-                };
-                if let Some(PageSlot::Owned(p)) = old {
-                    if self.spare.len() < SPARE_PAGES {
-                        self.spare.push(p);
-                    }
-                }
-            }
-        } else {
-            self.pages.clone_from(pages);
-            self.base.clone_from(base);
+        let PhysMem { slots, frames } = src;
+        let grew = self.frames.len() != frames.len();
+        if !self.frames.restore(frames) || grew {
+            self.slots.clone_from(slots);
         }
-        self.dirty.clear();
     }
 }
 
@@ -327,12 +227,12 @@ mod tests {
         b.write_u8(0x1000, 2);
         b.seal();
         a.write_u8(0x7000, 7);
-        // A foreign base image cannot be trusted: copy, and adopt it.
+        // A foreign seal cannot be trusted: copy, and adopt it.
         a.restore(&b);
         assert_eq!(a.read_u8(0x1000), 2);
         assert_eq!(a.read_u8(0x7000), 0);
         assert_eq!(a.resident_pages(), b.resident_pages());
-        assert!(same_seal(&a.base, &b.base), "copy adopts the base image");
+        assert!(a.frames.shares_seal(&b.frames), "copy adopts the seal");
         // The next restore replays the dirty set.
         a.write_u8(0x1000, 9);
         assert_eq!(a.dirty_pages(), 1);
@@ -380,5 +280,58 @@ mod tests {
             assert_eq!(m.read_u64(pa), sealed[i as usize], "pa {pa:#x}");
             assert_eq!(m.read_u64(pa), u64_by_bytes(&reference, pa), "pa {pa:#x}");
         }
+    }
+
+    /// Two forks of one seal, written and restored in turn, each see
+    /// only their own writes and the snapshot's pages, and restoring one
+    /// never disturbs the other (in-place restores copy into pages a
+    /// fork holds alone).
+    #[test]
+    fn forks_of_one_seal_never_see_each_others_pages() {
+        let mut m = PhysMem::new();
+        m.write_u64(0x1000, 0x1111);
+        m.write_u64(0x2000, 0x2222);
+        m.seal();
+        let snap = m.clone();
+        let mut a = snap.clone();
+        let mut b = snap.clone();
+        for round in 0..8u64 {
+            a.write_u64(0x1000, 0xa0 + round);
+            a.write_u8(0x3000 + round, 0xaa);
+            b.write_u64(0x1000, 0xb0 + round);
+            b.write_u64(0x2000, 0xbb);
+            assert_eq!(a.read_u64(0x1000), 0xa0 + round);
+            assert_eq!(a.read_u64(0x2000), 0x2222, "round {round}: b leaked into a");
+            assert_eq!(b.read_u64(0x1000), 0xb0 + round);
+            assert_eq!(
+                b.read_u8(0x3000 + round),
+                0,
+                "round {round}: a leaked into b"
+            );
+            let (first, second) = if round % 2 == 0 {
+                (&mut a, &mut b)
+            } else {
+                (&mut b, &mut a)
+            };
+            first.restore(&snap);
+            assert_eq!(first.read_u64(0x1000), 0x1111, "round {round}");
+            assert_eq!(first.read_u64(0x2000), 0x2222, "round {round}");
+            assert_eq!(first.read_u8(0x3000 + round), 0, "round {round}");
+            assert_eq!(first.resident_pages(), 2, "round {round}");
+            assert_ne!(
+                second.read_u64(0x1000),
+                0x1111,
+                "round {round}: restore leaked"
+            );
+            second.restore(&snap);
+            for fork in [&a, &b] {
+                assert_eq!(fork.dirty_pages(), 0);
+                assert_eq!(fork.read_u64(0x1000), 0x1111);
+                assert_eq!(fork.read_u64(0x2000), 0x2222);
+            }
+        }
+        assert_eq!(snap.read_u64(0x1000), 0x1111, "the snapshot moved");
+        assert_eq!(snap.read_u64(0x2000), 0x2222, "the snapshot moved");
+        assert_eq!(snap.resident_pages(), 2);
     }
 }

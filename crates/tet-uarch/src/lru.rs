@@ -50,7 +50,7 @@ impl<V: Copy> LruIndex<V> {
     /// Creates an empty index holding at most `capacity` entries.
     pub(crate) fn new(capacity: usize) -> Self {
         LruIndex {
-            slots: Vec::with_capacity(capacity),
+            slots: Vec::new(),
             index: Vec::new(),
             clock: 0,
             capacity,

@@ -120,10 +120,11 @@ fn snapshot_restore_run_matches_live_run() {
 /// [`Machine::from_snapshot`], pinned by bit-identical re-runs of the
 /// snapshotted program. The long-lived machine restores *twice* per
 /// case: the first restore comes from a foreign snapshot, so the
-/// journaled arrays (TLBs, caches, physical memory) copy exhaustively
-/// and adopt the seal; the second replays their touched-set journals
-/// (DESIGN.md §16). The predictor, µop cache and every other core
-/// structure are copied on both restores.
+/// journaled copy-on-write tables (TLBs, caches, physical memory) clone
+/// the snapshot's and adopt its seal; the second replays their chunk
+/// journals, copying the snapshot's contents into the chunks the
+/// machine holds alone in place (DESIGN.md §16). The predictor, µop
+/// cache and every other core structure are copied on both restores.
 #[test]
 fn delta_full_and_fresh_restores_are_equivalent() {
     let gen_cfg = GenConfig::default();
@@ -143,7 +144,7 @@ fn delta_full_and_fresh_restores_are_equivalent() {
             let snap = live.snapshot();
             let want = fingerprint(&Machine::from_snapshot(&snap).run(&program, &run_cfg()));
 
-            // A foreign seal: the journaled arrays copy and adopt it.
+            // A foreign seal: the journaled tables clone and adopt it.
             m.restore(&snap);
             // Dirty-set spot checks: a restore leaves physical memory
             // clean relative to the seal, and the run's dirtying is
@@ -158,11 +159,11 @@ fn delta_full_and_fresh_restores_are_equivalent() {
             assert_eq!(
                 got,
                 want,
-                "first restore (journaled arrays copy) diverged (preset {pi} case {case}):\n{}",
+                "first restore (journaled tables clone) diverged (preset {pi} case {case}):\n{}",
                 gen::render(&insts)
             );
-            // Now the seal is shared: the journaled arrays replay their
-            // journals.
+            // Now the seal is shared: the journaled tables replay their
+            // journals, restoring their own chunks in place.
             m.restore(&snap);
             assert_eq!(m.phys().dirty_pages(), 0);
             assert_eq!(
@@ -175,7 +176,7 @@ fn delta_full_and_fresh_restores_are_equivalent() {
             assert_eq!(
                 got,
                 want,
-                "second restore (journaled arrays replay) diverged (preset {pi} case {case}):\n{}",
+                "second restore (journaled tables replay) diverged (preset {pi} case {case}):\n{}",
                 gen::render(&insts)
             );
         }
@@ -351,7 +352,7 @@ fn restore_of_a_wrapped_ring_matches_from_snapshot() {
         let want = fingerprint(&Machine::from_snapshot(&snap).run(&next, &run));
 
         // A polluted machine restores twice: once with the journaled
-        // arrays copying (foreign seal), once with them replaying.
+        // tables cloning (foreign seal), once with them replaying.
         let mut polluted = machine_for(cfg, 99);
         polluted.run(&counted_loop(333), &run);
         for pass in 0..2 {

@@ -7,7 +7,9 @@
 //! Building a machine or forking one from a snapshot costs a bounded
 //! number of bytes, not the size of its caches: cache slots live in
 //! lazily allocated, copy-on-write chunks (DESIGN.md §19). A restore
-//! from a snapshot in a trial loop allocates nothing.
+//! from a snapshot in a trial loop allocates nothing, and because it
+//! copies the snapshot into the machine's own chunks in place, neither
+//! does a warm trial that writes memory and the caches.
 //!
 //! This file is its own test binary because it installs a counting
 //! global allocator. Only allocations made by the test's own thread are
@@ -247,5 +249,65 @@ fn steady_state_restores_do_not_allocate() {
     assert_eq!(
         restore_allocs, 0,
         "allocations in {TRIALS} steady-state restores"
+    );
+}
+
+/// A trial that writes both journaled kinds of state: it stores to the
+/// shared page, `clflush`es the line and reloads it, so the restore
+/// repairs a dirtied physical page and the cache chunks the flush and
+/// the refill wrote. Restoring copies the snapshot's bytes into the
+/// machine's own chunks in place, so neither the restore nor the next
+/// trial's writes allocate.
+#[test]
+fn store_flush_reload_trials_do_not_allocate() {
+    if tet_check::enabled() {
+        eprintln!("skipped: check mode allocates an oracle per run");
+        return;
+    }
+    const LINE: u64 = SHARED_PAGE + 0x40;
+    let mut a = Asm::new();
+    a.store_abs(Reg::Rbx, LINE)
+        .mfence()
+        .clflush_abs(LINE)
+        .mfence()
+        .load_abs(Reg::Rcx, LINE)
+        .halt();
+    let program = a.assemble().expect("assembles");
+    let cfgs: Vec<RunConfig> = (0..16u64)
+        .map(|v| RunConfig {
+            init_regs: vec![(Reg::Rbx, 0x5a00 + v)],
+            ..RunConfig::default()
+        })
+        .collect();
+
+    let mut warm = Machine::new(CpuConfig::kaby_lake_i7_7700(), 7);
+    let pa = warm.map_user_page(SHARED_PAGE);
+    for cfg in &cfgs[..4] {
+        assert_eq!(warm.run(&program, cfg).exit, RunExit::Halted);
+    }
+    let sealed = warm.phys().read_u64(pa + 0x40);
+    let snap = warm.snapshot();
+    let mut m = Machine::from_snapshot(&snap);
+    // Warm-up trials fork the chunks the snapshot shares and grow the
+    // journals to their steady size.
+    for cfg in &cfgs[..4] {
+        m.restore(&snap);
+        assert_eq!(m.run(&program, cfg).exit, RunExit::Halted);
+    }
+
+    let before = bytes();
+    for (v, cfg) in (0..).zip(&cfgs) {
+        m.restore(&snap);
+        let r = m.run(&program, cfg);
+        assert_eq!(r.exit, RunExit::Halted);
+        assert_eq!(r.regs.get(Reg::Rcx), 0x5a00 + v);
+    }
+    let per_trial = (bytes() - before) as f64 / cfgs.len() as f64;
+    assert_eq!(per_trial, 0.0, "bytes allocated per restore + trial");
+    m.restore(&snap);
+    assert_eq!(
+        m.phys().read_u64(pa + 0x40),
+        sealed,
+        "restore undid the store"
     );
 }
