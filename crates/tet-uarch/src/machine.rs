@@ -133,6 +133,9 @@ pub struct Machine {
     ff_enabled: bool,
     /// Lifetime run count (diagnostic, survives snapshot restore).
     runs: u64,
+    /// How many of those runs were replayed rather than simulated
+    /// ([`Machine::apply_replayed_run`]).
+    replayed_runs: u64,
     /// Lifetime simulated cycles across runs (diagnostic).
     cycles_total: u64,
     /// Lifetime snapshot restores applied to this machine (diagnostic).
@@ -302,6 +305,7 @@ impl Machine {
             check_mode: false,
             ff_enabled: true,
             runs: 0,
+            replayed_runs: 0,
             cycles_total: 0,
             snap_restores: 0,
             pmu_lifetime: PmuSnapshot::zero(),
@@ -363,6 +367,7 @@ impl Machine {
             check_mode,
             ff_enabled: _,
             runs: _,
+            replayed_runs: _,
             cycles_total: _,
             snap_restores: _,
             pmu_lifetime: _,
@@ -391,6 +396,7 @@ impl Machine {
     pub fn from_snapshot(snap: &MachineSnapshot) -> Machine {
         let mut m = snap.state.clone();
         m.runs = 0;
+        m.replayed_runs = 0;
         m.cycles_total = 0;
         m.snap_restores = 0;
         m.pmu_lifetime = PmuSnapshot::zero();
@@ -409,6 +415,13 @@ impl Machine {
             ff_sprints,
             snapshot_restores: self.snap_restores,
         }
+    }
+
+    /// How many of the lifetime runs ([`MachineStats::runs`]) were
+    /// replayed by trial batching rather than simulated. Kept out of
+    /// [`MachineStats`], which is identical batched and all-live.
+    pub fn replayed_runs(&self) -> u64 {
+        self.replayed_runs
     }
 
     /// Lifetime PMU totals: every run's counter delta summed, surviving
@@ -500,6 +513,7 @@ impl Machine {
     pub fn apply_replayed_run(&mut self, delta: &RunDelta) {
         debug_assert_eq!(delta.interrupts, 0, "replayed span took an interrupt");
         self.runs += delta.runs;
+        self.replayed_runs += delta.runs;
         self.cycles_total += delta.cycles;
         self.snap_restores += delta.restores;
         self.pmu_lifetime.accumulate(&delta.pmu);

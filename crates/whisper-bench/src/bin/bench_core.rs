@@ -20,9 +20,11 @@
 //! is still written first so CI can upload it as an artifact). Each gate
 //! prints its baseline, current value, and tolerance (see
 //! `whisper_bench::baseline`). The `decode_sweep_noisy.sweep_ns`,
-//! `kernel.*_ns` and `structures.*_ns` keys are recorded but not gated.
-//! `decode_sweep_noisy` repeats the decode sweep under the §4.1
-//! timer-interrupt noise (period 7919).
+//! `kaslr_sweep.sweep_ns`, `kernel.*_ns` and `structures.*_ns` keys are
+//! recorded but not gated. `decode_sweep_noisy` repeats the decode sweep
+//! under the §4.1 timer-interrupt noise (period 7919); `kaslr_sweep`
+//! times one §4.5 `break_kaslr` on a plain i7-7700 scenario. The
+//! `structures.*` legs run their full counts in smoke mode too.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -31,6 +33,7 @@ use tet_isa::{Asm, Cond, Reg};
 use tet_mem::{Cache, CacheConfig, Pte, Tlb, TlbConfig};
 use tet_uarch::frontend::Dsb;
 use tet_uarch::{Bpu, BpuConfig, CpuConfig, Machine, RunConfig};
+use whisper::attacks::TetKaslr;
 use whisper::channel::TetCovertChannel;
 use whisper::eval::run_table2_matrix_detailed;
 use whisper::gadget::{TetGadget, TetGadgetSpec};
@@ -141,6 +144,22 @@ fn main() {
         });
         println!("  {ns:.0} ns/sweep (median of {samples} x {iters})");
         rep.scalar("decode_sweep_noisy.sweep_ns", ns);
+    }
+
+    section("TET-KASLR slot sweep (512 slots, one break_kaslr)");
+    {
+        // One §4.5 break per iteration on a scenario built outside the
+        // timed window: unmapped-slot probes replay through the probe
+        // memo, so this leg tracks the KASLR fast path. Informational
+        // (not gated).
+        let mut sc = Scenario::new(CpuConfig::kaby_lake_i7_7700(), &ScenarioOptions::default());
+        let attack = TetKaslr::default();
+        let (samples, iters) = if smoke { (5, 20) } else { (15, 200) };
+        let ns = median_ns(samples, iters, || {
+            black_box(attack.break_kaslr(&mut sc.machine, &sc.kernel));
+        });
+        println!("  {ns:.0} ns/sweep (median of {samples} x {iters})");
+        rep.scalar("kaslr_sweep.sweep_ns", ns);
     }
 
     section("snapshot fork trial (restore + probe from a shared snapshot)");
@@ -369,8 +388,10 @@ fn main() {
         // hits, DSB hits, BTB-backed conditional prediction, `Machine`
         // construction (the whole hierarchy, LLC included), and cloning
         // and forking the warmed §4.1 covert-channel machine — the copies
-        // `TetCovertChannel::transmit_chunked` makes per message.
-        let (samples, iters) = if smoke { (5, 20) } else { (15, 200) };
+        // `TetCovertChannel::transmit_chunked` makes per message. Smoke
+        // runs keep the full counts: a 5 x 20 median of these sub-µs
+        // legs moves with code layout alone.
+        let (samples, iters) = (15, 200);
         let l1_like = || Cache::new(CacheConfig::new(64, 8, 4));
 
         let mut cache = l1_like();
@@ -461,7 +482,14 @@ fn main() {
             ("machine_clone", machine_clone_ns),
             ("from_snapshot", from_snapshot_ns),
         ] {
-            println!("  {id:<24} {ns:>9.0} ns/iter (median of {samples} x {iters})");
+            // Building a machine is a few dozen allocations: the leg
+            // measures the allocator's size classes more than our code.
+            let note = if id == "machine_new" {
+                " (allocator-bound)"
+            } else {
+                ""
+            };
+            println!("  {id:<24} {ns:>9.0} ns/iter (median of {samples} x {iters}){note}");
             rep.scalar(&format!("structures.{id}_ns"), ns);
         }
     }

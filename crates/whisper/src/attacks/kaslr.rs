@@ -14,12 +14,42 @@
 //!   complete walks (the prefetch baseline), but their reserved-bit
 //!   leaves are *retried like unmapped pages* on the faulting-load path,
 //!   so the TET probe still isolates the real image.
+//!
+//! Most slots are unmapped, and after warm-up their probes sit at a
+//! fixed point: same ToTE, same counters. The sweep therefore runs
+//! through the decode sweeps' probe memo ([`crate::batch::ProbeMemo`]):
+//! a slot probe replays only when the candidate's page walk ends
+//! `NotPresent` exactly as the record's did, never for the last probe
+//! (its live run leaves the code page in the ITLB), and a slot's gadget
+//! is built only when one of its probes runs live. A plain sweep
+//! simulates about 64 of its 512 slot probes; FLARE's reserved-bit
+//! leaves keep every slot live.
 
+use tet_mem::WalkOutcome;
 use tet_os::layout::{slot_base, KPTI_TRAMPOLINE_OFFSET, NUM_SLOTS, SLOT_SIZE};
 use tet_os::Kernel;
 use tet_uarch::Machine;
 
+use crate::batch::{JitterShift, ProbeMemo, ProbeResult};
 use crate::gadget::{TetGadget, TetGadgetSpec};
+
+/// One slot probe's observation: the probe's `(ToTE, cycles)` plus the
+/// page walk its candidate address ends with, read on the simulator
+/// side ([`tet_mem::AddressSpace::walk`]) before the probe runs.
+#[derive(Debug, Clone, PartialEq)]
+struct SlotProbe {
+    result: ProbeResult,
+    walk: (WalkOutcome, u8),
+}
+
+impl JitterShift for SlotProbe {
+    fn jitter_shift(&self, d: i64) -> Self {
+        SlotProbe {
+            result: self.result.jitter_shift(d),
+            walk: self.walk,
+        }
+    }
+}
 
 /// The outcome of a KASLR break attempt.
 #[derive(Debug, Clone, PartialEq)]
@@ -66,7 +96,10 @@ impl TetKaslr {
     /// Probes all 512 candidate slots and recovers the kernel base.
     ///
     /// `kernel` supplies the ground truth for the `success` field only;
-    /// the probe sequence never reads it.
+    /// the probe sequence never reads it. Proven-fixed unmapped-slot
+    /// probes replay through a [`ProbeMemo`]; the result, the machine's
+    /// lifetime counters and its state afterwards are those of probing
+    /// every slot live.
     pub fn break_kaslr(&self, machine: &mut Machine, kernel: &Kernel) -> KaslrBreak {
         let freq = machine.config().freq_ghz;
         let mut slot_totes = Vec::with_capacity(NUM_SLOTS as usize);
@@ -78,13 +111,38 @@ impl TetKaslr {
         let warm = TetGadget::build(TetGadgetSpec::kaslr_probe(slot_base(0)));
         warm.measure(machine, 0);
 
+        let mut memo: ProbeMemo<SlotProbe> = ProbeMemo::new(machine, None);
+        let last = (NUM_SLOTS, self.samples_per_slot);
         for slot in 0..NUM_SLOTS {
             let candidate = slot_base(slot);
-            let gadget = TetGadget::build(TetGadgetSpec::kaslr_probe(candidate));
+            let walk = machine.aspace().walk(candidate);
+            let mut gadget = None;
             let mut best = u64::MAX;
-            for _ in 0..self.samples_per_slot {
+            for sample in 0..self.samples_per_slot {
                 machine.flush_tlbs();
-                if let Some((tote, c)) = gadget.measure_detailed(machine, 0) {
+                // A probe may replay only when its walk fails exactly as
+                // the record's did (mapped, trampoline and reserved-bit
+                // slots run live), and never as the last probe: its live
+                // run leaves the code page in the ITLB, a replay would not.
+                let may_replay = (slot + 1, sample + 1) != last
+                    && matches!(walk.0, WalkOutcome::NotPresent { .. })
+                    && memo.fixed().is_none_or(|rec| rec.result.walk == walk);
+                let probe = match memo.try_replay(machine, may_replay) {
+                    Some(p) => p,
+                    None => {
+                        let gadget = gadget.get_or_insert_with(|| {
+                            TetGadget::build(TetGadgetSpec::kaslr_probe(candidate))
+                        });
+                        let marker = machine.delta_marker();
+                        let p = SlotProbe {
+                            result: gadget.measure_detailed(machine, 0),
+                            walk,
+                        };
+                        memo.observe(machine, &marker, may_replay, &p);
+                        p
+                    }
+                };
+                if let Some((tote, c)) = probe.result {
                     best = best.min(tote);
                     cycles += c;
                     probes += 1;
@@ -105,12 +163,12 @@ impl TetKaslr {
         }
     }
 
-    /// Classifies the sweep: mapped slots are the cluster measurably
-    /// *below the median* (most of the 512 slots are unmapped, so the
-    /// median sits on the unmapped level and is robust against
-    /// interference outliers); the first mapped slot (minus the
+    /// Classifies a sweep's per-slot ToTEs: mapped slots are the
+    /// cluster measurably *below the median* (most of the 512 slots are
+    /// unmapped, so the median sits on the unmapped level and is robust
+    /// against interference outliers); the first mapped slot (minus the
     /// trampoline offset under KPTI) is the base.
-    fn classify(&self, slot_totes: &[u64]) -> Option<u64> {
+    pub fn classify(&self, slot_totes: &[u64]) -> Option<u64> {
         let mut sorted: Vec<u64> = slot_totes.iter().copied().filter(|&t| t > 0).collect();
         if sorted.is_empty() {
             return None;

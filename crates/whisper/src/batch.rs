@@ -1,5 +1,5 @@
 //! Divergence-aware trial batching: the fixed-point probe memo behind
-//! the decode-sweep fast path.
+//! the decode-sweep and KASLR-sweep fast paths.
 //!
 //! Every TET decode sweeps a test value 0..=255 through the same gadget
 //! on the same machine. After warm-up the machine sits at a **fixed
@@ -15,11 +15,14 @@
 //!
 //! Correctness is defended on five fronts:
 //!
-//! * the **match hint** — the one test value expected to take the
-//!   in-window branch, predicted by
-//!   [`tet_uarch::Machine::peek_transient_byte`] — is always probed
-//!   live, as is the probe right after it (the pipeline re-converges
-//!   one probe later);
+//! * the caller flags every probe that **may replay**
+//!   ([`ProbeMemo::try_replay`] / [`ProbeMemo::observe`]) from a
+//!   simulator-side peek; a probe that may not is always probed live,
+//!   as is the probe right after it (the pipeline re-converges one probe
+//!   later). Decode sweeps flag every test value but the **match hint**
+//!   — the one expected to take the in-window branch, predicted by
+//!   [`tet_uarch::Machine::peek_transient_byte`] ([`ProbeMemo::try_skip`]
+//!   / [`ProbeMemo::record`] derive the flag from it);
 //! * establishment needs two consecutive live probes with identical
 //!   results *and* identical deltas — identical outright for
 //!   jitter-free probes, identical **net of the draw** for probes that
@@ -46,10 +49,13 @@
 //!   found it ([`tet_uarch::Machine::predictor_moved_since`]): the
 //!   predictor's history keeps moving for a dozen probes after a taken
 //!   branch while their timing repeats exactly, and the interrupt
-//!   schedule shifts which probes run live against it;
+//!   schedule shifts which probes run live against it. Quiet decode
+//!   sweeps skip this **predictor rule**: their one divergent probe per
+//!   256 sits at a fixed place in the sweep, and the rule would cost
+//!   them ~60 % more live probes;
 //! * batching disables itself entirely under the retirement oracle
-//!   (check mode / `tet_check`) or when no hint is available
-//!   ([`batch_enabled`]). A hintless [`ProbeMemo`] runs every probe
+//!   (check mode / `tet_check`, [`batch_enabled`]). A hintless
+//!   decode-sweep [`ProbeMemo`] flags no probe and runs every probe
 //!   live: the all-live reference the equivalence tests compare
 //!   against.
 //!
@@ -60,6 +66,23 @@
 //!
 //! [`decode_byte`] is the one decode sweep every byte-leaking attack
 //! (TET-CC, TET-MD, TET-ZBL, TET-RSB) runs through a memo.
+//!
+//! The TET-KASLR slot sweep ([`crate::attacks::TetKaslr::break_kaslr`])
+//! runs through the same memo and rules. It flags a slot probe as
+//! replayable only when the candidate's page walk
+//! ([`tet_mem::AddressSpace::walk`], read through
+//! [`tet_uarch::Machine::aspace`]) ends `NotPresent` exactly as the
+//! record's walk did: mapped slots, the KPTI trampoline and FLARE's
+//! reserved-bit slots always run live. Two further rules keep it exact:
+//!
+//! * the **predictor rule** above applies to quiet sweeps too (a memo
+//!   built without a hint always settles): the divergent probes are
+//!   whichever slots the kernel occupies, and without the rule a
+//!   replayed sweep leaves a different predictor history than the
+//!   all-live one;
+//! * the **last probe runs live**: after `flush_tlbs` a live probe
+//!   refills the ITLB with the code page and a replay does not, so a
+//!   replayed last slot would change the next probe on the machine.
 
 use tet_uarch::{DeltaMarker, Machine, RunDelta};
 
@@ -297,32 +320,36 @@ enum MemoState<R> {
 /// with the gadget's match hint; wrap each probe in
 /// [`ProbeMemo::probe`] — or [`ProbeMemo::try_skip`] /
 /// [`ProbeMemo::record`] when the live probe needs more context than a
-/// `&mut Machine` closure can carry.
+/// `&mut Machine` closure can carry. Sweeps without a single match
+/// value (TET-KASLR) pass no hint and flag each probe themselves
+/// through [`ProbeMemo::try_replay`] / [`ProbeMemo::observe`].
 #[derive(Debug)]
 pub struct ProbeMemo<R> {
     state: MemoState<R>,
     /// The test value predicted to take the in-window branch — always
-    /// probed live.
+    /// probed live by [`ProbeMemo::try_skip`] and [`ProbeMemo::record`].
     hint: Option<u64>,
     enabled: bool,
-    /// Set after the hint probe ran: the next probe re-converges the
-    /// pipeline, so it runs live and only its *result* is checked.
+    /// Set after a probe that may not replay ran: the next probe
+    /// re-converges the pipeline, so it runs live and only its *result*
+    /// is checked.
     diverged: bool,
     /// Skips since the last sampled verification.
     skips: u32,
     /// The in-flight live probe is a sampled verification.
     pending_verify: bool,
-    /// Timer-interrupt noise is configured: a live probe only counts
-    /// toward (or as a check of) a fixed point if it also left the
-    /// branch predictor where it found it
-    /// ([`tet_uarch::Machine::predictor_moved_since`]).
+    /// A live probe only counts toward (or as a check of) a fixed point
+    /// if it also left the branch predictor where it found it
+    /// ([`tet_uarch::Machine::predictor_moved_since`]): under
+    /// timer-interrupt noise, and in caller-flagged sweeps (no hint).
     settle: bool,
 }
 
 impl<R: Clone + PartialEq + JitterShift> ProbeMemo<R> {
     /// A fresh memo. `hint` is the test value expected to diverge
-    /// (`None` disables batching — without a prediction any probe
-    /// might be the signal, so none can be skipped).
+    /// (`None`: no test value may replay through [`ProbeMemo::try_skip`]
+    /// — without a prediction any probe might be the signal — and only
+    /// probes the caller flags through [`ProbeMemo::try_replay`] can).
     pub fn new(machine: &Machine, hint: Option<u64>) -> Self {
         Self::seeded(machine, hint, None)
     }
@@ -334,7 +361,7 @@ impl<R: Clone + PartialEq + JitterShift> ProbeMemo<R> {
     /// one probe and establishes normally instead of corrupting the
     /// sweep.
     pub fn seeded(machine: &Machine, hint: Option<u64>, seed: Option<FixedRec<R>>) -> Self {
-        let enabled = hint.is_some() && batch_enabled(machine);
+        let enabled = batch_enabled(machine);
         ProbeMemo {
             state: match seed {
                 Some(rec) if enabled => MemoState::Candidate(rec),
@@ -345,7 +372,7 @@ impl<R: Clone + PartialEq + JitterShift> ProbeMemo<R> {
             diverged: false,
             skips: 0,
             pending_verify: false,
-            settle: machine.cycles_to_interrupt().is_some(),
+            settle: hint.is_none() || machine.cycles_to_interrupt().is_some(),
         }
     }
 
@@ -389,10 +416,27 @@ impl<R: Clone + PartialEq + JitterShift> ProbeMemo<R> {
     /// recorded counter movement to `machine` and returns the recorded
     /// result. Returns `None` when the probe must run live — then take
     /// a [`tet_uarch::Machine::delta_marker`], run it, and call
-    /// [`ProbeMemo::record`]. Under timer-interrupt noise a record
-    /// replays only if it ends before the next interrupt is due.
+    /// [`ProbeMemo::record`]. The match hint never replays.
     pub fn try_skip(&mut self, machine: &mut Machine, test: u64) -> Option<R> {
-        if !self.enabled || self.diverged || self.hint == Some(test) {
+        self.try_replay(machine, self.may_replay(test))
+    }
+
+    /// Whether the decode-sweep probe for `test` may replay: every test
+    /// value but the match hint, and none without a hint.
+    fn may_replay(&self, test: u64) -> bool {
+        self.hint.is_some_and(|hint| hint != test)
+    }
+
+    /// Replays the next probe if the caller allows it (`may_replay`)
+    /// and it is proven fixed: applies the recorded counter movement to
+    /// `machine` and returns the recorded result. Returns `None` when
+    /// the probe must run live — then take a
+    /// [`tet_uarch::Machine::delta_marker`], run it, and call
+    /// [`ProbeMemo::observe`] with the same flag. Under timer-interrupt
+    /// noise a record replays only if it ends before the next interrupt
+    /// is due.
+    pub fn try_replay(&mut self, machine: &mut Machine, may_replay: bool) -> Option<R> {
+        if !self.enabled || self.diverged || !may_replay {
             return None;
         }
         let MemoState::Fixed(rec) = &self.state else {
@@ -414,11 +458,10 @@ impl<R: Clone + PartialEq + JitterShift> ProbeMemo<R> {
             self.pending_verify = true;
             return None;
         }
-        let rec = rec.clone();
         match &rec.unit {
             None => {
                 machine.apply_replayed_run(&rec.delta);
-                Some(rec.result)
+                Some(rec.result.clone())
             }
             Some(unit) => {
                 // A single-jitter-draw record replays at the *current*
@@ -433,9 +476,28 @@ impl<R: Clone + PartialEq + JitterShift> ProbeMemo<R> {
         }
     }
 
-    /// Feeds a live probe's observation back into the memo. `marker`
-    /// must have been taken immediately before the probe ran.
+    /// Feeds a live decode-sweep probe's observation back into the
+    /// memo. `marker` must have been taken immediately before the probe
+    /// ran.
     pub fn record(&mut self, machine: &Machine, marker: &DeltaMarker, test: u64, result: &R) {
+        // A hintless decode sweep replays nothing: nothing to learn.
+        if self.hint.is_some() {
+            self.observe(machine, marker, self.may_replay(test), result);
+        }
+    }
+
+    /// Feeds a live probe's observation back into the memo, with the
+    /// flag [`ProbeMemo::try_replay`] was given for it. `marker` must
+    /// have been taken immediately before the probe ran. A probe that
+    /// may not replay is a potential signal: it is never recorded, and
+    /// the probe after it re-converges the pipeline.
+    pub fn observe(
+        &mut self,
+        machine: &Machine,
+        marker: &DeltaMarker,
+        may_replay: bool,
+        result: &R,
+    ) {
         if !self.enabled {
             return;
         }
@@ -455,22 +517,25 @@ impl<R: Clone + PartialEq + JitterShift> ProbeMemo<R> {
             };
             return;
         }
-        if self.hint == Some(test) {
-            // The predicted divergence: its timing IS the signal. The
-            // machine re-converges one probe later, so flag the next
-            // probe for a result-only check.
+        if !may_replay {
+            // A predicted divergence (the match hint, a mapped KASLR
+            // slot): its timing IS the signal. The machine re-converges
+            // one probe later, so flag the next probe for a result-only
+            // check.
             self.diverged = true;
             return;
         }
-        // Under noise, a probe that moved the branch predictor did not
-        // return the machine to where it started, whatever its timing:
-        // the predictor's history keeps shifting for a dozen probes
-        // after a taken branch (the hint's, or the warm-up's) while
-        // every one of them times identically. Replays leave the
-        // history where it is, and the interrupt schedule moves which
-        // probes run live, so a residue can line up with a later hint
-        // probe and change its prediction. Such a probe never becomes a
-        // candidate, and as a check of an established record it fails.
+        // Under noise or in a caller-flagged sweep, a probe that moved
+        // the branch predictor did not return the machine to where it
+        // started, whatever its timing: the predictor's history keeps
+        // shifting for a dozen probes after a taken branch (the hint's,
+        // a mapped KASLR slot's, or the warm-up's) while every one of
+        // them times identically. Replays leave the history where it
+        // is, and the interrupt schedule or the slot layout moves which
+        // probes run live, so a residue can line up with a later
+        // divergent probe and change its prediction. Such a probe never
+        // becomes a candidate, and as a check of an established record
+        // it fails.
         let settled = !self.settle || !machine.predictor_moved_since(marker);
         if std::mem::take(&mut self.pending_verify) {
             if let MemoState::Fixed(rec) = &self.state {

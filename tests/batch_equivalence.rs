@@ -17,7 +17,11 @@
 
 use std::sync::{Arc, OnceLock};
 
-use tet_uarch::{CpuConfig, Machine, MachineSnapshot, RunDelta};
+use tet_os::layout::{slot_base, NUM_SLOTS};
+use tet_os::Kernel;
+use tet_pmu::PmuSnapshot;
+use tet_uarch::{CpuConfig, Machine, MachineSnapshot, MachineStats, RunDelta};
+use whisper::attacks::{KaslrBreak, TetKaslr};
 use whisper::batch::{batch_enabled, FixedRec, ProbeMemo, ProbeResult, VERIFY_EVERY};
 use whisper::gadget::{RsbGadget, TetGadget, TetGadgetSpec};
 use whisper::scenario::{Scenario, ScenarioOptions, SHARED_PAGE, STACK_TOP};
@@ -604,4 +608,160 @@ fn noisy_rsb_sweep_batched_equals_unbatched() {
         );
         assert_noisy_coverage(&label, period, &warm, counts, false);
     }
+}
+
+/// The all-live TET-KASLR reference: warm up on slot 0, then for every
+/// slot build its gadget and, per sample, flush the TLBs and measure —
+/// what `TetKaslr::break_kaslr` must reproduce with its replays.
+fn kaslr_all_live(attack: &TetKaslr, machine: &mut Machine, kernel: &Kernel) -> KaslrBreak {
+    let freq = machine.config().freq_ghz;
+    TetGadget::build(TetGadgetSpec::kaslr_probe(slot_base(0))).measure(machine, 0);
+    let (mut cycles, mut probes) = (0u64, 0u64);
+    let mut slot_totes = Vec::with_capacity(NUM_SLOTS as usize);
+    for slot in 0..NUM_SLOTS {
+        let gadget = TetGadget::build(TetGadgetSpec::kaslr_probe(slot_base(slot)));
+        let mut best = u64::MAX;
+        for _ in 0..attack.samples_per_slot {
+            machine.flush_tlbs();
+            if let Some((tote, c)) = gadget.measure_detailed(machine, 0) {
+                best = best.min(tote);
+                cycles += c;
+                probes += 1;
+            }
+        }
+        slot_totes.push(if best == u64::MAX { 0 } else { best });
+    }
+    let found_base = attack.classify(&slot_totes);
+    KaslrBreak {
+        found_base,
+        success: found_base == Some(kernel.base),
+        probes,
+        cycles,
+        seconds: cycles as f64 / (freq * 1e9),
+        slot_totes,
+    }
+}
+
+/// Everything a KASLR sweep leaves observable on its machine: the
+/// lifetime stats and PMU totals, the interrupt phase, and what two
+/// follow-up probes without a TLB flush return and add to the counters
+/// (a replayed last slot would leave the ITLB without the code page).
+fn kaslr_aftermath(
+    machine: &mut Machine,
+    kernel: &Kernel,
+) -> (
+    MachineStats,
+    PmuSnapshot,
+    Option<u64>,
+    Vec<(ProbeResult, RunDelta)>,
+) {
+    let stats = machine.stats();
+    let pmu = machine.pmu_lifetime().clone();
+    let phase = machine.cycles_to_interrupt();
+    let follow_ups = [kernel.base, slot_base(NUM_SLOTS - 1)]
+        .into_iter()
+        .map(|va| {
+            let marker = machine.delta_marker();
+            let r = TetGadget::build(TetGadgetSpec::kaslr_probe(va)).measure_detailed(machine, 0);
+            (r, machine.delta_since(&marker))
+        })
+        .collect();
+    (stats, pmu, phase, follow_ups)
+}
+
+/// Live slot probes of one `break_kaslr` sweep: simulated runs minus
+/// the warm-up probe.
+fn kaslr_live_probes(machine: &mut Machine, kernel: &Kernel, attack: &TetKaslr) -> u64 {
+    let (runs, replayed) = (machine.stats().runs, machine.replayed_runs());
+    attack.break_kaslr(machine, kernel);
+    let live = (machine.stats().runs - runs) - (machine.replayed_runs() - replayed);
+    live - 1
+}
+
+/// `break_kaslr` (slot probes replayed through the probe memo) against
+/// the all-live reference on every Table 2 preset, for one scenario
+/// shape: the same `KaslrBreak`, machine stats, PMU lifetime and
+/// follow-up probes, at 1 and 3 samples per slot.
+fn assert_kaslr_batched_equals_all_live(label: &str, opts: ScenarioOptions, assume_kpti: bool) {
+    for cfg in CpuConfig::table2_presets() {
+        for (seed, samples_per_slot) in [(3, 1), (3, 3), (11, 1), (11, 3)] {
+            let opts = ScenarioOptions {
+                seed,
+                ..opts.clone()
+            };
+            let attack = TetKaslr {
+                samples_per_slot,
+                assume_kpti,
+                ..TetKaslr::default()
+            };
+            let case = format!(
+                "{label}/{}/seed {seed}/samples {samples_per_slot}",
+                cfg.name
+            );
+            let mut batched = Scenario::new(cfg.clone(), &opts);
+            let mut live = Scenario::new(cfg.clone(), &opts);
+            let got = attack.break_kaslr(&mut batched.machine, &batched.kernel);
+            let want = kaslr_all_live(&attack, &mut live.machine, &live.kernel);
+            assert_eq!(got, want, "{case}: KaslrBreak");
+            assert_eq!(
+                kaslr_aftermath(&mut batched.machine, &batched.kernel),
+                kaslr_aftermath(&mut live.machine, &live.kernel),
+                "{case}: stats, PMU lifetime, interrupt phase and follow-up probes"
+            );
+        }
+    }
+}
+
+#[test]
+fn kaslr_sweep_batched_equals_all_live() {
+    assert_kaslr_batched_equals_all_live("plain", ScenarioOptions::default(), false);
+}
+
+#[test]
+fn kpti_kaslr_sweep_batched_equals_all_live() {
+    let opts = ScenarioOptions {
+        kpti: true,
+        ..ScenarioOptions::default()
+    };
+    assert_kaslr_batched_equals_all_live("kpti", opts, true);
+}
+
+#[test]
+fn flare_kaslr_sweep_batched_equals_all_live() {
+    let opts = ScenarioOptions {
+        flare: true,
+        ..ScenarioOptions::default()
+    };
+    assert_kaslr_batched_equals_all_live("flare", opts, false);
+}
+
+#[test]
+fn noisy_kaslr_sweep_batched_equals_all_live() {
+    let opts = ScenarioOptions {
+        interrupt_period: 7919,
+        ..ScenarioOptions::default()
+    };
+    assert_kaslr_batched_equals_all_live("noise 7919", opts, false);
+}
+
+/// The replay is real and bounded: a plain i7-7700 sweep simulates at
+/// most 80 of its 512 slot probes, while under FLARE every slot has a
+/// reserved-bit leaf and runs live.
+#[test]
+fn kaslr_sweep_live_probes_are_pinned() {
+    let attack = TetKaslr::default();
+    let plain = ScenarioOptions::default();
+    let mut sc = Scenario::new(CpuConfig::kaby_lake_i7_7700(), &plain);
+    if !batch_enabled(&sc.machine) {
+        return;
+    }
+    let live = kaslr_live_probes(&mut sc.machine, &sc.kernel, &attack);
+    assert!(live <= 80, "plain sweep ran {live}/512 slot probes live");
+    let flare = ScenarioOptions {
+        flare: true,
+        ..plain
+    };
+    let mut sc = Scenario::new(CpuConfig::kaby_lake_i7_7700(), &flare);
+    let live = kaslr_live_probes(&mut sc.machine, &sc.kernel, &attack);
+    assert_eq!(live, NUM_SLOTS, "FLARE sweep runs every slot live");
 }
