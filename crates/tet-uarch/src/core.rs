@@ -45,6 +45,9 @@ pub struct Env<'a> {
     /// Retirement differential oracle, when the run is in check mode
     /// (`None` costs one branch per commit). SMT runs are not checked.
     pub check: Option<&'a mut tet_check::Oracle>,
+    /// The running program's pre-decoded µops. In-flight µop records
+    /// carry only a pc; every stage reads the instruction from here.
+    pub template: &'a ProgramTemplate,
 }
 
 /// The `tet-check` spelling of a fault class.
@@ -87,44 +90,48 @@ type ExecFn = fn(&mut Cpu, usize, u64, &mut Env<'_>) -> Option<ExecOut>;
 
 /// Threaded-code execute dispatch: one handler per opcode, indexed by
 /// `RobEntry::op`. Slot order must match `Opcode`'s declaration order.
-static EXEC_TABLE: [ExecFn; Opcode::COUNT] = [
-    Cpu::exec_simple,   // Nop
-    Cpu::exec_mov_imm,  // MovImm
-    Cpu::exec_mov_reg,  // MovReg
-    Cpu::exec_load,     // Load
-    Cpu::exec_load,     // LoadByte
-    Cpu::exec_store,    // Store
-    Cpu::exec_store,    // StoreByte
-    Cpu::exec_lea,      // Lea
-    Cpu::exec_alu,      // Alu
-    Cpu::exec_cmp,      // Cmp
-    Cpu::exec_test,     // Test
-    Cpu::exec_jcc,      // Jcc
-    Cpu::exec_jmp,      // Jmp
-    Cpu::exec_jmp_reg,  // JmpReg
-    Cpu::exec_call,     // Call
-    Cpu::exec_ret,      // Ret
-    Cpu::exec_push,     // Push
-    Cpu::exec_pop,      // Pop
-    Cpu::exec_clflush,  // Clflush
-    Cpu::exec_prefetch, // Prefetch
-    Cpu::exec_fence,    // Lfence
-    Cpu::exec_fence,    // Mfence
-    Cpu::exec_fence,    // Sfence
-    Cpu::exec_rdtsc,    // Rdtsc
-    Cpu::exec_simple,   // XBegin
-    Cpu::exec_simple,   // XEnd
-    Cpu::exec_syscall,  // Syscall
-    Cpu::exec_simple,   // Halt
+/// `None` marks the µops that produce nothing at execute (Nop, XBegin,
+/// XEnd, Halt): `Cpu::execute_uop` finishes them itself, after the
+/// ALU latency.
+static EXEC_TABLE: [Option<ExecFn>; Opcode::COUNT] = [
+    None,                     // Nop
+    Some(Cpu::exec_mov_imm),  // MovImm
+    Some(Cpu::exec_mov_reg),  // MovReg
+    Some(Cpu::exec_load),     // Load
+    Some(Cpu::exec_load),     // LoadByte
+    Some(Cpu::exec_store),    // Store
+    Some(Cpu::exec_store),    // StoreByte
+    Some(Cpu::exec_lea),      // Lea
+    Some(Cpu::exec_alu),      // Alu
+    Some(Cpu::exec_cmp),      // Cmp
+    Some(Cpu::exec_test),     // Test
+    Some(Cpu::exec_jcc),      // Jcc
+    Some(Cpu::exec_jmp),      // Jmp
+    Some(Cpu::exec_jmp_reg),  // JmpReg
+    Some(Cpu::exec_call),     // Call
+    Some(Cpu::exec_ret),      // Ret
+    Some(Cpu::exec_push),     // Push
+    Some(Cpu::exec_pop),      // Pop
+    Some(Cpu::exec_clflush),  // Clflush
+    Some(Cpu::exec_prefetch), // Prefetch
+    Some(Cpu::exec_fence),    // Lfence
+    Some(Cpu::exec_fence),    // Mfence
+    Some(Cpu::exec_fence),    // Sfence
+    Some(Cpu::exec_rdtsc),    // Rdtsc
+    None,                     // XBegin
+    None,                     // XEnd
+    Some(Cpu::exec_syscall),  // Syscall
+    None,                     // Halt
 ];
 
 /// Core invariant checks (DESIGN.md §9): active in every debug build,
 /// and in release builds when check mode is on (`TET_CHECK=1` or
-/// `tet_check::enable()`). Release runs without check mode pay only the
-/// (predictable) branch.
+/// `tet_check::enable()`). `$on` is the core's per-run `invariants`
+/// flag, which `reset_run` sets from that condition, so release runs
+/// without check mode pay one predictable branch on a plain field.
 macro_rules! tet_invariant {
-    ($cond:expr, $($msg:tt)+) => {
-        if (cfg!(debug_assertions) || tet_check::enabled()) && !$cond {
+    ($on:expr, $cond:expr, $($msg:tt)+) => {
+        if $on && !$cond {
             panic!($($msg)+);
         }
     };
@@ -296,6 +303,9 @@ pub struct Cpu {
     last_retired_id: Option<u64>,
     /// Test-only retire-path corruption (the oracle mutation test).
     mutate_retire: bool,
+    /// Whether this run checks the core invariants (`tet_invariant!`):
+    /// debug builds and check mode, decided once per run.
+    invariants: bool,
     /// Structured-event sink (disabled by default: one branch per event
     /// site). Installed per run by [`crate::Machine`] / [`crate::SmtMachine`].
     sink: SinkHandle,
@@ -366,6 +376,7 @@ impl Cpu {
             unhandled: None,
             last_retired_id: None,
             mutate_retire: false,
+            invariants: cfg!(debug_assertions),
             sink: SinkHandle::disabled(),
             ff_skipped_cycles: 0,
             ff_sprints: 0,
@@ -422,6 +433,7 @@ impl Cpu {
         self.exceptions.clear();
         self.unhandled = None;
         self.last_retired_id = None;
+        self.invariants = cfg!(debug_assertions) || tet_check::enabled();
         self.sink = sink;
     }
 
@@ -497,6 +509,7 @@ impl Cpu {
             unhandled,
             last_retired_id,
             mutate_retire,
+            invariants,
             sink,
             ff_skipped_cycles: _,
             ff_sprints: _,
@@ -556,6 +569,7 @@ impl Cpu {
         self.unhandled = *unhandled;
         self.last_retired_id = *last_retired_id;
         self.mutate_retire = *mutate_retire;
+        self.invariants = *invariants;
         self.sink = sink.clone();
     }
 
@@ -753,7 +767,7 @@ impl Cpu {
     // =====================================================================
 
     /// Advances the core by one cycle.
-    pub fn step(&mut self, template: &ProgramTemplate, env: &mut Env<'_>) -> StepEvents {
+    pub fn step(&mut self, env: &mut Env<'_>) -> StepEvents {
         let mut events = StepEvents::default();
         let now = self.cycle;
         self.sink.tick(now);
@@ -785,13 +799,13 @@ impl Cpu {
         }
         self.global_cycle += 1;
 
-        self.resolve_branches(now);
+        self.resolve_branches(now, env.template);
         if let Some(flush) = self.retire_cycle(now, env) {
             events.flush_until = Some(flush);
         }
         let exec_started = self.schedule_cycle(now, env);
-        let issued = self.rename_cycle(now, template);
-        let (dsb_uops, mite_uops, fetch_stalled) = self.fetch_cycle(now, template, env);
+        let issued = self.rename_cycle(now, env.template);
+        let (dsb_uops, mite_uops, fetch_stalled) = self.fetch_cycle(now, env);
 
         self.account_cycle(
             now,
@@ -1078,7 +1092,7 @@ impl Cpu {
 
     // ----- branch resolution ----------------------------------------------
 
-    fn resolve_branches(&mut self, now: u64) {
+    fn resolve_branches(&mut self, now: u64, template: &ProgramTemplate) {
         // Resolve in age order; stop after the first mispredict (it
         // squashes everything younger).
         let mut mispredict_at: Option<usize> = None;
@@ -1093,11 +1107,10 @@ impl Cpu {
                 .actual_next
                 .expect("executed branch must have a resolved target");
             let pc = e.pc;
-            let inst = e.inst;
             let pred_next = e.pred_next;
 
             // Train the predictor at resolution (transient included).
-            let moved = match inst {
+            let moved = match *template.inst(pc) {
                 Inst::Jcc { target, .. } => self.bpu.resolve_cond(pc, actual == target, target),
                 Inst::Ret | Inst::JmpReg { .. } => self.bpu.resolve_indirect(pc, actual),
                 _ => false,
@@ -1122,10 +1135,9 @@ impl Cpu {
         }
 
         if let Some(i) = mispredict_at {
-            let inst = self.rob[i].inst;
             let actual = self.rob[i].actual_next.expect("resolved");
             self.pmu.bump(Event::BrMispExecAllBranches, 1);
-            if matches!(inst, Inst::Ret | Inst::JmpReg { .. }) {
+            if matches!(self.rob[i].op, Opcode::Ret | Opcode::JmpReg) {
                 self.pmu.bump(Event::BrMispExecIndirect, 1);
             }
             self.pmu.bump(Event::BpL1BtbCorrect, 1);
@@ -1312,6 +1324,7 @@ impl Cpu {
     fn commit_head(&mut self, env: &mut Env<'_>, _now_retire: u64) {
         let entry = self.rob.front().expect("retire-ready head exists");
         tet_invariant!(
+            self.invariants,
             entry.fault.is_none(),
             "µop {} (pc {}) carries an unresolved fault {:?} but reached commit",
             entry.id,
@@ -1319,6 +1332,7 @@ impl Cpu {
             entry.fault
         );
         tet_invariant!(
+            self.invariants,
             self.last_retired_id.is_none_or(|last| entry.id > last),
             "retire ids must be monotone: µop {} after {:?}",
             entry.id,
@@ -1362,15 +1376,15 @@ impl Cpu {
         }
         // TSX boundaries: checkpoint at the outermost xbegin's
         // retirement, release at the matching xend's.
-        match entry.inst {
-            Inst::XBegin { .. } if self.cfg.vuln.has_tsx => {
+        match entry.op {
+            Opcode::XBegin if self.cfg.vuln.has_tsx => {
                 if self.txn_depth == 0 {
                     self.txn_checkpoint = Some((self.regs, self.flags));
                     self.txn_undo.clear();
                 }
                 self.txn_depth += 1;
             }
-            Inst::XEnd => {
+            Opcode::XEnd => {
                 self.txn_depth = self.txn_depth.saturating_sub(1);
                 if self.txn_depth == 0 {
                     self.txn_checkpoint = None;
@@ -1851,7 +1865,13 @@ impl Cpu {
     ///   intervening `clflush`): the load must wait until the store
     ///   drains and read memory;
     /// * `None` — no older in-flight store overlapping this address.
-    fn forwarding(&self, i: usize, vaddr: u64, byte_load: bool) -> Option<Result<u64, ()>> {
+    fn forwarding(
+        &self,
+        i: usize,
+        vaddr: u64,
+        byte_load: bool,
+        template: &ProgramTemplate,
+    ) -> Option<Result<u64, ()>> {
         if self.inflight_store_data == 0 {
             return None; // no in-flight store anywhere in the ROB
         }
@@ -1876,7 +1896,7 @@ impl Cpu {
                 let line = tet_mem::line_addr(vaddr);
                 let blocked = self.rob.iter().take(i).skip(j + 1).any(|c| {
                     c.kind.is_clflush() && c.started && {
-                        if let Inst::Clflush { addr } = &c.inst {
+                        if let Inst::Clflush { addr } = template.inst(c.pc) {
                             tet_mem::line_addr(self.eff_addr(c, addr)) == line
                         } else {
                             false
@@ -1902,43 +1922,57 @@ impl Cpu {
 
     fn execute_uop(&mut self, i: usize, now: u64, env: &mut Env<'_>) {
         tet_invariant!(
+            self.invariants,
             self.deps_ready(&self.rob[i], now),
             "scheduler issued µop {} (pc {}) with unready sources",
             self.rob[i].id,
             self.rob[i].pc
         );
+        let t = self.cfg.timing;
         // Threaded-code dispatch: the opcode was resolved once at
         // template build, so the execute step is a single indexed call.
-        let handler = EXEC_TABLE[self.rob[i].op as usize];
-        let Some(out) = handler(self, i, now, env) else {
-            return; // blocked store-to-load forwarding, re-parked
+        // µops without a handler produce nothing: their record keeps
+        // the empty results rename gave it, and only the timing is set.
+        let (done_at, fault_info, has_store) = match EXEC_TABLE[self.rob[i].op as usize] {
+            None => {
+                let e = self.rob.start(i);
+                let done_at = now + t.alu_latency;
+                e.forward_at = done_at;
+                e.done_at = done_at;
+                (done_at, None, false)
+            }
+            Some(handler) => {
+                let Some(out) = handler(self, i, now, env) else {
+                    return; // blocked store-to-load forwarding, re-parked
+                };
+                let ExecOut {
+                    latency,
+                    results,
+                    flags_out,
+                    fault,
+                    store,
+                    actual_next,
+                } = out;
+                let fault_info = fault.as_ref().map(|f| (f.kind, f.vaddr));
+                let has_store = store.is_some();
+                let e = self.rob.start(i);
+                let forward_at = now + latency;
+                e.forward_at = forward_at;
+                let done_at = if fault.is_some() {
+                    forward_at + t.fault_confirm_cycles
+                } else {
+                    forward_at
+                };
+                e.done_at = done_at;
+                e.results = results;
+                e.flags_out = flags_out;
+                e.fault = fault;
+                e.store = store;
+                e.actual_next = actual_next;
+                (done_at, fault_info, has_store)
+            }
         };
-        let ExecOut {
-            latency,
-            results,
-            flags_out,
-            fault,
-            store,
-            actual_next,
-        } = out;
-        let t = self.cfg.timing;
-
-        let fault_info = fault.as_ref().map(|f| (f.kind, f.vaddr));
-        let has_store = store.is_some();
-        let e = self.rob.start(i);
-        let forward_at = now + latency;
-        e.forward_at = forward_at;
-        let done_at = if fault.is_some() {
-            forward_at + t.fault_confirm_cycles
-        } else {
-            forward_at
-        };
-        e.done_at = done_at;
-        e.results = results;
-        e.flags_out = flags_out;
-        e.fault = fault;
-        e.store = store;
-        e.actual_next = actual_next;
+        let e = &self.rob[i];
         let id = e.id;
         let pc = e.pc;
         let kind = e.kind;
@@ -1996,13 +2030,8 @@ impl Cpu {
         None
     }
 
-    /// Nop / Halt / XBegin / XEnd: no architectural effect at execute.
-    fn exec_simple(&mut self, _i: usize, _now: u64, _env: &mut Env<'_>) -> Option<ExecOut> {
-        Some(ExecOut::new(self.cfg.timing.alu_latency))
-    }
-
-    fn exec_mov_imm(&mut self, i: usize, _now: u64, _env: &mut Env<'_>) -> Option<ExecOut> {
-        let Inst::MovImm { dst, imm } = self.rob[i].inst else {
+    fn exec_mov_imm(&mut self, i: usize, _now: u64, env: &mut Env<'_>) -> Option<ExecOut> {
+        let Inst::MovImm { dst, imm } = *env.template.inst(self.rob[i].pc) else {
             unreachable!()
         };
         let mut out = ExecOut::new(self.cfg.timing.alu_latency);
@@ -2010,8 +2039,8 @@ impl Cpu {
         Some(out)
     }
 
-    fn exec_mov_reg(&mut self, i: usize, _now: u64, _env: &mut Env<'_>) -> Option<ExecOut> {
-        let Inst::MovReg { dst, src } = self.rob[i].inst else {
+    fn exec_mov_reg(&mut self, i: usize, _now: u64, env: &mut Env<'_>) -> Option<ExecOut> {
+        let Inst::MovReg { dst, src } = *env.template.inst(self.rob[i].pc) else {
             unreachable!()
         };
         let v = self.dep_reg_value(&self.rob[i], src);
@@ -2020,8 +2049,8 @@ impl Cpu {
         Some(out)
     }
 
-    fn exec_lea(&mut self, i: usize, _now: u64, _env: &mut Env<'_>) -> Option<ExecOut> {
-        let Inst::Lea { dst, addr } = self.rob[i].inst else {
+    fn exec_lea(&mut self, i: usize, _now: u64, env: &mut Env<'_>) -> Option<ExecOut> {
+        let Inst::Lea { dst, addr } = *env.template.inst(self.rob[i].pc) else {
             unreachable!()
         };
         let v = self.eff_addr(&self.rob[i], &addr);
@@ -2030,8 +2059,8 @@ impl Cpu {
         Some(out)
     }
 
-    fn exec_alu(&mut self, i: usize, _now: u64, _env: &mut Env<'_>) -> Option<ExecOut> {
-        let Inst::Alu { op, dst, src } = self.rob[i].inst else {
+    fn exec_alu(&mut self, i: usize, _now: u64, env: &mut Env<'_>) -> Option<ExecOut> {
+        let Inst::Alu { op, dst, src } = *env.template.inst(self.rob[i].pc) else {
             unreachable!()
         };
         let entry = &self.rob[i];
@@ -2048,8 +2077,8 @@ impl Cpu {
         Some(out)
     }
 
-    fn exec_cmp(&mut self, i: usize, _now: u64, _env: &mut Env<'_>) -> Option<ExecOut> {
-        let Inst::Cmp { a, b } = self.rob[i].inst else {
+    fn exec_cmp(&mut self, i: usize, _now: u64, env: &mut Env<'_>) -> Option<ExecOut> {
+        let Inst::Cmp { a, b } = *env.template.inst(self.rob[i].pc) else {
             unreachable!()
         };
         let entry = &self.rob[i];
@@ -2061,8 +2090,8 @@ impl Cpu {
         Some(out)
     }
 
-    fn exec_test(&mut self, i: usize, _now: u64, _env: &mut Env<'_>) -> Option<ExecOut> {
-        let Inst::Test { a, b } = self.rob[i].inst else {
+    fn exec_test(&mut self, i: usize, _now: u64, env: &mut Env<'_>) -> Option<ExecOut> {
+        let Inst::Test { a, b } = *env.template.inst(self.rob[i].pc) else {
             unreachable!()
         };
         let entry = &self.rob[i];
@@ -2082,13 +2111,13 @@ impl Cpu {
 
     /// Load and LoadByte share a handler (width from the opcode).
     fn exec_load(&mut self, i: usize, now: u64, env: &mut Env<'_>) -> Option<ExecOut> {
-        let (dst, addr, byte) = match self.rob[i].inst {
+        let (dst, addr, byte) = match *env.template.inst(self.rob[i].pc) {
             Inst::Load { dst, addr } => (dst, addr, false),
             Inst::LoadByte { dst, addr } => (dst, addr, true),
             _ => unreachable!(),
         };
         let vaddr = self.eff_addr(&self.rob[i], &addr);
-        match self.forwarding(i, vaddr, byte) {
+        match self.forwarding(i, vaddr, byte, env.template) {
             Some(Ok(v)) => {
                 let mut out = ExecOut::new(self.cfg.timing.store_forward_cycles);
                 out.results.push(dst, if byte { v & 0xff } else { v });
@@ -2107,7 +2136,7 @@ impl Cpu {
 
     /// Store and StoreByte share a handler (width from the opcode).
     fn exec_store(&mut self, i: usize, _now: u64, env: &mut Env<'_>) -> Option<ExecOut> {
-        let (src, addr, byte) = match self.rob[i].inst {
+        let (src, addr, byte) = match *env.template.inst(self.rob[i].pc) {
             Inst::Store { src, addr } => (src, addr, false),
             Inst::StoreByte { src, addr } => (src, addr, true),
             _ => unreachable!(),
@@ -2128,7 +2157,7 @@ impl Cpu {
     }
 
     fn exec_push(&mut self, i: usize, _now: u64, env: &mut Env<'_>) -> Option<ExecOut> {
-        let Inst::Push { src } = self.rob[i].inst else {
+        let Inst::Push { src } = *env.template.inst(self.rob[i].pc) else {
             unreachable!()
         };
         let entry = &self.rob[i];
@@ -2148,12 +2177,12 @@ impl Cpu {
     }
 
     fn exec_pop(&mut self, i: usize, now: u64, env: &mut Env<'_>) -> Option<ExecOut> {
-        let Inst::Pop { dst } = self.rob[i].inst else {
+        let Inst::Pop { dst } = *env.template.inst(self.rob[i].pc) else {
             unreachable!()
         };
         let rsp = self.dep_reg_value(&self.rob[i], Reg::Rsp);
         let mut out;
-        match self.forwarding(i, rsp, false) {
+        match self.forwarding(i, rsp, false, env.template) {
             Some(Ok(v)) => {
                 out = ExecOut::new(self.cfg.timing.store_forward_cycles);
                 out.results.push(dst, v);
@@ -2171,7 +2200,7 @@ impl Cpu {
     }
 
     fn exec_call(&mut self, i: usize, _now: u64, env: &mut Env<'_>) -> Option<ExecOut> {
-        let Inst::Call { target } = self.rob[i].inst else {
+        let Inst::Call { target } = *env.template.inst(self.rob[i].pc) else {
             unreachable!()
         };
         let rsp = self.dep_reg_value(&self.rob[i], Reg::Rsp).wrapping_sub(8);
@@ -2193,7 +2222,7 @@ impl Cpu {
         let rsp = self.dep_reg_value(&self.rob[i], Reg::Rsp);
         let mut out;
         let ret_target;
-        match self.forwarding(i, rsp, false) {
+        match self.forwarding(i, rsp, false, env.template) {
             Some(Ok(v)) => {
                 out = ExecOut::new(self.cfg.timing.store_forward_cycles);
                 ret_target = v;
@@ -2211,8 +2240,8 @@ impl Cpu {
         Some(out)
     }
 
-    fn exec_jmp(&mut self, i: usize, _now: u64, _env: &mut Env<'_>) -> Option<ExecOut> {
-        let Inst::Jmp { target } = self.rob[i].inst else {
+    fn exec_jmp(&mut self, i: usize, _now: u64, env: &mut Env<'_>) -> Option<ExecOut> {
+        let Inst::Jmp { target } = *env.template.inst(self.rob[i].pc) else {
             unreachable!()
         };
         let mut out = ExecOut::new(self.cfg.timing.alu_latency);
@@ -2220,8 +2249,8 @@ impl Cpu {
         Some(out)
     }
 
-    fn exec_jmp_reg(&mut self, i: usize, _now: u64, _env: &mut Env<'_>) -> Option<ExecOut> {
-        let Inst::JmpReg { reg } = self.rob[i].inst else {
+    fn exec_jmp_reg(&mut self, i: usize, _now: u64, env: &mut Env<'_>) -> Option<ExecOut> {
+        let Inst::JmpReg { reg } = *env.template.inst(self.rob[i].pc) else {
             unreachable!()
         };
         let mut out = ExecOut::new(self.cfg.timing.alu_latency);
@@ -2229,8 +2258,8 @@ impl Cpu {
         Some(out)
     }
 
-    fn exec_jcc(&mut self, i: usize, _now: u64, _env: &mut Env<'_>) -> Option<ExecOut> {
-        let Inst::Jcc { cond, target } = self.rob[i].inst else {
+    fn exec_jcc(&mut self, i: usize, _now: u64, env: &mut Env<'_>) -> Option<ExecOut> {
+        let Inst::Jcc { cond, target } = *env.template.inst(self.rob[i].pc) else {
             unreachable!()
         };
         let entry = &self.rob[i];
@@ -2242,7 +2271,7 @@ impl Cpu {
     }
 
     fn exec_clflush(&mut self, i: usize, _now: u64, env: &mut Env<'_>) -> Option<ExecOut> {
-        let Inst::Clflush { addr } = self.rob[i].inst else {
+        let Inst::Clflush { addr } = *env.template.inst(self.rob[i].pc) else {
             unreachable!()
         };
         let vaddr = self.eff_addr(&self.rob[i], &addr);
@@ -2254,7 +2283,7 @@ impl Cpu {
     }
 
     fn exec_prefetch(&mut self, i: usize, _now: u64, env: &mut Env<'_>) -> Option<ExecOut> {
-        let Inst::Prefetch { addr } = self.rob[i].inst else {
+        let Inst::Prefetch { addr } = *env.template.inst(self.rob[i].pc) else {
             unreachable!()
         };
         let vaddr = self.eff_addr(&self.rob[i], &addr);
@@ -2585,7 +2614,7 @@ impl Cpu {
 
             let top = self.txn_frames[self.txn_top as usize];
             let txn_abort = (self.txn_top != 0).then_some(top.abort_target);
-            match f.inst {
+            match meta.inst {
                 Inst::XBegin { abort_target } if self.cfg.vuln.has_tsx => {
                     self.txn_frames.push(TxnFrame {
                         abort_target,
@@ -2610,11 +2639,8 @@ impl Cpu {
             let e = self.rob.push_back_with(|| RobEntry {
                 id,
                 pc: f.pc,
-                inst: f.inst,
                 pred_next: f.pred_next,
-                pred_taken: f.pred_taken,
                 deps: DepList::new(),
-                issued_at: now,
                 started: false,
                 forward_at: NOT_EXECUTED,
                 done_at: NOT_EXECUTED,
@@ -2666,12 +2692,7 @@ impl Cpu {
 
     // ----- fetch ------------------------------------------------------------
 
-    fn fetch_cycle(
-        &mut self,
-        now: u64,
-        template: &ProgramTemplate,
-        env: &mut Env<'_>,
-    ) -> (usize, usize, bool) {
+    fn fetch_cycle(&mut self, now: u64, env: &mut Env<'_>) -> (usize, usize, bool) {
         if now < self.fetch_stall_until || !self.fetch_enabled {
             return (0, 0, true);
         }
@@ -2681,12 +2702,11 @@ impl Cpu {
 
         while budget > 0 && self.idq.len() < self.cfg.idq_size {
             let pc = self.fetch_pc;
-            let Some(meta) = template.meta(pc) else {
+            let Some(meta) = env.template.meta(pc) else {
                 // Ran past the end: stop fetching until redirected.
                 self.fetch_enabled = false;
                 break;
             };
-            let inst = meta.inst;
             let vaddr = meta.vaddr;
 
             // ITLB check when crossing into a new code page.
@@ -2764,7 +2784,7 @@ impl Cpu {
             }
 
             // Predict next pc.
-            let (pred_next, pred_taken) = match inst {
+            let (pred_next, pred_taken) = match meta.inst {
                 Inst::Jcc { target, .. } => {
                     let p = self.bpu.predict_cond(pc, pc + 1, target);
                     if p.from_btb {
@@ -2797,13 +2817,7 @@ impl Cpu {
                 );
             }
 
-            self.idq.push_back(FetchedUop {
-                pc,
-                inst,
-                pred_next,
-                pred_taken,
-                from_dsb,
-            });
+            self.idq.push_back(FetchedUop { pc, pred_next });
             if from_dsb {
                 dsb_uops += 1;
                 self.pmu.bump(Event::IdqDsbUops, 1);

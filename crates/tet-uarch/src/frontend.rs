@@ -2,8 +2,6 @@
 //! the fetched-µop record. The DSB holds only the pcs a program fetched,
 //! so a snapshot restore copies it (DESIGN.md §16).
 
-use tet_isa::Inst;
-
 use crate::lru::LruIndex;
 
 /// The decoded stream buffer (DSB, a.k.a. µop cache): an LRU set of
@@ -64,19 +62,15 @@ impl Dsb {
     }
 }
 
-/// A µop sitting in the IDQ, as produced by fetch/decode.
+/// A µop sitting in the IDQ, as produced by fetch/decode. Rename reads
+/// the instruction itself from the run's [`crate::ProgramTemplate`] by
+/// `pc`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FetchedUop {
     /// Instruction index.
     pub pc: usize,
-    /// The instruction.
-    pub inst: Inst,
     /// Predicted next instruction index.
     pub pred_next: usize,
-    /// Whether the frontend predicted a taken branch.
-    pub pred_taken: bool,
-    /// Whether the µops came from the DSB (vs the MITE legacy path).
-    pub from_dsb: bool,
 }
 
 #[cfg(test)]

@@ -766,8 +766,9 @@ impl Machine {
                 phys: &mut self.phys,
                 aspace: &self.aspace,
                 check: oracle.as_mut(),
+                template,
             };
-            self.cpu.step(template, &mut env);
+            self.cpu.step(&mut env);
         }
 
         if let Some(oracle) = oracle.as_mut() {

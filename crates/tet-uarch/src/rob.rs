@@ -346,11 +346,8 @@ mod tests {
         RobEntry {
             id,
             pc: 0,
-            inst,
             pred_next: 0,
-            pred_taken: false,
             deps: DepList::new(),
-            issued_at: 0,
             started: false,
             forward_at: NOT_EXECUTED,
             done_at: NOT_EXECUTED,

@@ -185,8 +185,9 @@ impl SmtMachine {
                     aspace: &self.aspace0,
                     // SMT runs are not oracle-checked (DESIGN.md §9).
                     check: None,
+                    template: &tpl0,
                 };
-                let ev = self.cpu0.step(&tpl0, &mut env);
+                let ev = self.cpu0.step(&mut env);
                 if check_index {
                     self.cpu0.validate_sched_index();
                 }
@@ -203,8 +204,9 @@ impl SmtMachine {
                     phys: &mut self.phys,
                     aspace: &self.aspace1,
                     check: None,
+                    template: &tpl1,
                 };
-                let ev = self.cpu1.step(&tpl1, &mut env);
+                let ev = self.cpu1.step(&mut env);
                 if check_index {
                     self.cpu1.validate_sched_index();
                 }

@@ -5,7 +5,10 @@
 //! opcode used by the execute dispatch table, the code virtual address
 //! and its page — so the per-cycle fetch and rename stages instantiate
 //! µops by indexing an immutable table instead of re-matching on the
-//! instruction shape every trial. Only the *work* of cracking moves out
+//! instruction shape every trial. In-flight µops (`FetchedUop`,
+//! `RobEntry`) carry only their pc: every stage that needs the decoded
+//! instruction reads it here (`ProgramTemplate::inst`), so no µop
+//! record copies it. Only the *work* of cracking moves out
 //! of the hot path: the DSB/MITE front-end still models delivery
 //! *timing* (hit/miss latency, DSB↔MITE switches) exactly as before, so
 //! cycle-level behaviour is unchanged.
@@ -93,6 +96,13 @@ impl ProgramTemplate {
     pub fn meta(&self, pc: usize) -> Option<&UopMeta> {
         self.uops.get(pc)
     }
+
+    /// The decoded instruction at `pc`, which must be within the
+    /// program (every in-flight µop's pc is: fetch stops at the end).
+    #[inline]
+    pub(crate) fn inst(&self, pc: usize) -> &Inst {
+        &self.uops[pc].inst
+    }
 }
 
 #[cfg(test)]
@@ -114,6 +124,7 @@ mod tests {
             let inst = p.fetch(pc).unwrap();
             let m = tpl.meta(pc).unwrap();
             assert_eq!(m.inst, inst);
+            assert_eq!(*tpl.inst(pc), inst);
             assert_eq!(m.op, inst.opcode());
             assert_eq!(m.kind, UopKind::classify(&inst));
             assert_eq!(m.srcs.as_slice(), src_regs(&inst).as_slice());

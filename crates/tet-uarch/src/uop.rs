@@ -419,18 +419,13 @@ pub struct StoreInfo {
 pub struct RobEntry {
     /// Monotonic µop id (age order).
     pub id: u64,
-    /// Instruction index this µop came from.
+    /// Instruction index this µop came from; the decoded instruction
+    /// is read from the run's [`crate::ProgramTemplate`] by this pc.
     pub pc: usize,
-    /// The decoded instruction.
-    pub inst: Inst,
     /// Frontend-predicted next instruction index.
     pub pred_next: usize,
-    /// Whether the frontend predicted taken.
-    pub pred_taken: bool,
     /// Renamed source dependencies.
     pub deps: DepList,
-    /// Cycle the µop was renamed into the ROB.
-    pub issued_at: u64,
     /// Whether execution has started.
     pub started: bool,
     /// Cycle the result becomes available to dependents
@@ -462,7 +457,8 @@ pub struct RobEntry {
     /// rebuilds rename state on a partial squash.
     pub txn_snapshot: u32,
     /// Template-derived classification bits (branch / memory / fence /
-    /// store-kind / …), so pipeline stages never re-match on `inst`.
+    /// store-kind / …), so pipeline stages never re-match on the
+    /// instruction.
     pub kind: UopKind,
     /// Template-derived architectural destination registers.
     pub dests: RegList,
@@ -632,11 +628,8 @@ mod tests {
         let mut e = RobEntry {
             id: 0,
             pc: 0,
-            inst: Inst::Nop,
             pred_next: 1,
-            pred_taken: false,
             deps: DepList::new(),
-            issued_at: 0,
             started: true,
             forward_at: 5,
             done_at: 9,

@@ -315,8 +315,9 @@ impl Stepper {
                 phys: &mut self.phys,
                 aspace: &self.aspace,
                 check: None,
+                template: t,
             };
-            self.cpu.step(t, &mut env);
+            self.cpu.step(&mut env);
         }
     }
 

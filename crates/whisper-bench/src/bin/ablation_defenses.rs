@@ -15,7 +15,7 @@ use whisper::analysis::{ArgmaxDecoder, Polarity};
 use whisper::attacks::{TetKaslr, TetZombieload, ZBL_PROBE_BASE};
 use whisper::batch::{decode_byte, ProbeMemo};
 use whisper::gadget::{TetGadget, TetGadgetSpec};
-use whisper::scenario::{victim_touch, Scenario, ScenarioOptions};
+use whisper::scenario::{victim_pa, victim_touch_pa, Scenario, ScenarioOptions};
 use whisper_bench::{section, tick, write_report, RunReport, Table};
 
 /// Builds a synthetic kernel hot path: a dispatcher calling every
@@ -175,12 +175,13 @@ fn main() {
         let g = TetGadget::build(TetGadgetSpec::zombieload(ZBL_PROBE_BASE, &cfg));
         // A hintless memo is disabled: every probe runs live.
         let mut memo = ProbeMemo::new(&sc.machine, None);
+        let pa = victim_pa(&sc.machine, 0);
         let (out, _) = decode_byte(
             &mut sc.machine,
             &mut memo,
             ArgmaxDecoder::new(3, Polarity::MinWins),
             |m| {
-                victim_touch(m, 0);
+                victim_touch_pa(m, pa);
                 m.mem_mut().lfb_mut().clear(); // scrub per transition
             },
             |m, test| g.measure_detailed(m, test),

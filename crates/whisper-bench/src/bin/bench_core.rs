@@ -20,11 +20,13 @@
 //! is still written first so CI can upload it as an artifact). Each gate
 //! prints its baseline, current value, and tolerance (see
 //! `whisper_bench::baseline`). The `decode_sweep_noisy.sweep_ns`,
-//! `kaslr_sweep.sweep_ns`, `kernel.*_ns` and `structures.*_ns` keys are
-//! recorded but not gated. `decode_sweep_noisy` repeats the decode sweep
-//! under the §4.1 timer-interrupt noise (period 7919); `kaslr_sweep`
-//! times one §4.5 `break_kaslr` on a plain i7-7700 scenario. The
-//! `structures.*` legs run their full counts in smoke mode too.
+//! `kaslr_sweep.sweep_ns`, `live_probe.*_ns`, `kernel.*_ns` and
+//! `structures.*_ns` keys are recorded but not gated.
+//! `decode_sweep_noisy` repeats the decode sweep under the §4.1
+//! timer-interrupt noise (period 7919); `kaslr_sweep` times one §4.5
+//! `break_kaslr` on a plain i7-7700 scenario; `live_probe.{cc,md,zbl,rsb}_ns`
+//! time one warm live probe of each decode gadget. The `structures.*`
+//! legs run their full counts in smoke mode too.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -33,11 +35,11 @@ use tet_isa::{Asm, Cond, Reg};
 use tet_mem::{Cache, CacheConfig, Pte, Tlb, TlbConfig};
 use tet_uarch::frontend::Dsb;
 use tet_uarch::{Bpu, BpuConfig, CpuConfig, Machine, RunConfig};
-use whisper::attacks::TetKaslr;
+use whisper::attacks::{TetKaslr, TetMeltdown, TetSpectreRsb, ZBL_PROBE_BASE};
 use whisper::channel::TetCovertChannel;
 use whisper::eval::run_table2_matrix_detailed;
-use whisper::gadget::{TetGadget, TetGadgetSpec};
-use whisper::scenario::{Scenario, ScenarioOptions};
+use whisper::gadget::{RsbGadget, TetGadget, TetGadgetSpec};
+use whisper::scenario::{victim_touch, Scenario, ScenarioOptions, STACK_TOP};
 use whisper_bench::{baseline, section, RunReport};
 
 /// Median ns/iteration over `samples` timing windows of `iters` calls.
@@ -49,6 +51,36 @@ fn median_ns(samples: usize, iters: usize, mut f: impl FnMut()) -> f64 {
             f();
         }
         medians.push(t.elapsed().as_nanos() as f64 / iters as f64);
+    }
+    medians.sort_by(f64::total_cmp);
+    medians[medians.len() / 2]
+}
+
+/// Median host ns of one live probe over `samples` windows of `iters`
+/// probes. `before` runs ahead of every probe, outside the timed span.
+/// Test values walk the 255 bytes other than `hint`, so every probe
+/// takes the non-matching path most of a decode sweep's probes take.
+fn live_probe_ns(
+    samples: usize,
+    iters: usize,
+    machine: &mut Machine,
+    hint: u64,
+    mut before: impl FnMut(&mut Machine),
+    mut probe: impl FnMut(&mut Machine, u64) -> Option<(u64, u64)>,
+) -> f64 {
+    let mut medians = Vec::with_capacity(samples);
+    let mut k = 0u64;
+    for _ in 0..samples {
+        let mut ns = 0u128;
+        for _ in 0..iters {
+            before(machine);
+            let test = (hint + 1 + k % 255) % 256;
+            k += 1;
+            let t = Instant::now();
+            black_box(probe(machine, test));
+            ns += t.elapsed().as_nanos();
+        }
+        medians.push(ns as f64 / iters as f64);
     }
     medians.sort_by(f64::total_cmp);
     medians[medians.len() / 2]
@@ -160,6 +192,90 @@ fn main() {
         });
         println!("  {ns:.0} ns/sweep (median of {samples} x {iters})");
         rep.scalar("kaslr_sweep.sweep_ns", ns);
+    }
+
+    section("live probes (one warm measure_detailed per decode gadget, i7-7700)");
+    {
+        // Each gadget is warmed the way its attack warms it; every probe
+        // runs live (no memo). TET-ZBL's victim touch precedes each
+        // probe but is not timed. Informational (not gated).
+        let cfg = CpuConfig::kaby_lake_i7_7700();
+        let opts = ScenarioOptions::default();
+        let (samples, iters) = if smoke { (5, 200) } else { (15, 2000) };
+        let mut legs = Vec::new();
+
+        let mut sc = Scenario::new(cfg.clone(), &opts);
+        sc.sender_write(0xa5);
+        let g = TetGadget::build(TetGadgetSpec::covert_channel(sc.shared_page(), &cfg));
+        g.measure(&mut sc.machine, 0);
+        let ns = live_probe_ns(
+            samples,
+            iters,
+            &mut sc.machine,
+            0xa5,
+            |_| {},
+            |m, t| g.measure_detailed(m, t),
+        );
+        legs.push(("cc", ns));
+
+        let mut sc = Scenario::new(cfg.clone(), &opts);
+        let g = TetGadget::build(TetGadgetSpec::meltdown(sc.kernel_secret_va, &cfg));
+        for _ in 0..TetMeltdown::default().warmup {
+            g.measure(&mut sc.machine, 0);
+        }
+        let hint = g.match_hint(&sc.machine).expect("equality gadget");
+        let ns = live_probe_ns(
+            samples,
+            iters,
+            &mut sc.machine,
+            hint,
+            |_| {},
+            |m, t| g.measure_detailed(m, t),
+        );
+        legs.push(("md", ns));
+
+        let mut sc = Scenario::new(cfg.clone(), &opts);
+        sc.set_victim_byte(0, b'L');
+        let g = TetGadget::build(TetGadgetSpec::zombieload(ZBL_PROBE_BASE, &cfg));
+        sc.victim_touch(0);
+        for _ in 0..3 {
+            g.measure(&mut sc.machine, 0);
+        }
+        let touch = |m: &mut Machine| victim_touch(m, 0);
+        let ns = live_probe_ns(
+            samples,
+            iters,
+            &mut sc.machine,
+            u64::from(b'L'),
+            touch,
+            |m, t| g.measure_detailed(m, t),
+        );
+        legs.push(("zbl", ns));
+
+        let mut sc = Scenario::new(cfg.clone(), &opts);
+        let g = RsbGadget::build(
+            sc.user_secret_va,
+            STACK_TOP,
+            TetSpectreRsb::default().sea_nops,
+        );
+        for _ in 0..4 {
+            g.measure(&mut sc.machine, 0);
+        }
+        let hint = g.match_hint(&sc.machine).expect("secret byte");
+        let ns = live_probe_ns(
+            samples,
+            iters,
+            &mut sc.machine,
+            hint,
+            |_| {},
+            |m, t| g.measure_detailed(m, t),
+        );
+        legs.push(("rsb", ns));
+
+        for (id, ns) in legs {
+            println!("  {id:<4} {ns:>8.0} ns/probe (median of {samples} x {iters})");
+            rep.scalar(&format!("live_probe.{id}_ns"), ns);
+        }
     }
 
     section("snapshot fork trial (restore + probe from a shared snapshot)");

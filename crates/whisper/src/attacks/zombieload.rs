@@ -11,7 +11,7 @@ use crate::analysis::{ArgmaxDecoder, Polarity};
 use crate::attacks::{LeakReport, LeakedByte};
 use crate::batch::{decode_byte, ProbeMemo};
 use crate::gadget::{TetGadget, TetGadgetSpec};
-use crate::scenario::{victim_touch, Scenario, VICTIM_PAGE};
+use crate::scenario::{victim_pa, victim_touch_pa, Scenario, VICTIM_PAGE};
 
 /// An unmapped attacker address whose faulting loads trigger the assist.
 /// The line offset of the probe selects which stale byte is sampled.
@@ -57,11 +57,12 @@ impl TetZombieload {
         };
         let mut memo = ProbeMemo::new(&sc.machine, Some(hint));
         let decoder = ArgmaxDecoder::new(self.batches, Polarity::MinWins);
+        let pa = victim_pa(&sc.machine, offset);
         LeakedByte::decoded(decode_byte(
             &mut sc.machine,
             &mut memo,
             decoder,
-            |m| victim_touch(m, offset),
+            |m| victim_touch_pa(m, pa),
             |m, test| gadget.measure_detailed(m, test),
         ))
     }

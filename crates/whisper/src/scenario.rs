@@ -138,11 +138,7 @@ impl Scenario {
 
     /// Plants a byte in the victim page.
     pub fn set_victim_byte(&mut self, offset: u64, value: u8) {
-        let pa = self
-            .machine
-            .aspace()
-            .translate(VICTIM_PAGE + offset)
-            .expect("victim page is mapped");
+        let pa = victim_pa(&self.machine, offset);
         self.machine.phys_mut().write_u8(pa, value);
     }
 
@@ -160,12 +156,23 @@ impl Scenario {
 /// [`Scenario::victim_touch`] on a bare machine, for sweeps that hold
 /// only the `&mut Machine`.
 pub fn victim_touch(machine: &mut Machine, offset: u64) {
-    let pa = machine
+    victim_touch_pa(machine, victim_pa(machine, offset));
+}
+
+/// The physical address behind victim-page offset `offset`. A pure
+/// page-table read: sweeps that touch one victim byte before every
+/// probe translate it once and call [`victim_touch_pa`].
+pub fn victim_pa(machine: &Machine, offset: u64) -> u64 {
+    machine
         .aspace()
         .translate(VICTIM_PAGE + offset)
-        .expect("victim page is mapped");
-    // The victim's demand load: route it through the hierarchy so the
-    // line (with its data) lands in the LFB.
+        .expect("victim page is mapped")
+}
+
+/// The victim's demand load of physical address `pa` (from
+/// [`victim_pa`]): flushed, then routed through the hierarchy so the
+/// line (with its data) lands in the LFB.
+pub fn victim_touch_pa(machine: &mut Machine, pa: u64) {
     let (mem, phys) = machine.mem_and_phys_mut();
     mem.clflush(pa);
     mem.data_load(pa, phys);
