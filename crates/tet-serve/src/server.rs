@@ -64,6 +64,11 @@ const DEFAULT_IDLE_TIMEOUT_MS: u64 = 5_000;
 /// idle keep-alive connections cannot exhaust the host's threads.
 const MAX_CONNECTIONS: usize = 512;
 
+/// Finished jobs the store remembers. Past this the oldest finished job
+/// is forgotten, and its status, report and events answer `404`; the
+/// report itself stays in the result cache under its key.
+const MAX_FINISHED_JOBS: usize = 1024;
+
 /// Server construction options.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
@@ -133,8 +138,13 @@ impl JobState {
 /// endpoints, without touching the job-store lock per trial.
 struct JobProgress {
     done: AtomicUsize,
-    total: usize,
     flight: FlightRecorder,
+}
+
+/// What a queued or running job needs: its campaign and its progress.
+struct JobRun {
+    spec: CampaignSpec,
+    progress: Arc<JobProgress>,
 }
 
 /// One job entry in the store.
@@ -146,17 +156,58 @@ struct JobEntry {
     /// Whether the submit was answered from the cache.
     cached: bool,
     error: Option<String>,
-    spec: CampaignSpec,
-    progress: Arc<JobProgress>,
+    /// Work units done, as of the job's end (while it runs, `run`
+    /// counts them).
+    done: usize,
+    total: usize,
+    /// `Some` while the job is queued or running; a finished entry
+    /// keeps only what its status, report and events read.
+    run: Option<JobRun>,
 }
 
-#[derive(Default)]
+impl JobEntry {
+    /// Work units done so far.
+    fn done(&self) -> usize {
+        self.run
+            .as_ref()
+            .map_or(self.done, |run| run.progress.done.load(Ordering::Relaxed))
+    }
+}
+
 struct Jobs {
     entries: HashMap<u64, JobEntry>,
     queue: VecDeque<u64>,
     /// key → job id currently computing it (single-flight dedup).
     inflight: HashMap<String, u64>,
     next_id: u64,
+    /// Finished job ids, oldest first.
+    finished: VecDeque<u64>,
+    /// How many finished jobs the store remembers.
+    max_finished: usize,
+}
+
+impl Jobs {
+    fn new(max_finished: usize) -> Self {
+        Jobs {
+            entries: HashMap::new(),
+            queue: VecDeque::new(),
+            inflight: HashMap::new(),
+            next_id: 0,
+            finished: VecDeque::new(),
+            max_finished,
+        }
+    }
+
+    /// Records that job `id` finished, forgetting the oldest finished
+    /// jobs past the cap.
+    fn retire(&mut self, id: u64) {
+        self.finished.push_back(id);
+        while self.finished.len() > self.max_finished {
+            if let Some(old) = self.finished.pop_front() {
+                self.entries.remove(&old);
+            }
+        }
+    }
 }
 
 /// The campaign a worker runs for each job: [`scheduler::run_campaign`],
@@ -244,6 +295,7 @@ pub fn start(cfg: ServerConfig) -> Result<ServerHandle, String> {
         cfg,
         |spec, threads, observe| scheduler::run_campaign(spec, threads, observe),
         MAX_CONNECTIONS,
+        MAX_FINISHED_JOBS,
     )
 }
 
@@ -251,6 +303,7 @@ fn start_with(
     cfg: ServerConfig,
     campaign: CampaignFn,
     max_connections: usize,
+    max_finished: usize,
 ) -> Result<ServerHandle, String> {
     let cache = ResultCache::open_capped(&cfg.cache_dir, cfg.cache_bytes)?;
     let listener = TcpListener::bind(&cfg.addr).map_err(|e| format!("bind {}: {e}", cfg.addr))?;
@@ -260,7 +313,7 @@ fn start_with(
     let registry = Registry::new();
     let metrics = registry.handle();
     let inner = Arc::new(Inner {
-        jobs: Mutex::new(Jobs::default()),
+        jobs: Mutex::new(Jobs::new(max_finished)),
         campaign,
         work_ready: Condvar::new(),
         cache,
@@ -387,9 +440,10 @@ fn run_job(inner: &Arc<Inner>, job_id: u64) {
             return;
         };
         entry.state = JobState::Running;
+        let run = entry.run.as_ref().expect("a queued job keeps its campaign");
         (
-            entry.spec.clone(),
-            Arc::clone(&entry.progress),
+            run.spec.clone(),
+            Arc::clone(&run.progress),
             entry.label.clone(),
         )
     };
@@ -439,6 +493,9 @@ fn run_job(inner: &Arc<Inner>, job_id: u64) {
         }
     }
     jobs.inflight.remove(&entry.key);
+    entry.done = progress.done.load(Ordering::Relaxed);
+    entry.run = None;
+    jobs.retire(job_id);
     progress.flight.finish();
 }
 
@@ -688,16 +745,21 @@ fn submit(
         },
         cached,
         error: None,
-        spec,
-        progress: Arc::new(JobProgress {
-            done: AtomicUsize::new(if cached { total } else { 0 }),
-            total,
-            flight: FlightRecorder::new(total as u64),
+        done: total,
+        total,
+        run: (!cached).then(|| JobRun {
+            spec,
+            progress: Arc::new(JobProgress {
+                done: AtomicUsize::new(0),
+                flight: FlightRecorder::new(total as u64),
+            }),
         }),
     };
     let body = submit_body(&entry, false);
     jobs.entries.insert(id, entry);
-    if !cached {
+    if cached {
+        jobs.retire(id);
+    } else {
         jobs.inflight.insert(key, id);
         jobs.queue.push_back(id);
         inner.work_ready.notify_one();
@@ -758,17 +820,16 @@ fn submit_body(entry: &JobEntry, deduped: bool) -> String {
 }
 
 fn status_body(entry: &JobEntry) -> String {
-    let done = entry.progress.done.load(Ordering::Relaxed);
     let mut v = Value::obj();
     v.set("job", entry.id.into());
     v.set("key", entry.key.as_str().into());
     v.set("label", entry.label.as_str().into());
     v.set("state", entry.state.name().into());
     v.set("cached", entry.cached.into());
-    v.set("done", done.into());
-    v.set("total", entry.progress.total.into());
-    if entry.state == JobState::Running {
-        let sample = entry.progress.flight.sample_now();
+    v.set("done", entry.done().into());
+    v.set("total", entry.total.into());
+    if let (JobState::Running, Some(run)) = (entry.state, &entry.run) {
+        let sample = run.progress.flight.sample_now();
         v.set("trials_per_sec", sample.trials_per_sec.into());
         v.set("eta_s", sample.eta_s.into());
     }
@@ -884,13 +945,10 @@ fn stream_events(w: &mut impl Write, id: u64, inner: &Arc<Inner>) {
             let Some(entry) = jobs.entries.get(&id) else {
                 return;
             };
-            let running = matches!(entry.state, JobState::Queued | JobState::Running);
-            let line = if running {
-                entry.progress.flight.sample_now().to_jsonl()
-            } else {
-                status_body(entry)
-            };
-            (running, line)
+            match &entry.run {
+                Some(run) => (true, run.progress.flight.sample_now().to_jsonl()),
+                None => (false, status_body(entry)),
+            }
         };
         if w.write_all(line.as_bytes()).is_err()
             || w.write_all(b"\n").is_err()
@@ -960,6 +1018,7 @@ mod tests {
             },
             campaign_with_a_panicking_seed,
             MAX_CONNECTIONS,
+            MAX_FINISHED_JOBS,
         )
         .expect("server must start");
         let client = Client::new(&handle.addr().to_string());
@@ -1010,6 +1069,7 @@ mod tests {
             },
             campaign_with_a_panicking_seed,
             CAP,
+            MAX_FINISHED_JOBS,
         )
         .expect("server must start");
         let addr = handle.addr().to_string();
@@ -1046,6 +1106,61 @@ mod tests {
             }
             assert!(Instant::now() < deadline, "a closed slot was never freed");
             std::thread::sleep(Duration::from_millis(10));
+        }
+
+        handle.shutdown();
+        let _ = std::fs::remove_dir_all(&cache_dir);
+    }
+
+    /// A campaign that finishes at once with an empty report.
+    fn instant_campaign(
+        _: &CampaignSpec,
+        _: usize,
+        _: &(dyn Fn(usize) + Sync),
+    ) -> Result<RunReport, String> {
+        Ok(RunReport::new("instant"))
+    }
+
+    /// Past its cap the store forgets the oldest finished job — its
+    /// status, report and events answer 404 — and keeps the newer ones.
+    #[test]
+    fn finished_jobs_past_the_cap_are_forgotten_oldest_first() {
+        const CAP: usize = 2;
+        let cache_dir =
+            std::env::temp_dir().join(format!("tet_serve_forget_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&cache_dir);
+        let handle = start_with(
+            ServerConfig {
+                addr: "127.0.0.1:0".to_string(),
+                workers: 1,
+                threads: 1,
+                cache_dir: cache_dir.clone(),
+                cache_bytes: 0,
+                hot_bytes: 1 << 20,
+                idle_timeout_ms: 5_000,
+            },
+            instant_campaign,
+            MAX_CONNECTIONS,
+            CAP,
+        )
+        .expect("server must start");
+        let client = Client::new(&handle.addr().to_string());
+        let jobs: Vec<u64> = (1..=3)
+            .map(|seed| {
+                let spec = format!(
+                    r#"{{"kind":"table2_cell","preset":"intel-core-i7-7700","attack":"cc","seed":{seed}}}"#
+                );
+                let job = job_id(&client.submit(&spec).unwrap());
+                assert_eq!(finish(&client, job).0, "done");
+                job
+            })
+            .collect();
+        let status = |path: String| client.request("GET", &path, "").unwrap().status;
+        for tail in ["", "/report", "/events"] {
+            assert_eq!(status(format!("/v1/jobs/{}{tail}", jobs[0])), 404, "{tail}");
+            for job in &jobs[1..] {
+                assert_eq!(status(format!("/v1/jobs/{job}{tail}")), 200, "{tail}");
+            }
         }
 
         handle.shutdown();

@@ -317,9 +317,6 @@ pub struct Cpu {
     /// Timer interrupts taken over this core's lifetime (diagnostic,
     /// like the fast-forward stats: survives `reset_run` and restore).
     interrupts_taken: u64,
-    /// Branch resolutions that changed a pattern counter or a BTB
-    /// target, over this core's lifetime (same lifetime rules).
-    predictor_moves: u64,
 }
 
 impl Cpu {
@@ -381,7 +378,6 @@ impl Cpu {
             ff_skipped_cycles: 0,
             ff_sprints: 0,
             interrupts_taken: 0,
-            predictor_moves: 0,
             cfg,
         }
     }
@@ -514,7 +510,6 @@ impl Cpu {
             ff_skipped_cycles: _,
             ff_sprints: _,
             interrupts_taken: _,
-            predictor_moves: _,
         } = src;
         debug_assert_eq!(
             self.cfg.ports, cfg.ports,
@@ -605,12 +600,6 @@ impl Cpu {
         self.interrupts_taken
     }
 
-    /// Branch resolutions that changed a pattern counter or a BTB
-    /// target over this core's lifetime.
-    pub(crate) fn predictor_moves(&self) -> u64 {
-        self.predictor_moves
-    }
-
     /// Cycles this core can step before the next timer interrupt is
     /// taken: a run of `n` cycles starting now is interrupt-free iff
     /// `n <= cycles_to_interrupt`. `None` without interrupt noise.
@@ -625,7 +614,6 @@ impl Cpu {
         self.ff_skipped_cycles = 0;
         self.ff_sprints = 0;
         self.interrupts_taken = 0;
-        self.predictor_moves = 0;
     }
 
     /// Credits this core with the lifetime effects of runs that were
@@ -715,9 +703,16 @@ impl Cpu {
         }
     }
 
-    /// The branch prediction unit (for stealth fingerprinting).
+    /// The branch prediction unit (for stealth fingerprinting and the
+    /// replay dry run).
     pub fn bpu(&self) -> &Bpu {
         &self.bpu
+    }
+
+    /// The branch prediction unit, mutably: replays re-issue recorded
+    /// operations on it ([`Bpu::replay`]).
+    pub fn bpu_mut(&mut self) -> &mut Bpu {
+        &mut self.bpu
     }
 
     /// The data TLB (for stealth fingerprinting and eviction).
@@ -1110,12 +1105,15 @@ impl Cpu {
             let pred_next = e.pred_next;
 
             // Train the predictor at resolution (transient included).
-            let moved = match *template.inst(pc) {
-                Inst::Jcc { target, .. } => self.bpu.resolve_cond(pc, actual == target, target),
-                Inst::Ret | Inst::JmpReg { .. } => self.bpu.resolve_indirect(pc, actual),
-                _ => false,
-            };
-            self.predictor_moves += u64::from(moved);
+            match *template.inst(pc) {
+                Inst::Jcc { target, .. } => {
+                    self.bpu.resolve_cond(pc, actual == target, target);
+                }
+                Inst::Ret | Inst::JmpReg { .. } => {
+                    self.bpu.resolve_indirect(pc, actual);
+                }
+                _ => {}
+            }
 
             self.pmu.bump(Event::BrInstExecAll, 1);
             let mispredicted = actual != pred_next;

@@ -55,7 +55,7 @@ pub mod template;
 pub mod uop;
 
 pub use crate::core::{Cpu, ExceptionRecord, RunExit};
-pub use bpu::{Bpu, BpuConfig, Prediction};
+pub use bpu::{Bpu, BpuConfig, BpuOp, BpuSpan, Prediction};
 pub use config::{CpuConfig, ForwardPolicy, TimingConfig, VulnProfile};
 pub use machine::{
     DeltaMarker, Machine, MachineSnapshot, MachineStats, RunConfig, RunDelta, RunResult,

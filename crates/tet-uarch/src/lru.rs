@@ -90,6 +90,23 @@ impl<V: Copy> LruIndex<V> {
         self.slot_of(key).is_some()
     }
 
+    /// `key`'s value without perturbing recency.
+    pub(crate) fn peek(&self, key: usize) -> Option<V> {
+        self.slot_of(key).map(|s| self.slots[s].val)
+    }
+
+    /// [`LruIndex::get_refresh`] that also says whether the hit
+    /// reordered the entries: a hit on the most recently used entry
+    /// leaves the order (and its stamp) as it is.
+    pub(crate) fn get_refresh_reordering(&mut self, key: usize) -> Option<(V, bool)> {
+        let s = self.slot_of(key)?;
+        let reorders = self.slots[s].stamp + 1 != self.clock;
+        if reorders {
+            self.stamp(s);
+        }
+        Some((self.slots[s].val, reorders))
+    }
+
     /// Inserts `key` as the most recently used entry. A present key is
     /// re-stamped with the new value; at capacity the least recently
     /// used entry is evicted first — exactly the dedup-then-evict order

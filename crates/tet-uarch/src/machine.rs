@@ -8,6 +8,7 @@ use tet_mem::{AddressSpace, FrameAlloc, MemorySystem, PhysMem, Pte, PAGE_SIZE};
 use tet_obs::{RunReport, SinkHandle};
 use tet_pmu::PmuSnapshot;
 
+use crate::bpu::{BpuMark, BpuSpan};
 use crate::core::{Cpu, Env, ExceptionRecord, RunExit};
 use crate::template::ProgramTemplate;
 use crate::{code_vaddr, CpuConfig, ForwardPolicy};
@@ -184,7 +185,8 @@ pub struct MachineStats {
 /// the "before" point of a [`RunDelta`] measurement. Take one with
 /// [`Machine::delta_marker`] immediately before running a probe, and
 /// turn it into the probe's recorded effects with
-/// [`Machine::delta_since`].
+/// [`Machine::delta_since`] and its branch-predictor operations with
+/// [`Machine::bpu_ops_since`].
 #[derive(Debug, Clone)]
 pub struct DeltaMarker {
     runs: u64,
@@ -195,8 +197,7 @@ pub struct DeltaMarker {
     jitter_draws: u64,
     jitter_sum: u64,
     interrupts: u64,
-    predictor_moves: u64,
-    predictor_history: (u64, usize),
+    bpu: BpuMark,
     pmu: PmuSnapshot,
 }
 
@@ -446,8 +447,7 @@ impl Machine {
             jitter_draws,
             jitter_sum,
             interrupts: self.cpu.interrupts_taken(),
-            predictor_moves: self.cpu.predictor_moves(),
-            predictor_history: self.cpu.bpu().history(),
+            bpu: self.cpu.bpu().mark(),
             pmu: self.pmu_lifetime.clone(),
         }
     }
@@ -477,17 +477,17 @@ impl Machine {
         self.cpu.cycles_to_interrupt()
     }
 
-    /// Whether the branch predictor moved since `marker` was taken: a
-    /// pattern counter or BTB target was rewritten, or the
-    /// global-history window or RSB depth ended elsewhere than it
-    /// started. The predictor is the one structure whose state can
-    /// keep evolving while a probe's timing repeats exactly — a taken
-    /// branch takes a dozen resolutions to shift out of the history —
-    /// so a span that moved it did not return the machine to the state
-    /// it started from, however its [`RunDelta`] compares.
-    pub fn predictor_moved_since(&self, marker: &DeltaMarker) -> bool {
-        self.cpu.predictor_moves() != marker.predictor_moves
-            || self.cpu.bpu().history() != marker.predictor_history
+    /// The branch-predictor operations issued since `marker` was
+    /// taken, with their answers: `None` when the span issued more than
+    /// the predictor's log holds (a warm attack probe issues two to six)
+    /// or restored a snapshot. Together with the
+    /// [`RunDelta`] this is what a replay must reproduce: the
+    /// predictor is the one structure a replay changes
+    /// ([`crate::Bpu::replay`]), because its state can keep moving
+    /// while a probe's timing repeats exactly — a taken branch takes a
+    /// dozen resolutions to shift out of the global history.
+    pub fn bpu_ops_since(&self, marker: &DeltaMarker) -> Option<BpuSpan<'_>> {
+        self.cpu.bpu().ops_since(&marker.bpu)
     }
 
     /// Advances the DRAM-jitter stream by `draws` draws on behalf of

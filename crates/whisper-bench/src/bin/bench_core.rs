@@ -24,9 +24,12 @@
 //! `structures.*_ns` keys are recorded but not gated.
 //! `decode_sweep_noisy` repeats the decode sweep under the §4.1
 //! timer-interrupt noise (period 7919); `kaslr_sweep` times one §4.5
-//! `break_kaslr` on a plain i7-7700 scenario; `live_probe.{cc,md,zbl,rsb}_ns`
-//! time one warm live probe of each decode gadget. The `structures.*`
-//! legs run their full counts in smoke mode too.
+//! `break_kaslr` on a plain i7-7700 scenario. Both also count the
+//! probes batching leaves live (`*.live_probes`, simulated runs minus
+//! replayed ones on a fresh scenario), which do not depend on the host.
+//! `live_probe.{cc,md,zbl,rsb}_ns` time one warm live probe of each
+//! decode gadget. The `structures.*` legs run their full counts in smoke
+//! mode too.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -54,6 +57,14 @@ fn median_ns(samples: usize, iters: usize, mut f: impl FnMut()) -> f64 {
     }
     medians.sort_by(f64::total_cmp);
     medians[medians.len() / 2]
+}
+
+/// Runs `f` and returns how many of the runs it made on the scenario's
+/// machine were simulated rather than replayed by trial batching.
+fn live_runs(sc: &mut Scenario, f: impl FnOnce(&mut Scenario)) -> u64 {
+    let (runs, replayed) = (sc.machine.stats().runs, sc.machine.replayed_runs());
+    f(sc);
+    (sc.machine.stats().runs - runs) - (sc.machine.replayed_runs() - replayed)
 }
 
 /// Median host ns of one live probe over `samples` windows of `iters`
@@ -176,6 +187,18 @@ fn main() {
         });
         println!("  {ns:.0} ns/sweep (median of {samples} x {iters})");
         rep.scalar("decode_sweep_noisy.sweep_ns", ns);
+        // Host-independent: how many probes batching leaves to simulate
+        // on eight §4.1 bytes (3 batches, 768 probes and one warm-up
+        // probe each) decoded on a fresh noisy scenario.
+        let mut sc = Scenario::new(CpuConfig::kaby_lake_i7_7700(), &opts);
+        let live = live_runs(&mut sc, |sc| {
+            for byte in [0x5a, 0xc3, 0x00, 0xff, 0x17, 0x80, 0x3c, 0xa5] {
+                sc.sender_write(byte);
+                TetCovertChannel::default().receive_byte(sc);
+            }
+        });
+        println!("  {live} live probes over 8 bytes (3 batches each)");
+        rep.counter("decode_sweep_noisy.live_probes", live);
     }
 
     section("TET-KASLR slot sweep (512 slots, one break_kaslr)");
@@ -192,6 +215,14 @@ fn main() {
         });
         println!("  {ns:.0} ns/sweep (median of {samples} x {iters})");
         rep.scalar("kaslr_sweep.sweep_ns", ns);
+        // Host-independent: the slot probes (and the warm-up probe) one
+        // sweep on a fresh scenario simulates rather than replays.
+        let mut sc = Scenario::new(CpuConfig::kaby_lake_i7_7700(), &ScenarioOptions::default());
+        let live = live_runs(&mut sc, |sc| {
+            attack.break_kaslr(&mut sc.machine, &sc.kernel);
+        });
+        println!("  {live} of 513 probes live");
+        rep.counter("kaslr_sweep.live_probes", live);
     }
 
     section("live probes (one warm measure_detailed per decode gadget, i7-7700)");

@@ -80,4 +80,16 @@ fn smoke_report_feeds_every_gate_and_folded_leg() {
             "`{key}` would be trend-gated"
         );
     }
+
+    // The live-probe counts batching leaves: deterministic, so they are
+    // counters, and ungated.
+    for key in ["decode_sweep_noisy.live_probes", "kaslr_sweep.live_probes"] {
+        let live = rep.counters.get(key).copied();
+        assert!(live.is_some_and(|n| n > 0), "`{key}` is {live:?}");
+        assert_eq!(
+            trend::direction_for(key),
+            None,
+            "`{key}` would be trend-gated"
+        );
+    }
 }

@@ -22,7 +22,7 @@
 //! `NotPresent` exactly as the record's did, never for the last probe
 //! (its live run leaves the code page in the ITLB), and a slot's gadget
 //! is built only when one of its probes runs live. A plain sweep
-//! simulates about 64 of its 512 slot probes; FLARE's reserved-bit
+//! simulates about 53 of its 512 slot probes; FLARE's reserved-bit
 //! leaves keep every slot live.
 
 use tet_mem::WalkOutcome;

@@ -7,13 +7,13 @@
 //! state it started from and reports exactly the same (ToTE, cycles)
 //! pair — the sweep's information content is solely *which* test value
 //! diverges. [`ProbeMemo`] exploits that: it measures probes live until
-//! two consecutive non-matching probes agree on both their result and
-//! their full [`RunDelta`] (cycles, fast-forward stats and all 51 PMU
-//! counters), then *replays* the recorded effects for later
-//! non-matching probes instead of simulating them
-//! ([`tet_uarch::Machine::apply_replayed_run`]).
+//! two consecutive non-matching probes agree on their result, their
+//! full [`RunDelta`] (cycles, fast-forward stats and all 51 PMU
+//! counters) and their branch-predictor operations, then *replays* the
+//! recorded effects for later non-matching probes instead of
+//! simulating them ([`tet_uarch::Machine::apply_replayed_run`]).
 //!
-//! Correctness is defended on five fronts:
+//! Correctness is defended on six fronts:
 //!
 //! * the caller flags every probe that **may replay**
 //!   ([`ProbeMemo::try_replay`] / [`ProbeMemo::observe`]) from a
@@ -24,11 +24,27 @@
 //!   [`tet_uarch::Machine::peek_transient_byte`] ([`ProbeMemo::try_skip`]
 //!   / [`ProbeMemo::record`] derive the flag from it);
 //! * establishment needs two consecutive live probes with identical
-//!   results *and* identical deltas — identical outright for
-//!   jitter-free probes, identical **net of the draw** for probes that
-//!   consume exactly one DRAM-jitter draw per run (the [`JitterShift`]
-//!   fixed point; replays then re-draw from the machine's own stream
-//!   so the RNG position stays exactly live-equivalent);
+//!   results, identical deltas *and* identical branch-predictor
+//!   operations — identical outright for jitter-free probes, identical
+//!   **net of the draw** for probes that consume exactly one DRAM-jitter
+//!   draw per run (the [`JitterShift`] fixed point; replays then re-draw
+//!   from the machine's own stream so the RNG position stays exactly
+//!   live-equivalent);
+//! * **replays are predictor-exact.** A record carries its probe's
+//!   predictor operations with their answers
+//!   ([`tet_uarch::Machine::bpu_ops_since`]). A replay first dry-runs
+//!   them against the current predictor ([`tet_uarch::Bpu::dry_run`]);
+//!   if any prediction would differ, the probe runs live and re-learns
+//!   the fixed point. Otherwise the replay issues them for real
+//!   ([`tet_uarch::Bpu::replay`]), so the global history shifts, the
+//!   counters train and the RSB moves exactly as the live probe's
+//!   would. The predictor's state is the one thing that can keep moving
+//!   while a probe's timing repeats (a taken branch takes a dozen
+//!   resolutions to shift out of the history), and this is what keeps
+//!   it in step. While the predictor stays at a version where the
+//!   record is known to change nothing ([`tet_uarch::Bpu::version`]),
+//!   a replay skips the dry run and the operations: the steady state
+//!   costs what it did before;
 //! * every [`VERIFY_EVERY`]-th would-be skip runs live and is compared
 //!   against the fixed record — any mismatch **poisons** the memo
 //!   (every later probe runs live);
@@ -44,20 +60,14 @@
 //!   to candidate so skipping resumes only after a full re-confirmation
 //!   (the interrupt's bubble may have left the machine at a different
 //!   fixed point). Single-jitter-draw records always run live under
-//!   noise. Under noise a live probe also counts toward (or as a check
-//!   of) a fixed point only if it left the branch predictor where it
-//!   found it ([`tet_uarch::Machine::predictor_moved_since`]): the
-//!   predictor's history keeps moving for a dozen probes after a taken
-//!   branch while their timing repeats exactly, and the interrupt
-//!   schedule shifts which probes run live against it. Quiet decode
-//!   sweeps skip this **predictor rule**: their one divergent probe per
-//!   256 sits at a fixed place in the sweep, and the rule would cost
-//!   them ~60 % more live probes;
+//!   noise;
 //! * batching disables itself entirely under the retirement oracle
 //!   (check mode / `tet_check`, [`batch_enabled`]). A hintless
 //!   decode-sweep [`ProbeMemo`] flags no probe and runs every probe
 //!   live: the all-live reference the equivalence tests compare
 //!   against.
+//!
+//! One rule serves every sweep — quiet and noisy, hinted and hintless.
 //!
 //! Replayed probes return the recorded result and advance every
 //! machine lifetime counter exactly as the live run would have, so
@@ -73,18 +83,12 @@
 //! ([`tet_mem::AddressSpace::walk`], read through
 //! [`tet_uarch::Machine::aspace`]) ends `NotPresent` exactly as the
 //! record's walk did: mapped slots, the KPTI trampoline and FLARE's
-//! reserved-bit slots always run live. Two further rules keep it exact:
-//!
-//! * the **predictor rule** above applies to quiet sweeps too (a memo
-//!   built without a hint always settles): the divergent probes are
-//!   whichever slots the kernel occupies, and without the rule a
-//!   replayed sweep leaves a different predictor history than the
-//!   all-live one;
-//! * the **last probe runs live**: after `flush_tlbs` a live probe
-//!   refills the ITLB with the code page and a replay does not, so a
-//!   replayed last slot would change the next probe on the machine.
+//! reserved-bit slots always run live. Its **last probe runs live**:
+//! after `flush_tlbs` a live probe refills the ITLB with the code page
+//! and a replay does not, so a replayed last slot would change the next
+//! probe on the machine.
 
-use tet_uarch::{DeltaMarker, Machine, RunDelta};
+use tet_uarch::{BpuOp, DeltaMarker, Machine, RunDelta};
 
 use crate::analysis::{ArgmaxDecoder, DecodeOutcome};
 
@@ -225,8 +229,8 @@ fn apply_unit(base: &RunDelta, unit: &RunDelta, d: i64) -> RunDelta {
 }
 
 /// One probe's recorded fixed-point behaviour: the result the probe
-/// closure returned plus everything the probe added to the machine's
-/// lifetime counters.
+/// closure returned, everything the probe added to the machine's
+/// lifetime counters, and the branch-predictor operations it issued.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FixedRec<R> {
     /// The recorded probe result.
@@ -238,20 +242,29 @@ pub struct FixedRec<R> {
     /// `Some` for single-draw probes (which match net of the uniform
     /// `d = j_live − j_recorded` shift of every responsive counter).
     pub unit: Option<RunDelta>,
+    /// The probe's branch-predictor operations with their answers
+    /// ([`tet_uarch::Machine::bpu_ops_since`]): a replay re-issues them
+    /// where each gets its recorded answer, and runs live otherwise.
+    pub ops: Vec<BpuOp>,
 }
 
 impl<R: Clone + PartialEq + JitterShift> FixedRec<R> {
     /// Whether a live observation is equivalent to this record.
     ///
-    /// Jitter-free records demand equality outright. Single-draw
-    /// records demand that the live delta equal `base + d × unit` and
-    /// the live result equal the recorded one time-shifted by `d` —
-    /// establishment across two *different* draws thereby doubles as
-    /// an empirical check that the draw really does pass through the
-    /// probe linearly. Probes with two or more draws per run never
-    /// establish: overlapping accesses could interact non-linearly,
-    /// and a replay could not reproduce the recorded sum anyway.
-    fn matches(&self, result: &R, delta: &RunDelta) -> bool {
+    /// Every record demands the same predictor operations with the same
+    /// answers. Jitter-free records demand equality outright.
+    /// Single-draw records demand that the live delta equal
+    /// `base + d × unit` and the live result equal the recorded one
+    /// time-shifted by `d` — establishment across two *different*
+    /// draws thereby doubles as an empirical check that the draw really
+    /// does pass through the probe linearly. Probes with two or more
+    /// draws per run never establish: overlapping accesses could
+    /// interact non-linearly, and a replay could not reproduce the
+    /// recorded sum anyway.
+    fn matches(&self, result: &R, delta: &RunDelta, ops: &[BpuOp]) -> bool {
+        if self.ops != ops {
+            return false;
+        }
         match &self.unit {
             None => *result == self.result && *delta == self.delta,
             Some(unit) => {
@@ -281,24 +294,24 @@ impl<R: Clone + PartialEq + JitterShift> FixedRec<R> {
     }
 
     /// Tries to establish a fixed point from this candidate and a
-    /// fresh live observation. A seeded candidate (unit already
-    /// learned by a sibling trial) just needs one confirming match; a
-    /// fresh candidate needs the new observation to be exactly equal
-    /// (jitter-free probes) or jitter-linear against it (single-draw
-    /// probes, learning the unit in the process).
-    fn establish(&self, result: &R, delta: &RunDelta) -> Option<FixedRec<R>> {
-        if self.unit.is_some() {
-            return self.matches(result, delta).then(|| self.clone());
+    /// fresh live observation, which must issue the same predictor
+    /// operations with the same answers. A seeded candidate (unit
+    /// already learned by a sibling trial) just needs one confirming
+    /// match; a fresh candidate needs the new observation to be exactly
+    /// equal (jitter-free probes) or jitter-linear against it
+    /// (single-draw probes, learning the unit in the process).
+    fn establish(self, result: &R, delta: &RunDelta, ops: &[BpuOp]) -> Option<FixedRec<R>> {
+        if self.unit.is_some() || self.delta.jitter_draws == 0 {
+            return self.matches(result, delta, ops).then_some(self);
         }
-        if self.delta.jitter_draws == 0 {
-            return (*result == self.result && *delta == self.delta).then(|| self.clone());
+        if self.ops != ops {
+            return None;
         }
         let unit = learn_unit(&self.delta, delta)?;
         let d0 = delta.jitter_sum as i64 - self.delta.jitter_sum as i64;
         (*result == self.result.jitter_shift(d0)).then(|| FixedRec {
-            result: self.result.clone(),
-            delta: self.delta.clone(),
             unit: Some(unit),
+            ..self
         })
     }
 }
@@ -338,11 +351,18 @@ pub struct ProbeMemo<R> {
     skips: u32,
     /// The in-flight live probe is a sampled verification.
     pending_verify: bool,
-    /// A live probe only counts toward (or as a check of) a fixed point
-    /// if it also left the branch predictor where it found it
-    /// ([`tet_uarch::Machine::predictor_moved_since`]): under
-    /// timer-interrupt noise, and in caller-flagged sweeps (no hint).
-    settle: bool,
+    /// The in-flight live probe runs because the fixed record's
+    /// predictor operations would get other answers now: it re-learns
+    /// the fixed point instead of checking it.
+    relearn: bool,
+    /// The predictor version ([`tet_uarch::Bpu::version`]) at which the
+    /// fixed record's operations are known to get their answers and
+    /// change nothing but the BTB's recency, which they leave as the
+    /// last application did: while the predictor stays there, a replay
+    /// skips the dry run and the operations.
+    fast: Option<u64>,
+    /// Scratch for the live probe's operations.
+    ops: Vec<BpuOp>,
 }
 
 impl<R: Clone + PartialEq + JitterShift> ProbeMemo<R> {
@@ -372,7 +392,9 @@ impl<R: Clone + PartialEq + JitterShift> ProbeMemo<R> {
             diverged: false,
             skips: 0,
             pending_verify: false,
-            settle: hint.is_none() || machine.cycles_to_interrupt().is_some(),
+            relearn: false,
+            fast: None,
+            ops: Vec::new(),
         }
     }
 
@@ -428,19 +450,36 @@ impl<R: Clone + PartialEq + JitterShift> ProbeMemo<R> {
     }
 
     /// Replays the next probe if the caller allows it (`may_replay`)
-    /// and it is proven fixed: applies the recorded counter movement to
-    /// `machine` and returns the recorded result. Returns `None` when
-    /// the probe must run live — then take a
-    /// [`tet_uarch::Machine::delta_marker`], run it, and call
-    /// [`ProbeMemo::observe`] with the same flag. Under timer-interrupt
-    /// noise a record replays only if it ends before the next interrupt
-    /// is due.
+    /// and it is proven fixed: re-issues the record's branch-predictor
+    /// operations, applies the recorded counter movement to `machine`
+    /// and returns the recorded result. Returns `None` when the probe
+    /// must run live — then take a [`tet_uarch::Machine::delta_marker`],
+    /// run it, and call [`ProbeMemo::observe`] with the same flag.
+    ///
+    /// A record replays only where its predictor operations would get
+    /// their recorded answers ([`tet_uarch::Bpu::dry_run`]); otherwise
+    /// the probe runs live and re-learns the fixed point. While the
+    /// predictor stays at a version where the record is known to change
+    /// nothing, the dry run and the operations are skipped. Under
+    /// timer-interrupt noise a record replays only if it ends before
+    /// the next interrupt is due.
     pub fn try_replay(&mut self, machine: &mut Machine, may_replay: bool) -> Option<R> {
         if !self.enabled || self.diverged || !may_replay {
             return None;
         }
         let MemoState::Fixed(rec) = &self.state else {
             return None;
+        };
+        let version = machine.cpu().bpu().version();
+        let proven = self.fast == Some(version);
+        let unchanged = if proven {
+            true
+        } else {
+            let Some(unchanged) = machine.cpu().bpu().dry_run(&rec.ops) else {
+                self.relearn = true;
+                return None;
+            };
+            unchanged
         };
         if let Some(free) = machine.cycles_to_interrupt() {
             // Under noise only a record that ends before the next
@@ -457,6 +496,14 @@ impl<R: Clone + PartialEq + JitterShift> ProbeMemo<R> {
             self.skips = 0;
             self.pending_verify = true;
             return None;
+        }
+        if !proven {
+            // Issuing the operations moves the predictor exactly as the
+            // live probe would; if they changed nothing a prediction
+            // sees, the predictor now sits where the next replay of this
+            // record leaves it again.
+            machine.cpu_mut().bpu_mut().replay(&rec.ops);
+            self.fast = unchanged.then(|| machine.cpu().bpu().version());
         }
         match &rec.unit {
             None => {
@@ -501,6 +548,7 @@ impl<R: Clone + PartialEq + JitterShift> ProbeMemo<R> {
         if !self.enabled {
             return;
         }
+        let relearn = std::mem::take(&mut self.relearn);
         let delta = machine.delta_since(marker);
         if delta.interrupts > 0 {
             // Disturbed: the interrupt's bubble is part of this probe's
@@ -511,10 +559,7 @@ impl<R: Clone + PartialEq + JitterShift> ProbeMemo<R> {
             // to candidate and needs a full re-confirmation.
             self.pending_verify = false;
             self.diverged = false;
-            self.state = match std::mem::replace(&mut self.state, MemoState::Poisoned) {
-                MemoState::Fixed(rec) => MemoState::Candidate(rec),
-                other => other,
-            };
+            self.demote();
             return;
         }
         if !may_replay {
@@ -523,26 +568,6 @@ impl<R: Clone + PartialEq + JitterShift> ProbeMemo<R> {
             // one probe later, so flag the next probe for a result-only
             // check.
             self.diverged = true;
-            return;
-        }
-        // Under noise or in a caller-flagged sweep, a probe that moved
-        // the branch predictor did not return the machine to where it
-        // started, whatever its timing: the predictor's history keeps
-        // shifting for a dozen probes after a taken branch (the hint's,
-        // a mapped KASLR slot's, or the warm-up's) while every one of
-        // them times identically. Replays leave the history where it
-        // is, and the interrupt schedule or the slot layout moves which
-        // probes run live, so a residue can line up with a later
-        // divergent probe and change its prediction. Such a probe never
-        // becomes a candidate, and as a check of an established record
-        // it fails.
-        let settled = !self.settle || !machine.predictor_moved_since(marker);
-        if std::mem::take(&mut self.pending_verify) {
-            if let MemoState::Fixed(rec) = &self.state {
-                if !settled || !rec.matches(result, &delta) {
-                    self.state = MemoState::Poisoned;
-                }
-            }
             return;
         }
         if std::mem::take(&mut self.diverged) {
@@ -569,31 +594,54 @@ impl<R: Clone + PartialEq + JitterShift> ProbeMemo<R> {
             };
             return;
         }
-        let observed = |delta| {
-            MemoState::Candidate(FixedRec {
-                result: result.clone(),
-                delta,
-                unit: None,
-            })
-        };
-        self.state = match std::mem::replace(&mut self.state, MemoState::Poisoned) {
-            MemoState::Empty if settled => observed(delta),
-            MemoState::Empty => MemoState::Empty,
-            MemoState::Candidate(c) => {
-                if !settled {
-                    MemoState::Candidate(c)
-                } else if let Some(fixed) = c.establish(result, &delta) {
-                    MemoState::Fixed(fixed)
+        // The probe's predictor operations: a span that overflowed the
+        // log can be neither a record nor a match of one.
+        let span = machine.bpu_ops_since(marker);
+        self.ops.clear();
+        if let Some(span) = &span {
+            self.ops.extend(span.iter());
+        }
+        let logged = span.is_some();
+        // Where the probe left the predictor exactly as it found it, its
+        // operations get the same answers and change nothing from here.
+        let fast = span
+            .is_some_and(|span| !span.changed())
+            .then(|| machine.cpu().bpu().version());
+        if relearn {
+            // The record's operations would have got other answers: the
+            // predictor is not where the record was taken, so this probe
+            // is no check of it. Re-learn the fixed point from here.
+            self.demote();
+        }
+        if std::mem::take(&mut self.pending_verify) {
+            if let MemoState::Fixed(rec) = &self.state {
+                if logged && rec.matches(result, &delta, &self.ops) {
+                    self.fast = fast;
                 } else {
-                    // Not repeating yet (or a stale seed): this
-                    // observation becomes the new candidate.
-                    observed(delta)
+                    self.state = MemoState::Poisoned;
                 }
             }
+            return;
+        }
+        self.state = match std::mem::replace(&mut self.state, MemoState::Poisoned) {
+            MemoState::Empty if logged => MemoState::Candidate(self.observed(result, delta)),
+            MemoState::Empty => MemoState::Empty,
+            MemoState::Candidate(c) if !logged => MemoState::Candidate(c),
+            MemoState::Candidate(c) => match c.establish(result, &delta, &self.ops) {
+                Some(fixed) => {
+                    self.fast = fast;
+                    MemoState::Fixed(fixed)
+                }
+                // Not repeating yet (or a stale seed): this observation
+                // becomes the new candidate.
+                None => MemoState::Candidate(self.observed(result, delta)),
+            },
             MemoState::Fixed(rec) => {
-                // A live probe the caller chose to run anyway: treat
-                // it as a free verification.
-                if settled && rec.matches(result, &delta) {
+                // A live probe the caller chose to run anyway (or one the
+                // interrupt window forced), with the predictor where the
+                // record fits: a free verification.
+                if logged && rec.matches(result, &delta, &self.ops) {
+                    self.fast = fast;
                     MemoState::Fixed(rec)
                 } else {
                     MemoState::Poisoned
@@ -601,6 +649,25 @@ impl<R: Clone + PartialEq + JitterShift> ProbeMemo<R> {
             }
             MemoState::Poisoned => MemoState::Poisoned,
         };
+    }
+
+    /// Drops an established record back to candidate: it must be
+    /// re-confirmed by a live probe before skipping resumes.
+    fn demote(&mut self) {
+        self.state = match std::mem::replace(&mut self.state, MemoState::Poisoned) {
+            MemoState::Fixed(rec) => MemoState::Candidate(rec),
+            other => other,
+        };
+    }
+
+    /// A candidate record of the live observation just made.
+    fn observed(&self, result: &R, delta: RunDelta) -> FixedRec<R> {
+        FixedRec {
+            result: result.clone(),
+            delta,
+            unit: None,
+            ops: self.ops.clone(),
+        }
     }
 }
 
@@ -737,6 +804,7 @@ mod tests {
             result: 204u64,
             delta: run_delta(10),
             unit: None,
+            ops: Vec::new(),
         };
         let mut memo = ProbeMemo::seeded(&m, Some(1000), Some(seed));
         let mut live = 0u32;
@@ -909,6 +977,75 @@ mod tests {
             };
             assert_eq!(next(&mut batched), next(&mut live), "due {due}: next probe");
         }
+    }
+
+    /// A fixed record replays only where its predictor operations get
+    /// their recorded answers. Training the TET-CC gadget's Jcc taken
+    /// until the counter the current global history selects predicts
+    /// taken flips the record's not-taken prediction: the next probe
+    /// must run live, re-learn rather than poison, and leave the
+    /// machine exactly as a live twin's.
+    #[test]
+    fn record_whose_prediction_flips_runs_live() {
+        use crate::gadget::{TetGadget, TetGadgetSpec};
+        use crate::scenario::{Scenario, ScenarioOptions};
+        use tet_uarch::BpuOp;
+
+        let mut sc = Scenario::new(CpuConfig::kaby_lake_i7_7700(), &ScenarioOptions::default());
+        if !batch_enabled(&sc.machine) {
+            return;
+        }
+        sc.sender_write(0xc3);
+        let gadget = TetGadget::build(TetGadgetSpec::covert_channel(
+            sc.shared_page(),
+            sc.machine.config(),
+        ));
+        let mut memo = ProbeMemo::new(&sc.machine, gadget.match_hint(&sc.machine));
+        let probe = |m: &mut Machine, memo: &mut ProbeMemo<ProbeResult>| {
+            let mut ran_live = false;
+            let r = memo.probe(m, 7, |m| {
+                ran_live = true;
+                gadget.measure_detailed(m, 7)
+            });
+            (r, ran_live)
+        };
+        for _ in 0..4 {
+            probe(&mut sc.machine, &mut memo);
+        }
+        let rec = memo.fixed().expect("a fixed record establishes").clone();
+        assert!(!probe(&mut sc.machine, &mut memo).1, "the record replays");
+        let (pc, target) = rec
+            .ops
+            .iter()
+            .find_map(|op| match *op {
+                BpuOp::PredictCond {
+                    pc, target, taken, ..
+                } => {
+                    assert!(!taken, "the record predicts not-taken");
+                    Some((pc, target))
+                }
+                _ => None,
+            })
+            .expect("the probe predicts its in-window Jcc");
+
+        let mut live = sc.machine.clone();
+        for m in [&mut sc.machine, &mut live] {
+            for _ in 0..16 {
+                m.cpu_mut().bpu_mut().resolve_cond(pc, true, target);
+            }
+        }
+        assert_eq!(sc.machine.cpu().bpu().dry_run(&rec.ops), None);
+        let (got, ran_live) = probe(&mut sc.machine, &mut memo);
+        assert!(ran_live, "a record whose prediction flipped must run live");
+        assert_eq!(memo.state_name(), "candidate", "it re-learns, not poisons");
+        assert_eq!(got, gadget.measure_detailed(&mut live, 7));
+        assert_eq!(sc.machine.stats(), live.stats());
+        assert_eq!(sc.machine.pmu_lifetime(), live.pmu_lifetime());
+        let (a, b) = (sc.machine.cpu().bpu(), live.cpu().bpu());
+        assert_eq!(
+            (a.ghr(), a.rsb(), a.pht_fingerprint(), a.btb_fingerprint()),
+            (b.ghr(), b.rsb(), b.pht_fingerprint(), b.btb_fingerprint())
+        );
     }
 
     /// A disturbed live probe — one that took a timer interrupt —

@@ -13,7 +13,10 @@
 //! surface the machine exposes: every per-probe `(ToTE, cycles)` result,
 //! plus the full [`tet_uarch::RunDelta`] over the sweep — run count,
 //! cycle total, fast-forward stats, snapshot restores, DRAM-jitter draw
-//! count/sum and all PMU lifetime counters.
+//! count/sum and all PMU lifetime counters — and the branch predictor
+//! the sweep leaves behind: the global-history window, the RSB, the
+//! PHT and the BTB ([`PredictorState`]). Replays re-issue their
+//! record's predictor operations, so the predictor must match too.
 
 use std::sync::{Arc, OnceLock};
 
@@ -26,9 +29,24 @@ use whisper::batch::{batch_enabled, FixedRec, ProbeMemo, ProbeResult, VERIFY_EVE
 use whisper::gadget::{RsbGadget, TetGadget, TetGadgetSpec};
 use whisper::scenario::{Scenario, ScenarioOptions, SHARED_PAGE, STACK_TOP};
 
-/// One trial's observable surface: every probe result plus the
-/// machine's counter movement over the whole sweep.
-type TrialOutcome = (Vec<ProbeResult>, RunDelta);
+/// One trial's observable surface: every probe result, the machine's
+/// counter movement over the whole sweep, and the predictor it left.
+type TrialOutcome = (Vec<ProbeResult>, RunDelta, PredictorState);
+
+/// The branch predictor as any later run sees it: the global-history
+/// window, the RSB, a fingerprint of every PHT counter and the BTB's
+/// `(pc, target)` entries.
+type PredictorState = (u64, Vec<usize>, u64, Vec<(usize, usize)>);
+
+fn predictor_state(machine: &Machine) -> PredictorState {
+    let bpu = machine.cpu().bpu();
+    (
+        bpu.ghr(),
+        bpu.rsb().to_vec(),
+        bpu.pht_fingerprint(),
+        bpu.btb_fingerprint(),
+    )
+}
 
 /// One full 0..=255 sweep (×`batches`) through a probe memo. Returns
 /// every probe result, the machine's counter movement over the sweep,
@@ -90,6 +108,11 @@ fn assert_batched_equals_unbatched<F>(
         batched_machine.pmu_lifetime(),
         live_machine.pmu_lifetime(),
         "{label}: lifetime PMU counters must be identical"
+    );
+    assert_eq!(
+        predictor_state(batched_machine),
+        predictor_state(live_machine),
+        "{label}: GHR, RSB, PHT and BTB must be identical"
     );
     if batch_enabled(batched_machine) {
         assert!(established, "{label}: fixed point must establish");
@@ -188,7 +211,7 @@ fn batched_fanout_equals_unbatched_at_threads_1_and_8() {
                 if !batched {
                     assert_eq!(live, 256, "hintless trial must run fully live");
                 }
-                (out, delta)
+                (out, delta, predictor_state(m))
             },
         )
     };
@@ -263,7 +286,7 @@ fn seeded_sibling_fanout_equals_unbatched_at_threads_1_and_8() {
                         "seeded trial live probes out of range: {live}/{total}"
                     );
                 }
-                (out, delta)
+                (out, delta, predictor_state(m))
             },
         )
     };
@@ -278,7 +301,7 @@ fn seeded_sibling_fanout_equals_unbatched_at_threads_1_and_8() {
             let (out, delta, live, _) =
                 sweep(m, None, BATCHES, |m, t| gadget.measure_detailed(m, t));
             assert_eq!(live, 256 * BATCHES, "hintless trial must run fully live");
-            (out, delta)
+            (out, delta, predictor_state(m))
         },
     );
 
@@ -340,7 +363,7 @@ fn seeded_sibling_fanout_is_delta_restore_invariant() {
                         let _ = fixed.set(rec.clone());
                     }
                 }
-                (out, delta)
+                (out, delta, predictor_state(m))
             },
         )
     };
@@ -422,7 +445,7 @@ where
     if let (Some(fixed), Some(rec)) = (fixed, memo.fixed()) {
         let _ = fixed.set(rec.clone());
     }
-    ((out, delta), live, disturbed)
+    ((out, delta, predictor_state(m)), live, disturbed)
 }
 
 /// The noisy comparison for one warmed snapshot and one gadget's
@@ -459,10 +482,11 @@ where
             let first = (0..want.0.len()).find(|&k| got.0[k] != want.0[k]);
             assert!(
                 &got == want,
-                "{label} {arm} trial {t}: per-probe results and counter movement must \
-                 match the all-live reference (first differing probe {first:?}, \
-                 deltas equal: {})",
-                got.1 == want.1
+                "{label} {arm} trial {t}: per-probe results, counter movement and \
+                 predictor must match the all-live reference (first differing probe \
+                 {first:?}, deltas equal: {}, predictors equal: {})",
+                got.1 == want.1,
+                got.2 == want.2
             );
         }
     };
@@ -643,9 +667,10 @@ fn kaslr_all_live(attack: &TetKaslr, machine: &mut Machine, kernel: &Kernel) -> 
 }
 
 /// Everything a KASLR sweep leaves observable on its machine: the
-/// lifetime stats and PMU totals, the interrupt phase, and what two
-/// follow-up probes without a TLB flush return and add to the counters
-/// (a replayed last slot would leave the ITLB without the code page).
+/// lifetime stats and PMU totals, the interrupt phase, the predictor,
+/// and what two follow-up probes without a TLB flush return and add to
+/// the counters (a replayed last slot would leave the ITLB without the
+/// code page).
 fn kaslr_aftermath(
     machine: &mut Machine,
     kernel: &Kernel,
@@ -653,11 +678,13 @@ fn kaslr_aftermath(
     MachineStats,
     PmuSnapshot,
     Option<u64>,
+    PredictorState,
     Vec<(ProbeResult, RunDelta)>,
 ) {
     let stats = machine.stats();
     let pmu = machine.pmu_lifetime().clone();
     let phase = machine.cycles_to_interrupt();
+    let predictor = predictor_state(machine);
     let follow_ups = [kernel.base, slot_base(NUM_SLOTS - 1)]
         .into_iter()
         .map(|va| {
@@ -666,7 +693,7 @@ fn kaslr_aftermath(
             (r, machine.delta_since(&marker))
         })
         .collect();
-    (stats, pmu, phase, follow_ups)
+    (stats, pmu, phase, predictor, follow_ups)
 }
 
 /// Live slot probes of one `break_kaslr` sweep: simulated runs minus
@@ -706,7 +733,7 @@ fn assert_kaslr_batched_equals_all_live(label: &str, opts: ScenarioOptions, assu
             assert_eq!(
                 kaslr_aftermath(&mut batched.machine, &batched.kernel),
                 kaslr_aftermath(&mut live.machine, &live.kernel),
-                "{case}: stats, PMU lifetime, interrupt phase and follow-up probes"
+                "{case}: stats, PMU lifetime, interrupt phase, predictor and follow-up probes"
             );
         }
     }
