@@ -11,7 +11,7 @@
 //! assert a divergence *is* caught).
 
 use tet_isa::reg::RegFile;
-use tet_isa::{Flags, Inst, Program, Reg};
+use tet_isa::{Flags, Program, Reg};
 use tet_mem::{AddressSpace, PhysMem};
 
 use crate::interp::{ArchFault, ArchFaultKind, InterpConfig, InterpState, RefInterp, StepOutcome};
@@ -424,12 +424,6 @@ impl Oracle {
             panic!("{d}");
         }
     }
-}
-
-/// Convenience used by diagnostics: disassembles one instruction if in
-/// range.
-pub fn inst_at(program: &Program, pc: usize) -> Option<Inst> {
-    program.fetch(pc)
 }
 
 #[cfg(test)]

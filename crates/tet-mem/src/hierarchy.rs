@@ -326,11 +326,6 @@ impl MemorySystem {
         ]
     }
 
-    /// `(hits, misses)` of the L1 data cache.
-    pub fn l1d_stats(&self) -> (u64, u64) {
-        self.l1d.stats()
-    }
-
     /// Seals every cache level for delta restore (DESIGN.md §16): later
     /// slot writes journal themselves so [`MemorySystem::restore`]
     /// against a clone of this seal repairs only touched slots.

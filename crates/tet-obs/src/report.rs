@@ -216,8 +216,8 @@ impl HistogramSummary {
             p50: num("p50")?,
             p90: num("p90")?,
             p99,
-            // Documents written before p999 existed (the committed
-            // BENCH_* lineage) parse with the best stand-in available.
+            // Documents written before p999 existed (e.g. older
+            // revisions' reports) parse with the best stand-in available.
             p999: v.get("p999").and_then(|x| x.as_u64()).unwrap_or(p99),
         })
     }
@@ -613,8 +613,8 @@ mod tests {
 
     #[test]
     fn summaries_without_p999_parse_with_the_p99_stand_in() {
-        // BENCH_* lineage files predate the p999 field; they must keep
-        // parsing for `bench_trend --gate`.
+        // Reports from older revisions predate the p999 field; they
+        // must keep parsing.
         let legacy = "{\"count\": 4, \"min\": 1, \"max\": 9, \"mean\": 4.0, \
                       \"p50\": 3, \"p90\": 8, \"p99\": 9}";
         let s = HistogramSummary::from_value(&crate::json::parse(legacy).unwrap()).unwrap();

@@ -11,7 +11,7 @@
 //!    differs between a baseline scenario and a variant scenario
 //!    ([`DifferentialReport`]), which is how Table 3 was produced.
 
-use crate::{Event, PmuSnapshot, Unit, Vendor};
+use crate::{Event, PmuSnapshot, Unit};
 
 /// Averaged counter values over a set of collection runs.
 ///
@@ -165,13 +165,6 @@ impl DifferentialReport {
         self.deltas
             .iter()
             .filter(move |d| d.event.desc().unit == unit)
-    }
-
-    /// Surviving deltas restricted to one vendor catalog.
-    pub fn deltas_for_vendor(&self, vendor: Vendor) -> impl Iterator<Item = &EventDelta> {
-        self.deltas
-            .iter()
-            .filter(move |d| d.event.desc().vendor == vendor)
     }
 
     /// Renders the report as an aligned text table (the "offline analysis"

@@ -125,10 +125,10 @@ static EXEC_TABLE: [Option<ExecFn>; Opcode::COUNT] = [
 ];
 
 /// Core invariant checks (DESIGN.md §9): active in every debug build,
-/// and in release builds when check mode is on (`TET_CHECK=1` or
-/// `tet_check::enable()`). `$on` is the core's per-run `invariants`
-/// flag, which `reset_run` sets from that condition, so release runs
-/// without check mode pay one predictable branch on a plain field.
+/// and in release builds when check mode is on (`TET_CHECK=1`). `$on`
+/// is the core's per-run `invariants` flag, which `reset_run` sets from
+/// that condition, so release runs without check mode pay one
+/// predictable branch on a plain field.
 macro_rules! tet_invariant {
     ($on:expr, $cond:expr, $($msg:tt)+) => {
         if $on && !$cond {

@@ -321,11 +321,6 @@ impl Machine {
         self.ff_enabled = on;
     }
 
-    /// Whether this machine fast-forwards idle cycles.
-    pub fn fast_forward(&self) -> bool {
-        self.ff_enabled
-    }
-
     /// Seals every journaled structure (TLBs, the four cache levels,
     /// physical memory) so clones of this state restore by journal
     /// replay (DESIGN.md §16).
@@ -564,7 +559,7 @@ impl Machine {
 
     /// Turns the retirement differential oracle on or off for this
     /// machine only (DESIGN.md §9). Check mode is also forced globally
-    /// by `TET_CHECK=1` or [`tet_check::enable`].
+    /// by `TET_CHECK=1`.
     pub fn set_check_mode(&mut self, on: bool) {
         self.check_mode = on;
     }
@@ -626,11 +621,6 @@ impl Machine {
     /// it, so the snapshot's view never changes.
     pub fn aspace_mut(&mut self) -> &mut AddressSpace {
         Arc::make_mut(&mut self.aspace)
-    }
-
-    /// Allocates a fresh physical frame.
-    pub fn alloc_frame(&mut self) -> u64 {
-        self.frames.alloc()
     }
 
     /// Maps a user-accessible data page at `vaddr` (page-aligned) backed

@@ -5,14 +5,14 @@
 //! the expected shape: error grows with interrupt rate and shrinks with
 //! more batches.
 //!
-//! Run: `cargo run --release -p whisper-bench --bin ablation_noise [--threads N] [--check]`
+//! Run: `cargo run --release -p whisper-bench --bin ablation_noise [--threads N]`
 //!
 //! Both sweeps fan out one independent scenario per parameter value via
 //! `tet-par`; output is byte-identical for any `--threads` setting.
-//! `--check` runs every probe against the retirement oracle, which also
-//! turns trial batching off: its stdout is the all-live reference the
-//! batched run must equal, down to the densest noise (period 401) of
-//! any experiment.
+//! `TET_CHECK=1` runs every probe against the retirement oracle, which
+//! also turns trial batching off: its stdout is the all-live reference
+//! the batched run must equal, down to the densest noise (period 401)
+//! of any experiment.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -42,7 +42,6 @@ fn run(interrupt_period: u64, batches: u32, bytes: usize) -> f64 {
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let threads = tet_par::threads_from_args(&mut args);
-    whisper_bench::check_from_args(&mut args);
     let started = std::time::Instant::now();
     let bytes = 24;
     let mut rep = RunReport::new("ablation_noise");

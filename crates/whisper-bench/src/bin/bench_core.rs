@@ -5,23 +5,17 @@
 //! the numbers to `BENCH_core.json` (schema-v2 [`RunReport`] JSON) at the
 //! repository root. It is the repository's one performance harness.
 //!
-//! Run: `cargo run --release -p whisper-bench --bin bench_core [--smoke] [--threads N] [--out PATH] [--baseline PATH]`
+//! Run: `cargo run --release -p whisper-bench --bin bench_core [--smoke] [--threads N] [--out PATH]`
 //!
 //! `--smoke` cuts iteration counts so CI can track the numbers in
 //! seconds rather than minutes; the JSON shape is identical, with
 //! `meta.mode = "smoke"` marking the cheap run.
 //!
-//! `--baseline PATH` compares the six gated metrics of
-//! [`baseline::bench_core_gates`] — `sim_cycles_per_sec`,
-//! `table2.ns_per_trial`, `decode_sweep.ns_per_iter`,
-//! `decode_sweep.ns_per_uop`, `snapshot_fork.ns_per_trial` and
-//! `snapshot_fork.restore_ns` — against a previously committed report
-//! and exits non-zero when any regresses past its 70% floor (the report
-//! is still written first so CI can upload it as an artifact). Each gate
-//! prints its baseline, current value, and tolerance (see
-//! `whisper_bench::baseline`). The `decode_sweep_noisy.sweep_ns`,
-//! `kaslr_sweep.sweep_ns`, `live_probe.*_ns`, `kernel.*_ns` and
-//! `structures.*_ns` keys are recorded but not gated.
+//! One sample judges nothing on a shared host. The bench gate,
+//! `scripts/bench.sh --pair REV`, compares alternating smoke pairs of
+//! REV's binary and this one on the keys `whisper_bench::baseline::
+//! direction_for` directs. The sweep, warm-up, `live_probe.*`,
+//! `kernel.*` and `structures.*` keys are recorded but not gated.
 //! `decode_sweep_noisy` repeats the decode sweep under the §4.1
 //! timer-interrupt noise (period 7919); `kaslr_sweep` times one §4.5
 //! `break_kaslr` on a plain i7-7700 scenario. Both also count the
@@ -43,7 +37,7 @@ use whisper::channel::TetCovertChannel;
 use whisper::eval::run_table2_matrix_detailed;
 use whisper::gadget::{RsbGadget, TetGadget, TetGadgetSpec};
 use whisper::scenario::{victim_touch, Scenario, ScenarioOptions, STACK_TOP};
-use whisper_bench::{baseline, section, RunReport};
+use whisper_bench::{section, RunReport};
 
 /// Median ns/iteration over `samples` timing windows of `iters` calls.
 fn median_ns(samples: usize, iters: usize, mut f: impl FnMut()) -> f64 {
@@ -106,11 +100,6 @@ fn main() {
         .position(|a| a == "--out")
         .and_then(|i| args.get(i + 1).cloned())
         .unwrap_or_else(|| "BENCH_core.json".to_string());
-
-    let baseline_path = args
-        .iter()
-        .position(|a| a == "--baseline")
-        .and_then(|i| args.get(i + 1).cloned());
 
     let mut rep = RunReport::new("bench_core");
     rep.set_meta("mode", if smoke { "smoke" } else { "full" });
@@ -340,9 +329,9 @@ fn main() {
         gadget.measure(&mut sc.machine, 0); // warm, then freeze the warm state
         let snap = sc.machine.snapshot();
         let mut m = Machine::from_snapshot(&snap);
-        // The combined restore+probe loop stays untouched for lineage
-        // comparability: `ns_per_trial` means the same thing it meant in
-        // every committed report.
+        // The combined restore+probe loop stays untouched so that
+        // `ns_per_trial` means what it meant at every earlier revision a
+        // bench pair may build.
         let ns = median_ns(samples, trial_iters, || {
             m.restore(&snap);
             gadget.measure(&mut m, 0xa5);
@@ -412,9 +401,8 @@ fn main() {
             // A 1-CPU host reruns the exact same serial matrix on the
             // "parallel" leg: the 0.88x "speedup" that measures is
             // scheduler noise, not parallel scaling. Skip the leg and
-            // leave `table2.speedup`/`threadsN_seconds` absent — gates
-            // and trend rows skip missing metrics instead of gating on
-            // a misleading number.
+            // leave `table2.speedup`/`threadsN_seconds` absent: a key
+            // that neither side of a bench pair reports is not gated.
             println!(
                 "  threads=1: {serial_s:.3} s   {ns_per_trial:.0} ns/trial over {} trials \
                  (single-CPU host: parallel leg skipped, speedup not measured)",
@@ -645,25 +633,4 @@ fn main() {
     rep.sim_cycles_per_sec = sim_rate;
     std::fs::write(&out, rep.to_json()).expect("write BENCH_core.json");
     println!("\nwrote {out}");
-
-    // --baseline PATH: regression gate for CI. The report above is always
-    // written first so the artifact survives a failing comparison. Every
-    // gate prints baseline vs current with its tolerance; any regression
-    // exits non-zero.
-    if let Some(path) = baseline_path {
-        let text =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read baseline {path}: {e}"));
-        let base = RunReport::from_json(&text).unwrap_or_else(|e| panic!("parse {path}: {e}"));
-        println!("\nbaseline gate against {path}:");
-        let outcomes = baseline::run_gates(&baseline::bench_core_gates(), &base, &rep);
-        for o in &outcomes {
-            println!("{}", o.render());
-            if o.verdict == baseline::Verdict::Regressed {
-                eprintln!("{}", o.render().trim_start());
-            }
-        }
-        if baseline::any_regressed(&outcomes) {
-            std::process::exit(1);
-        }
-    }
 }

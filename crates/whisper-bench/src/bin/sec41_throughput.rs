@@ -8,7 +8,7 @@
 //!   * TET-RSB: 21.5 KB/s at <0.1 % error (i9-13900K)
 //!   * TET-KASLR: 0.8829 s (n=3, sd 0.0036) on the i9-10980XE
 //!
-//! Run: `cargo run --release -p whisper-bench --bin sec41_throughput [payload_bytes] [--threads N] [--check]`
+//! Run: `cargo run --release -p whisper-bench --bin sec41_throughput [payload_bytes] [--threads N]`
 //!
 //! The covert-channel payload is transmitted in fixed 32-byte chunks and
 //! the three KASLR seed replicas fan out via `tet-par`; output is
@@ -37,7 +37,6 @@ fn random_payload(len: usize, seed: u64) -> Vec<u8> {
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let threads = tet_par::threads_from_args(&mut args);
-    whisper_bench::check_from_args(&mut args);
     let payload_len: usize = args.first().and_then(|s| s.parse().ok()).unwrap_or(64);
     let started = std::time::Instant::now();
     let noise = ScenarioOptions {

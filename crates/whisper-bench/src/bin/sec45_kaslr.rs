@@ -1,7 +1,7 @@
 //! §4.5 — breaking KASLR: plain, under KPTI, under FLARE, and in a
 //! Docker-style container — plus the baseline probes for contrast.
 //!
-//! Run: `cargo run -p whisper-bench --bin sec45_kaslr [--threads N] [--check]`
+//! Run: `cargo run -p whisper-bench --bin sec45_kaslr [--threads N]`
 //!
 //! The plain-KASLR sweep over the three susceptible presets fans out via
 //! `tet-par` (one independent scenario per preset); output is
@@ -36,7 +36,6 @@ fn scenario(
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let threads = tet_par::threads_from_args(&mut args);
-    whisper_bench::check_from_args(&mut args);
     let started = std::time::Instant::now();
     let mut table = Table::new(&[
         "environment",

@@ -22,8 +22,7 @@
 //! the local mode — server/cache notes go to stderr — so CI can diff
 //! the two paths.
 //!
-//! Run: `cargo run -p whisper-bench --bin table2_matrix [--threads N] [--check]
-//!       [--server URL]`
+//! Run: `cargo run -p whisper-bench --bin table2_matrix [--threads N] [--server URL]`
 
 use tet_metrics::{to_prometheus, Registry};
 use tet_obs::MetricsSection;
@@ -32,7 +31,7 @@ use whisper::eval::{
     paper_table2_row, run_table2_matrix_observed, AttackStatus, CellStats, Table2Row,
 };
 use whisper_bench::telemetry::Campaign;
-use whisper_bench::{check_from_args, section, write_report, write_sidecar, RunReport, Table};
+use whisper_bench::{section, write_report, write_sidecar, RunReport, Table};
 
 /// Pops `--server URL` from the argument list, if present.
 fn server_from_args(args: &mut Vec<String>) -> Option<String> {
@@ -116,7 +115,6 @@ fn cell(ours: AttackStatus, paper: Option<AttackStatus>) -> String {
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let threads = tet_par::threads_from_args(&mut args);
-    let checked = check_from_args(&mut args);
     let server = server_from_args(&mut args);
     section("Table 2: attack matrix (ours vs paper)");
     println!("  threads: {threads}");
@@ -176,7 +174,7 @@ fn main() {
         whisper_bench::tick(all_match)
     );
     rep.set_meta("table", "2");
-    rep.set_meta("checked", if checked { "yes" } else { "no" });
+    rep.set_meta("checked", if tet_check::enabled() { "yes" } else { "no" });
     rep.set_meta("served", if server.is_some() { "yes" } else { "no" });
     rep.scalar("all_match", f64::from(all_match));
     rep.counter("trials", stats.runs);

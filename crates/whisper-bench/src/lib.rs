@@ -12,7 +12,6 @@
 
 pub mod baseline;
 pub mod telemetry;
-pub mod trend;
 
 pub use tet_obs::{Progress, RunReport};
 
@@ -88,22 +87,6 @@ impl Table {
         }
         out
     }
-}
-
-/// Consumes a `--check` flag from the argument list; when present, turns
-/// on the process-wide retirement differential oracle (DESIGN.md §9), so
-/// every simulated run is verified against the `tet-check` reference
-/// interpreter. Equivalent to running with `TET_CHECK=1`.
-pub fn check_from_args(args: &mut Vec<String>) -> bool {
-    let found = args.iter().any(|a| a == "--check");
-    args.retain(|a| a != "--check");
-    if found {
-        tet_check::enable();
-        if !tet_obs::quiet() {
-            eprintln!("check mode: every run verified against the reference interpreter");
-        }
-    }
-    found
 }
 
 /// Formats a ✓/✗ cell from a success flag (ASCII-safe).
