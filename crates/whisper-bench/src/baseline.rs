@@ -344,20 +344,50 @@ mod tests {
         compare(&runs(key, parent), &runs(key, change))[0].verdict
     }
 
+    fn pair_dir(test: &str) -> std::path::PathBuf {
+        let dir = std::env::temp_dir().join(format!("tet_pair_{test}_{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
+    }
+
+    /// Writes the runs the way `bench.sh --pair` leaves them, last pair
+    /// first, so that only the file names can put them in order.
+    fn write_pairs(dir: &Path, parent: &[RunReport], change: &[RunReport]) {
+        for i in (0..parent.len()).rev() {
+            for (side, r) in [("change", &change[i]), ("parent", &parent[i])] {
+                std::fs::write(dir.join(format!("{side}-{:02}.json", i + 1)), r.to_json()).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn load_pairs_round_trips_files_in_name_order() {
+        let dir = pair_dir("load");
+        let parent = runs("x.ns_per_trial", &PARENT);
+        let change = runs("x.ns_per_trial", &scaled(2.0));
+        write_pairs(&dir, &parent, &change);
+        std::fs::write(dir.join("notes.json"), "not a report").unwrap();
+        let (p, c) = load_pairs(&dir).unwrap();
+        let values = |rs: &[RunReport]| -> Vec<f64> {
+            rs.iter().map(|r| r.scalars["x.ns_per_trial"]).collect()
+        };
+        assert_eq!(values(&p), PARENT);
+        assert_eq!(values(&c), scaled(2.0));
+        // Nine pairs are not a comparison.
+        std::fs::remove_file(dir.join("parent-10.json")).unwrap();
+        let e = load_pairs(&dir).unwrap_err();
+        assert!(e.contains("9 pairs, expected 10"), "{e}");
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
     #[test]
     fn doctored_baseline_file_names_the_failing_metric() {
         // The change is 1.5x slower on one gated key in every pair. The
         // runs go through disk the way `bench.sh --pair` leaves them,
         // written out of order: pairs match by file name.
-        let dir = std::env::temp_dir().join(format!("tet_pair_test_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+        let dir = pair_dir("doctored");
         let parent = runs("table2.ns_per_trial", &PARENT);
-        let change = runs("table2.ns_per_trial", &scaled(1.5));
-        for i in (0..PAIRS).rev() {
-            for (side, r) in [("change", &change[i]), ("parent", &parent[i])] {
-                std::fs::write(dir.join(format!("{side}-{:02}.json", i + 1)), r.to_json()).unwrap();
-            }
-        }
+        write_pairs(&dir, &parent, &runs("table2.ns_per_trial", &scaled(1.5)));
         let (parent, change) = load_pairs(&dir).unwrap();
         assert_eq!(parent[3].scalars["table2.ns_per_trial"], PARENT[3]);
         let rows = compare(&parent, &change);
@@ -445,7 +475,7 @@ mod tests {
     }
 
     #[test]
-    fn verdicts_follow_the_paired_rule() {
+    fn large_regressions_break_the_band_in_the_right_direction() {
         use Verdict::*;
         for (key, factor, expect) in [
             ("x.ns_per_trial", 1.5, Regressed),
@@ -453,13 +483,6 @@ mod tests {
             // Throughput regresses downward.
             ("sim_cycles_per_sec", 0.5, Regressed),
             ("sim_cycles_per_sec", 1.5, Pass),
-            // 8 % worse in every pair is inside this parent's 10 % IQR.
-            ("x.ns_per_iter", 1.08, Pass),
-            // The legs that stay ungated, 1.5x worse in every pair.
-            ("snapshot_fork.warmup_ns", 1.5, Info),
-            ("kernel.parked_window_ns", 1.5, Info),
-            ("structures.machine_new_ns", 1.5, Info),
-            ("live_probe.zbl_ns", 1.5, Info),
         ] {
             assert_eq!(
                 verdict(key, &PARENT, &scaled(factor)),
@@ -467,10 +490,56 @@ mod tests {
                 "{key} x{factor}"
             );
         }
+    }
+
+    #[test]
+    fn small_jitter_stays_inside_the_band() {
+        // Each pair 3 % off the parent, alternating sides: neither
+        // direction is worse in 9 of 10 pairs.
+        let jitter: Vec<f64> = PARENT
+            .iter()
+            .enumerate()
+            .map(|(i, v)| v * if i % 2 == 0 { 1.03 } else { 0.97 })
+            .collect();
+        for key in ["x.ns_per_trial", "sim_cycles_per_sec"] {
+            let row = compare(&runs(key, &PARENT), &runs(key, &jitter)).remove(0);
+            assert_eq!(row.verdict, Verdict::Pass, "{key}");
+            assert_eq!(row.pairs, PAIRS, "{key}");
+            assert_eq!(row.wins, PAIRS / 2, "{key}");
+            assert_eq!(row.worse, PAIRS / 2, "{key}");
+        }
+    }
+
+    #[test]
+    fn noisy_parent_widens_the_band() {
+        // 8 % worse in every pair is inside this parent's 10 % IQR.
+        assert_eq!(
+            verdict("x.ns_per_iter", &PARENT, &scaled(1.08)),
+            Verdict::Pass
+        );
         // The same 8 % is past a quiet parent's 0.1 % IQR.
         let quiet: Vec<f64> = PARENT.iter().map(|v| 1000.0 + v / 10.0).collect();
         let slower: Vec<f64> = quiet.iter().map(|v| v * 1.08).collect();
-        assert_eq!(verdict("x.ns_per_iter", &quiet, &slower), Regressed);
+        assert_eq!(
+            verdict("x.ns_per_iter", &quiet, &slower),
+            Verdict::Regressed
+        );
+    }
+
+    #[test]
+    fn undirected_metrics_are_informational() {
+        // The legs that stay ungated, 1.5x worse in every pair.
+        for key in [
+            "snapshot_fork.warmup_ns",
+            "kernel.parked_window_ns",
+            "structures.machine_new_ns",
+            "live_probe.zbl_ns",
+            "tet_cc.error_rate",
+        ] {
+            let rows = compare(&runs(key, &PARENT), &runs(key, &scaled(1.5)));
+            assert_eq!(rows[0].verdict, Verdict::Info, "{key}");
+            assert!(!rows.iter().any(Row::fails), "{key}");
+        }
     }
 
     #[test]
