@@ -166,12 +166,10 @@ impl SmtMachine {
         // no oracle rides along; check mode extends that to release runs.
         let check_index = !cfg!(debug_assertions) && tet_check::enabled();
 
-        let mut exit0 = RunExit::CycleLimit;
-        let mut exit1 = RunExit::CycleLimit;
         let mut cycle = 0u64;
         while cycle < max_cycles {
-            let done0 = self.cpu0.halted() || self.cpu0.ran_off_end(prog0);
-            let done1 = self.cpu1.halted() || self.cpu1.ran_off_end(prog1);
+            let done0 = self.cpu0.run_end(prog0).is_some();
+            let done1 = self.cpu1.run_end(prog1).is_some();
             if done0 && done1 {
                 break;
             }
@@ -217,41 +215,10 @@ impl SmtMachine {
             cycle += 1;
         }
 
-        if self.cpu0.halted() {
-            exit0 = match self.cpu0.unhandled_fault() {
-                Some(r) => RunExit::UnhandledFault(*r),
-                None => RunExit::Halted,
-            };
-        } else if self.cpu0.ran_off_end(prog0) {
-            exit0 = RunExit::RanOffEnd;
-        }
-        if self.cpu1.halted() {
-            exit1 = match self.cpu1.unhandled_fault() {
-                Some(r) => RunExit::UnhandledFault(*r),
-                None => RunExit::Halted,
-            };
-        } else if self.cpu1.ran_off_end(prog1) {
-            exit1 = RunExit::RanOffEnd;
-        }
-
-        let t0 = RunResult {
-            exit: exit0,
-            cycles: self.cpu0.cycle(),
-            regs: *self.cpu0.regs(),
-            flags: self.cpu0.flags(),
-            retired: self.cpu0.retired_insts(),
-            pmu: self.cpu0.pmu.snapshot().delta(&pmu0_before),
-            exceptions: self.cpu0.take_exceptions(),
-        };
-        let t1 = RunResult {
-            exit: exit1,
-            cycles: self.cpu1.cycle(),
-            regs: *self.cpu1.regs(),
-            flags: self.cpu1.flags(),
-            retired: self.cpu1.retired_insts(),
-            pmu: self.cpu1.pmu.snapshot().delta(&pmu1_before),
-            exceptions: self.cpu1.take_exceptions(),
-        };
+        let exit0 = self.cpu0.run_end(prog0).unwrap_or(RunExit::CycleLimit);
+        let exit1 = self.cpu1.run_end(prog1).unwrap_or(RunExit::CycleLimit);
+        let t0 = self.cpu0.run_result(exit0, &pmu0_before);
+        let t1 = self.cpu1.run_result(exit1, &pmu1_before);
         SmtRunResult { t0, t1 }
     }
 }

@@ -12,14 +12,17 @@
 //!   [`Machine::from_snapshot`];
 //! * **fast-forward on ≡ off**: skipping idle cycles must leave every
 //!   observable of the run unchanged, including on timer-interrupt-noisy
-//!   configurations.
+//!   configurations and the structured-event stream of a traced run.
 //!
 //! Deterministic: fixed RNG seeds, `TET_SNAPSHOT_CASES` scales the
 //! per-preset program count (default 200).
 
+use std::sync::Arc;
+
 use proptest::test_runner::TestRng;
 use tet_check::gen::{self, layout, GenConfig};
 use tet_isa::{Inst, Reg};
+use tet_obs::{EventKind, MemorySink, SinkHandle, TraceEvent};
 use tet_uarch::{CpuConfig, Machine, RunConfig, RunResult};
 
 const MAX_CYCLES: u64 = 5_000;
@@ -48,6 +51,20 @@ fn run_cfg() -> RunConfig {
         init_regs: vec![(Reg::Rsp, layout::STACK_TOP)],
         ..RunConfig::default()
     }
+}
+
+/// Runs `program` with a [`MemorySink`] attached; returns the run's
+/// fingerprint, its event stream and the cycles fast-forward skipped.
+fn traced_run(m: &mut Machine, program: &tet_isa::Program) -> (String, Vec<TraceEvent>, u64) {
+    let rec = Arc::new(MemorySink::new());
+    let cfg = RunConfig {
+        sink: SinkHandle::attached(rec.clone()),
+        ..run_cfg()
+    };
+    let skipped_before = m.stats().ff_skipped_cycles;
+    let r = m.run(program, &cfg);
+    let skipped = m.stats().ff_skipped_cycles - skipped_before;
+    (fingerprint(&r), rec.drain(), skipped)
 }
 
 /// Every observable of a run, as one comparable value. `RunResult`
@@ -231,6 +248,7 @@ fn fast_forward_is_cycle_exact() {
     let gen_cfg = GenConfig::default();
     let cases = cases_per_preset();
     let mut total_skipped = 0u64;
+    let mut traced_skipped = 0u64;
     for (pi, preset) in preset_variants().into_iter().enumerate() {
         let mut rng = TestRng::deterministic(&format!("ff-differential-{pi}"));
         for case in 0..cases {
@@ -253,12 +271,81 @@ fn fast_forward_is_cycle_exact() {
                 gen::render(&insts)
             );
             total_skipped += fast.stats().ff_skipped_cycles;
+
+            // Once more with a sink attached: the skipped cycles must
+            // emit exactly the events stepping them would.
+            let (want, want_events, _) = traced_run(&mut slow, &program);
+            let (got, got_events, skipped) = traced_run(&mut fast, &program);
+            assert_eq!(got, want, "traced fast-forward changed an observable");
+            assert_eq!(
+                got_events,
+                want_events,
+                "traced fast-forward changed the event stream \
+                 (preset {pi} case {case}):\n{}",
+                gen::render(&insts)
+            );
+            traced_skipped += skipped;
         }
     }
     assert!(
         total_skipped > 0,
         "fast-forward never engaged across the whole sweep — \
          the optimization is silently dead"
+    );
+    assert!(
+        traced_skipped > 0,
+        "traced runs never fast-forwarded across the whole sweep"
+    );
+}
+
+/// Idle cycles whose fetch is *not* stalled: a load of a flushed line
+/// holds retirement while 400 `nop`s fill the ROB and the IDQ, so fetch
+/// sits with a full queue. Fast-forward skips those cycles and must
+/// emit them as `FrontendCycle { 0, 0, stalled: false }`, exactly as
+/// stepping does. (The gadget probes never have such cycles.)
+#[test]
+fn traced_fast_forward_keeps_unstalled_idle_cycles() {
+    let mut insts = vec![Inst::Load {
+        dst: Reg::Rax,
+        addr: tet_isa::Addr::abs(layout::DATA_PAGE),
+    }];
+    insts.extend(std::iter::repeat_n(Inst::Nop, 400));
+    insts.push(Inst::Halt);
+    let program = gen::to_program(&insts);
+
+    let traced = |ff: bool| {
+        let mut m = machine_for(CpuConfig::kaby_lake_i7_7700(), 5);
+        m.set_fast_forward(ff);
+        // Warm the DSB: the cold run decodes every instruction through
+        // MITE, so give it the budget to reach the halt.
+        let warm = RunConfig {
+            max_cycles: 10 * MAX_CYCLES,
+            ..run_cfg()
+        };
+        assert_eq!(m.run(&program, &warm).exit, tet_uarch::RunExit::Halted);
+        m.clflush_virt(layout::DATA_PAGE);
+        traced_run(&mut m, &program)
+    };
+    let (want, want_events, _) = traced(false);
+    let (got, got_events, skipped) = traced(true);
+    assert_eq!(got, want);
+    assert_eq!(got_events, want_events);
+    assert!(skipped > 0, "fast-forward never engaged");
+
+    let unstalled_idle = want_events
+        .iter()
+        .filter(|e| {
+            e.kind
+                == EventKind::FrontendCycle {
+                    dsb_uops: 0,
+                    mite_uops: 0,
+                    stalled: false,
+                }
+        })
+        .count();
+    assert!(
+        unstalled_idle > 100,
+        "the case must have idle cycles with fetch unstalled, got {unstalled_idle}"
     );
 }
 

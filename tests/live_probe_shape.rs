@@ -9,16 +9,24 @@
 //! pipeline (record layout, dispatch, the stage loop) may change how
 //! fast a probe simulates, never what it simulates.
 //!
+//! Each gadget's warm probe is also traced with fast-forward on and
+//! off: the two event streams must be identical, and the fast side must
+//! still skip cycles.
+//!
 //! The same file bounds the sizes of the two per-µop records, so
 //! template data (the decoded instruction, register lists) cannot creep
 //! back into every fetched and renamed µop.
 
+use std::sync::Arc;
+
+use tet_isa::{Program, Reg};
+use tet_obs::{MemorySink, SinkHandle};
 use tet_pmu::Event;
 use tet_uarch::frontend::FetchedUop;
 use tet_uarch::uop::RobEntry;
-use tet_uarch::{CpuConfig, Machine, RunDelta};
+use tet_uarch::{CpuConfig, Machine, RunConfig, RunDelta, RunExit};
 use whisper::attacks::{TetMeltdown, TetSpectreRsb, ZBL_PROBE_BASE};
-use whisper::gadget::{RsbGadget, TetGadget, TetGadgetSpec};
+use whisper::gadget::{RsbGadget, TetGadget, TetGadgetSpec, TransientBegin};
 use whisper::scenario::{Scenario, ScenarioOptions, STACK_TOP};
 
 /// What one probe added to the machine's lifetime counters.
@@ -58,6 +66,51 @@ fn shape_of(
     machine.delta_since(&marker).into()
 }
 
+/// Probes `program` once on two clones of `warm`, traced, with
+/// fast-forward off and on: the runs and their event streams must be
+/// identical, and the fast side must skip cycles.
+fn assert_traced_probe_matches_stepping(
+    warm: &Machine,
+    program: &Program,
+    handler_pc: Option<usize>,
+    init_regs: Vec<(Reg, u64)>,
+) {
+    let probe = |ff: bool| {
+        let mut m = warm.clone();
+        m.set_fast_forward(ff);
+        let rec = Arc::new(MemorySink::new());
+        let marker = m.delta_marker();
+        let r = m.run(
+            program,
+            &RunConfig {
+                handler_pc,
+                init_regs: init_regs.clone(),
+                sink: SinkHandle::attached(rec.clone()),
+                ..RunConfig::default()
+            },
+        );
+        assert_eq!(r.exit, RunExit::Halted);
+        (
+            format!("{r:?}"),
+            rec.drain(),
+            m.delta_since(&marker).ff_skipped,
+        )
+    };
+    let (want, want_events, _) = probe(false);
+    let (got, got_events, skipped) = probe(true);
+    assert_eq!(got, want);
+    assert_eq!(got_events, want_events);
+    assert!(skipped > 0, "the traced probe never fast-forwarded");
+}
+
+/// [`assert_traced_probe_matches_stepping`] for a Figure 1a gadget
+/// probed with `test` in `rbx`.
+fn assert_traced_tet_probe(warm: &Machine, gadget: &TetGadget, test: u64) {
+    let handler =
+        (gadget.spec().begin == TransientBegin::SignalHandler).then_some(gadget.handler_pc);
+    assert_traced_probe_matches_stepping(warm, &gadget.program, handler, vec![(Reg::Rbx, test)]);
+}
+
 #[test]
 fn covert_channel_probe_shape() {
     let mut sc = scenario();
@@ -65,6 +118,7 @@ fn covert_channel_probe_shape() {
     let cfg = sc.machine.config().clone();
     let gadget = TetGadget::build(TetGadgetSpec::covert_channel(sc.shared_page(), &cfg));
     gadget.measure(&mut sc.machine, 0);
+    assert_traced_tet_probe(&sc.machine, &gadget, 0x5a);
     let shape = shape_of(&mut sc.machine, |m| gadget.measure_detailed(m, 0x5a));
     assert_eq!(
         shape,
@@ -86,6 +140,7 @@ fn meltdown_probe_shape() {
     for _ in 0..TetMeltdown::default().warmup {
         gadget.measure(&mut sc.machine, 0);
     }
+    assert_traced_tet_probe(&sc.machine, &gadget, 0x11);
     let shape = shape_of(&mut sc.machine, |m| gadget.measure_detailed(m, 0x11));
     assert_eq!(
         shape,
@@ -112,6 +167,7 @@ fn zombieload_probe_shape() {
     }
     // The victim runs ahead of every probe, as in `sample_byte`.
     sc.victim_touch(0);
+    assert_traced_tet_probe(&sc.machine, &gadget, 0x11);
     let shape = shape_of(&mut sc.machine, |m| gadget.measure_detailed(m, 0x11));
     assert_eq!(
         shape,
@@ -134,6 +190,12 @@ fn rsb_probe_shape() {
     for _ in 0..4 {
         gadget.measure(&mut sc.machine, 0);
     }
+    assert_traced_probe_matches_stepping(
+        &sc.machine,
+        &gadget.program,
+        None,
+        vec![(Reg::Rbx, 0x11), (Reg::Rsp, gadget.stack_top)],
+    );
     let shape = shape_of(&mut sc.machine, |m| gadget.measure_detailed(m, 0x11));
     assert_eq!(
         shape,
