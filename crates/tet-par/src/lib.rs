@@ -114,56 +114,7 @@ where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    if threads <= 1 || n <= 1 {
-        return (0..n).map(f).collect();
-    }
-    let workers = threads.min(n);
-    // One mutex-free-in-practice slot per index: each slot is written by
-    // exactly one worker (the one that claimed the index), so the lock is
-    // never contended; it exists to make the slot writes safe Rust.
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    let panicked = AtomicUsize::new(usize::MAX);
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(i)));
-                match result {
-                    Ok(v) => *slots[i].lock().expect("slot lock") = Some(v),
-                    Err(_) => {
-                        // Record the lowest panicking index so the caller
-                        // re-panics deterministically.
-                        panicked.fetch_min(i, Ordering::SeqCst);
-                        // Stop claiming new work.
-                        cursor.fetch_add(n, Ordering::Relaxed);
-                        break;
-                    }
-                }
-            });
-        }
-    });
-
-    let bad = panicked.load(Ordering::SeqCst);
-    if bad != usize::MAX {
-        // Re-run the offending index inline so the caller sees the
-        // original panic payload (trials are deterministic by contract).
-        let _ = f(bad);
-        panic!("parallel trial {bad} panicked");
-    }
-
-    slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .expect("slot lock")
-                .expect("every index was committed")
-        })
-        .collect()
+    run_indexed_with(threads, n, || (), |(), i| f(i))
 }
 
 /// [`run_indexed`] with **worker-local scratch state**: each worker
@@ -205,55 +156,7 @@ where
     Init: Fn() -> S + Sync,
     F: Fn(&mut S, usize) -> T + Sync,
 {
-    if threads <= 1 || n <= 1 {
-        let mut s = init();
-        return (0..n).map(|i| f(&mut s, i)).collect();
-    }
-    let workers = threads.min(n);
-    let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    let panicked = AtomicUsize::new(usize::MAX);
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut s = init();
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    let result =
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut s, i)));
-                    match result {
-                        Ok(v) => *slots[i].lock().expect("slot lock") = Some(v),
-                        Err(_) => {
-                            panicked.fetch_min(i, Ordering::SeqCst);
-                            cursor.fetch_add(n, Ordering::Relaxed);
-                            break;
-                        }
-                    }
-                }
-            });
-        }
-    });
-
-    let bad = panicked.load(Ordering::SeqCst);
-    if bad != usize::MAX {
-        // Re-run the offending index inline (with fresh state) so the
-        // caller sees the original panic payload.
-        let _ = f(&mut init(), bad);
-        panic!("parallel trial {bad} panicked");
-    }
-
-    slots
-        .into_iter()
-        .map(|s| {
-            s.into_inner()
-                .expect("slot lock")
-                .expect("every index was committed")
-        })
-        .collect()
+    run_indexed_observed(threads, n, init, f, |_, _| {})
 }
 
 /// [`run_indexed_with`] plus a **telemetry observer**: `observe(i, &r)`
@@ -293,6 +196,9 @@ where
             })
             .collect();
     }
+    // One mutex-free-in-practice slot per index: each slot is written by
+    // exactly one worker (the one that claimed the index), so the lock is
+    // never contended; it exists to make the slot writes safe Rust.
     let workers = threads.min(n);
     let slots: Vec<Mutex<Option<T>>> = (0..n).map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
@@ -315,6 +221,9 @@ where
                             *slots[i].lock().expect("slot lock") = Some(v);
                         }
                         Err(_) => {
+                            // Record the lowest panicking index so the
+                            // caller re-panics deterministically, and stop
+                            // claiming new work.
                             panicked.fetch_min(i, Ordering::SeqCst);
                             cursor.fetch_add(n, Ordering::Relaxed);
                             break;
@@ -328,7 +237,8 @@ where
     let bad = panicked.load(Ordering::SeqCst);
     if bad != usize::MAX {
         // Re-run the offending index inline (with fresh state) so the
-        // caller sees the original panic payload.
+        // caller sees the original panic payload (trials are
+        // deterministic by contract).
         let _ = f(&mut init(), bad);
         panic!("parallel trial {bad} panicked");
     }
