@@ -7,9 +7,11 @@
 #
 # Without --pair, extra args go to bench_core (see its module doc for
 # the keys). --pair extracts REV with `git archive` into
-# target/pair/<sha>/ and builds its bench_core once per commit. It then
-# runs 10 smoke pairs of that binary (the parent) and this working
-# tree's (the change), swapping which side goes first each pair, and
+# target/pair/<sha>/ and builds its bench_core once per commit. The
+# change side is built the same way, from a copy of this working tree's
+# tracked and untracked (not ignored) files in target/pair/work/. It
+# then runs 10 smoke pairs of the two binaries (parent and change),
+# swapping which side goes first each pair, and
 # `bench_pair` compares them (whisper_bench::baseline), writing the
 # paired report to BENCH_core.json. A gated key fails when it is worse
 # in at least 9 of the 10 pairs and its median is worse than the
@@ -51,7 +53,14 @@ if [[ ! -x "$parent" ]]; then
   cargo build --release --offline -q --manifest-path "target/pair/$sha/Cargo.toml" \
     -p whisper-bench --bin bench_core
 fi
-cargo build --release -q -p whisper-bench --bin bench_core --bin bench_pair
+work=target/pair/work
+mkdir -p "$work"
+find "$work" -mindepth 1 -maxdepth 1 ! -name target -exec rm -rf {} +
+git ls-files -z -co --exclude-standard |
+  while IFS= read -r -d '' f; do if [[ -e "$f" ]]; then printf '%s\0' "$f"; fi; done |
+  tar -c --null -T - | tar -x -C "$work"
+cargo build --release --offline -q --manifest-path "$work/Cargo.toml" \
+  -p whisper-bench --bin bench_core --bin bench_pair
 
 runs=target/pair/runs
 rm -rf "$runs"
@@ -63,9 +72,9 @@ for ((i = 1; i <= PAIRS; i++)); do
     order=(change parent)
   fi
   for side in "${order[@]}"; do
-    bin=target/release/bench_core
+    bin=$work/target/release/bench_core
     [[ "$side" == change ]] || bin=$parent
     TET_QUIET=1 "$bin" --smoke --out "$runs/$side-$n.json" > /dev/null
   done
 done
-target/release/bench_pair "$runs" "$sha"
+"$work/target/release/bench_pair" "$runs" "$sha"
