@@ -20,9 +20,9 @@
 //!   the halves of `Machine::snapshot`/`Machine::restore`): the copies
 //!   repack the ROB from slot 0 and must rebuild the index.
 //!
-//! Every machine-level scenario runs twice from one snapshot: with a
-//! recording sink (every cycle stepped) and without (fast-forward on),
-//! and both runs must agree.
+//! Every machine-level scenario runs twice from one snapshot: stepping
+//! every cycle with a recording sink, and with fast-forward on and no
+//! sink; both runs must agree.
 
 use std::sync::Arc;
 
@@ -91,13 +91,15 @@ fn machine(cfg: CpuConfig) -> Machine {
 }
 
 /// Runs `prog` on two fresh machines forked from `m` (each with an
-/// empty, unallocated ROB ring), one with a recording sink (every cycle
-/// stepped) and one with fast-forward; asserts they agree and returns
-/// the traced run.
+/// empty, unallocated ROB ring), one stepping every cycle with a
+/// recording sink and one with fast-forward; asserts they agree and
+/// returns the traced run.
 fn run_pinned(m: &mut Machine, prog: &Program, handler: Option<usize>) -> (RunResult, Pin) {
     let snap = m.snapshot();
     let rec = Arc::new(MemorySink::new());
-    let traced = Machine::from_snapshot(&snap).run(
+    let mut stepped = Machine::from_snapshot(&snap);
+    stepped.set_fast_forward(false);
+    let traced = stepped.run(
         prog,
         &RunConfig {
             handler_pc: handler,
